@@ -42,7 +42,7 @@ def main():
         params={"lam": 5.0, "eps": eps, "burn_in": 0.05},
         initial={"kind": "random_smooth", "seed": 3},
         solver=SolverConfig(n=n, dt=dt_save / m, t_end=0.05, save_every=m),
-        quadrature=QuadratureConfig(panels=16, nested_panels=16))
+        quadrature=QuadratureConfig(panels=16))
     traj, extras = run_scenario(cfg, write=False)
     print(f"{'t':>8} {'V':>14} {'dissipation':>14} {'residual':>12}")
     for k, t in enumerate(traj.times):

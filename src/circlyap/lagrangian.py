@@ -4,7 +4,9 @@ Builds the integrand L(u, p) of the Lyapunov functional, its convexity
 weight L_pp = exp(Fq), and the ingredients Fq, F and the auxiliary phi,
 in two equivalent forms:
 
-* ``double_integral``: the double p-quadrature of exp(Fq) minus F(u),
+* ``double_integral``: the double p-integral of exp(Fq) minus F(u),
+  evaluated by Cauchy's formula for repeated integrals as the single
+  integral of (p - s) * exp(Fq(u, s^2/2)) over s in [0, p],
 * ``reduced``: p * phi(u, p) - Psi^{0,u}(p^2/2),
 
 where Psi is the characteristic evolution from :mod:`circlyap.charflow`.
@@ -18,7 +20,7 @@ instead of one characteristic solve per quadrature node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -44,16 +46,23 @@ REDUCED = "reduced"
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Quadrature rule and panel count for every p- and u-integral.
+
+    ``nested_panels`` is accepted and ignored so that configs written while
+    the double p-integrals were evaluated as nested quadratures still
+    parse; it is neither stored nor serialized.
+    """
+
     rule: str = SIMPSON
     panels: int = 64
-    nested_panels: int = 64
+    nested_panels: InitVar[int | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, nested_panels):
         if self.rule not in (SIMPSON, GAUSS_LEGENDRE):
             raise ValueError(f"unknown quadrature rule: {self.rule!r}")
-        if self.nested_panels < 2 or self.panels < 2:
-            raise ValueError("panels and nested_panels must be >= 2")
-        if self.rule == SIMPSON and (self.panels % 2 or self.nested_panels % 2):
+        if self.panels < 2:
+            raise ValueError("panels must be >= 2")
+        if self.rule == SIMPSON and self.panels % 2:
             raise ValueError("Simpson panel counts must be even")
 
 
@@ -229,17 +238,14 @@ class LagrangianEvaluator:
         return self._L_double(u, p)
 
     def _L_double(self, u: float, p: float) -> float:
-        outer_nodes, outer_w = quad_nodes_weights(
-            self.quad_cfg.rule, self.quad_cfg.panels, 0.0, p)
-        total = 0.0
-        for p1, w1 in zip(outer_nodes, outer_w):
-            inner_nodes, inner_w = quad_nodes_weights(
-                self.quad_cfg.rule, self.quad_cfg.nested_panels, 0.0, p1)
-            if inner_nodes.size == 0:
-                continue
-            fq = self._transport_batch(u, 0.5 * inner_nodes**2)
-            total += w1 * float(np.dot(inner_w, np.exp(fq)))
-        return total - self.F(u)
+        """Double p-integral of exp(Fq) minus F(u), with Fq from the
+        transport solve, as one (p - s)-weighted integral over [0, p]."""
+        nodes, w = quad_nodes_weights(self.quad_cfg.rule,
+                                      self.quad_cfg.panels, 0.0, p)
+        if nodes.size == 0:
+            return -self.F(u)
+        fq = self._transport_batch(u, 0.5 * nodes**2)
+        return float(np.dot(w * (p - nodes), np.exp(fq))) - self.F(u)
 
     def L_pp(self, u: float, p: float) -> float:
         """Convexity weight exp(Fq(u, p^2/2)); strictly positive."""
@@ -279,7 +285,8 @@ class LagrangianEvaluator:
             fq_n = np.asarray(nl.f_bar_q(un * s, qn), dtype=float)
             fv_s = np.asarray(nl.f_bar(u_arr * s, qs), dtype=float)
             fq_s = np.asarray(nl.f_bar_q(u_arr * s, qs), dtype=float)
-            if not (np.all(np.isfinite(fv_n)) and np.all(np.isfinite(fv_s))):
+            if not all(np.all(np.isfinite(v))
+                       for v in (fv_n, fq_n, fv_s, fq_s)):
                 raise _Abort(s, "non-finite right-hand side")
             return np.concatenate([
                 -un * np.broadcast_to(fv_n, un.shape),

@@ -4,7 +4,13 @@ For general reaction terms f(x, u, u_x) under Dirichlet (or Neumann)
 boundary conditions, the convexity exponent g(x, u, p) of the Lagrange
 function solves a first-order linear PDE by the method of characteristics:
 along du/dx = p, dp/dx = -f the exponent accumulates f_p, normalized to
-g = 0 at x = 0.
+g = 0 at x = 0. The Lagrange function is the double p-integral of exp g
+minus F(x, u); by Cauchy's formula for repeated integrals,
+
+    int_0^p int_0^p1 exp g(x, u, p2) dp2 dp1 = int_0^p (p - s) exp g(x, u, s) ds,
+
+so it takes one backward characteristic per node of a single quadrature
+rule over [0, p].
 
 Under periodic boundary conditions the same recipe demands that the
 accumulated f_p vanish around every 1-periodic characteristic orbit; the
@@ -140,17 +146,12 @@ class SeparatedEvaluator:
         return float(np.dot(w, f0 * np.exp(gv)))
 
     def L(self, x, u, p) -> float:
-        outer_nodes, outer_w = quad_nodes_weights(
-            self.quad_cfg.rule, self.quad_cfg.panels, 0.0, p)
-        total = 0.0
-        for p1, w1 in zip(outer_nodes, outer_w):
-            inner_nodes, inner_w = quad_nodes_weights(
-                self.quad_cfg.rule, self.quad_cfg.nested_panels, 0.0, p1)
-            if inner_nodes.size == 0:
-                continue
-            gv = self._g_many(x, np.full(inner_nodes.size, u), inner_nodes)
-            total += w1 * float(np.dot(inner_w, np.exp(gv)))
-        return total - self.F(x, u)
+        nodes, w = quad_nodes_weights(self.quad_cfg.rule,
+                                      self.quad_cfg.panels, 0.0, p)
+        if nodes.size == 0:
+            return -self.F(x, u)
+        gv = self._g_many(x, np.full(nodes.size, u), nodes)
+        return float(np.dot(w * (p - nodes), np.exp(gv))) - self.F(x, u)
 
     def L_pp(self, x, u, p) -> float:
         return float(np.exp(self.g(x, u, p)))
@@ -190,8 +191,12 @@ class SeparatedEvaluator:
         except _Abort as ab:
             raise IntegrationFailure(ab.reason, ab.u_reached) from None
         if sol.status == 1:
-            raise CharacteristicEscape(float(sol.t_events[0][0]),
-                                       "batched backward characteristics")
+            y = sol.y_events[0][0]
+            k = int(np.argmax(np.maximum(np.abs(y[:m]), np.abs(y[m:2 * m]))))
+            raise CharacteristicEscape(
+                float(sol.t_events[0][0]),
+                f"batched backward characteristics: sample {k} at "
+                f"(x, u, p) = ({xs[k]:.6g}, {us[k]:.6g}, {ps[k]:.6g})")
         if not sol.success:
             raise IntegrationFailure(sol.message, float(sol.t[-1]))
         return -sol.y[2 * m:, -1]
@@ -199,51 +204,35 @@ class SeparatedEvaluator:
     def field_eval(self, fld: ScalarField):
         """L, L_pp and F over a whole gridded field in one fused solve.
 
-        Builds every quadrature node of the nested p-integrals and the
-        F-integrals for all grid points, evaluates g on the full batch,
-        and assembles the Lagrange function values.
+        Builds every node of the (p - s)-weighted p-integral and of the
+        F-integral for all grid points, evaluates g on the full batch, and
+        assembles the Lagrange function values.
         """
         x = fld.grid()
         u = fld.values
         p = gradient(fld).values
         n = x.size
-        panels = self.quad_cfg.panels
-        frac, wfrac = _unit_rule(self.quad_cfg.rule, panels)
+        frac, wfrac = _unit_rule(self.quad_cfg.rule, self.quad_cfg.panels)
         m = frac.size
 
-        # nested nodes p2 = frac_k * p1, p1 = frac_j * p
-        p1 = p[:, None] * frac[None, :]                       # (n, m)
-        w1 = p[:, None] * wfrac[None, :]
-        p2 = p1[:, :, None] * frac[None, None, :]             # (n, m, m)
-        w2 = p1[:, :, None] * wfrac[None, None, :]
+        # nodes s_j = frac_j * p with weights w_j * (p - s_j)
+        p_nodes = p[:, None] * frac[None, :]                  # (n, m)
+        wL = (p * p)[:, None] * (wfrac * (1.0 - frac))[None, :]
         u_nodes = u[:, None] * frac[None, :]                  # (n, m) for F
         wF = u[:, None] * wfrac[None, :]
 
-        xs = np.concatenate([
-            np.repeat(x, m * m),
-            np.repeat(x, m),
-            x,
-        ])
-        us = np.concatenate([
-            np.repeat(u, m * m),
-            u_nodes.ravel(),
-            u,
-        ])
-        ps = np.concatenate([
-            p2.ravel(),
-            np.zeros(n * m),
-            p,
-        ])
+        xs = np.concatenate([np.repeat(x, m), np.repeat(x, m), x])
+        us = np.concatenate([np.repeat(u, m), u_nodes.ravel(), u])
+        ps = np.concatenate([p_nodes.ravel(), np.zeros(n * m), p])
         g_all = self.g_batch(xs, us, ps)
-        g_inner = g_all[:n * m * m].reshape(n, m, m)
-        g_F = g_all[n * m * m:n * m * m + n * m].reshape(n, m)
-        g_star = g_all[n * m * m + n * m:]
+        g_L = g_all[:n * m].reshape(n, m)
+        g_F = g_all[n * m:2 * n * m].reshape(n, m)
+        g_star = g_all[2 * n * m:]
 
         f0 = np.asarray(self.nl.f(np.repeat(x, m), u_nodes.ravel(),
                                   np.zeros(n * m)), dtype=float).reshape(n, m)
         F_vals = np.sum(wF * f0 * np.exp(g_F), axis=1)
-        inner = np.sum(w2 * np.exp(g_inner), axis=2)          # (n, m)
-        L_vals = np.sum(w1 * inner, axis=1) - F_vals
+        L_vals = np.sum(wL * np.exp(g_L), axis=1) - F_vals
         return {"L": L_vals, "L_pp": np.exp(g_star), "F": F_vals}
 
 

@@ -79,7 +79,7 @@ class TestAcceptance:
                 f"max|L - (p²/2 - F)| = {err:.3e} (tol 1e-8)")
 
     def test_02_form_equivalence(self, capsys):
-        qc = QuadratureConfig(rule=GAUSS_LEGENDRE, panels=16, nested_panels=16)
+        qc = QuadratureConfig(rule=GAUSS_LEGENDRE, panels=16)
         worst = 0.0
         for nl in (chafee_infante_nl(2.0), mixed_nl(2.0, 1.0),
                    gradient_quadratic_o2(0.8, -1.0)):
@@ -196,7 +196,7 @@ class TestAcceptance:
 
     def test_08_separated_bc_construction(self, capsys):
         # decay identity with refinement, as in criterion 4
-        qc = QuadratureConfig(panels=16, nested_panels=16)
+        qc = QuadratureConfig(panels=16)
         ratios = []
         for n, dt_save in ((256, 2e-3), (512, 1e-3)):
             cfg = ScenarioConfig(

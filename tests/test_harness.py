@@ -163,6 +163,15 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="nope")
 
+    def test_nested_panels_in_json_is_ignored(self, tmp_path):
+        cfg = tiny_config(tmp_path, scenario="matano_separated")
+        d = cfg.to_dict()
+        assert "nested_panels" not in d["quadrature"]
+        d["quadrature"]["nested_panels"] = 16
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(d))
+        assert parse_config(path) == cfg
+
 
 class TestRunScenario:
     def test_output_files_and_manifest(self, tmp_path):

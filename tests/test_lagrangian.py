@@ -1,9 +1,11 @@
 """Tests for the Lagrange function and its ingredients."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from circlyap.charflow import NonlinearityO2, evolve
+from circlyap.charflow import IntegrationFailure, NonlinearityO2, evolve
 from circlyap.lagrangian import (
     DOUBLE_INTEGRAL,
     GAUSS_LEGENDRE,
@@ -59,6 +61,12 @@ class TestQuadRule:
     def test_simpson_needs_even_panels(self):
         with pytest.raises(ValueError):
             QuadratureConfig(rule=SIMPSON, panels=5)
+
+    def test_nested_panels_accepted_and_ignored(self):
+        # configs from before the single (p - s)-weighted rule still parse
+        old = QuadratureConfig(rule=SIMPSON, panels=16, nested_panels=7)
+        assert old == QuadratureConfig(rule=SIMPSON, panels=16)
+        assert asdict(old) == {"rule": SIMPSON, "panels": 16}
 
 
 class TestFq:
@@ -150,7 +158,7 @@ class TestL:
 
     def test_form_equivalence_on_grid(self):
         nl = mixed_nl(2.0)
-        qc = QuadratureConfig(rule=GAUSS_LEGENDRE, panels=16, nested_panels=16)
+        qc = QuadratureConfig(rule=GAUSS_LEGENDRE, panels=16)
         ev_r = LagrangianEvaluator(nl, quad_cfg=qc, form=REDUCED)
         ev_d = LagrangianEvaluator(nl, quad_cfg=qc, form=DOUBLE_INTEGRAL)
         for u in [-1.0, 0.0, 1.0]:
@@ -214,6 +222,18 @@ class TestFieldEval:
             assert fe["L"][i] == pytest.approx(fresh.L(u[i], p[i]), abs=1e-8)
             assert fe["L_pp"][i] == pytest.approx(fresh.L_pp(u[i], p[i]),
                                                   abs=1e-8)
+
+    def test_non_finite_f_bar_q_raises_where_it_occurs(self):
+        nl = NonlinearityO2(
+            f_bar=lambda u, q: -u + 0.0 * q,
+            f_bar_q=lambda u, q: np.full_like(np.asarray(q, dtype=float),
+                                              np.nan),
+            label="nan partial")
+        ev = LagrangianEvaluator(nl)
+        with pytest.raises(IntegrationFailure) as err:
+            ev.field_eval(np.array([0.5, -0.3]), np.array([0.4, 1.0]))
+        # caught at the first evaluation, not after NaN reached the solver
+        assert np.isfinite(err.value.u_reached)
 
 
 class TestEffectiveNonlinearity:

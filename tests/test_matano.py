@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from circlyap.charflow import NonlinearityO2
+from circlyap.charflow import (
+    CharacteristicEscape,
+    CharflowConfig,
+    NonlinearityO2,
+)
 from circlyap.functional import DIRICHLET, ScalarField, gradient, quadrature_weights
 from circlyap.lagrangian import (
     GAUSS_LEGENDRE,
@@ -30,6 +35,32 @@ def cubic_drift_gen(lam=5.0, eps=0.5):
         f_p=lambda x, u, p: np.full_like(np.asarray(p, dtype=float), eps),
         x_periodic=False,
     )
+
+
+def cubic_drift_gen_p_dependent():
+    """A drift whose f_p varies with p, so exp g varies along the
+    p-integral."""
+    return GeneralNonlinearity(
+        f=lambda x, u, p: 5.0 * u * (1.0 - u * u) + 0.5 * p + 0.3 * p**3,
+        f_p=lambda x, u, p: 0.5 + 0.9 * np.asarray(p, dtype=float) ** 2,
+        x_periodic=False,
+    )
+
+
+def nested_reference_L(gen, x, u, p, k=12):
+    """The double p-integral of exp g minus F, as nested k-point
+    Gauss-Legendre sums of scalar g_value calls."""
+    xg, wg = leggauss(k)
+
+    def rule(b):
+        return 0.5 * b * (xg + 1.0), 0.5 * b * wg
+
+    double = sum(w1 * sum(w2 * np.exp(g_value(gen, x, u, p2))
+                          for p2, w2 in zip(*rule(p1)))
+                 for p1, w1 in zip(*rule(p)))
+    F = sum(w * gen.f(x, u1, 0.0) * np.exp(g_value(gen, x, u1, 0.0))
+            for u1, w in zip(*rule(u)))
+    return double - F
 
 
 def cubic_gen(lam=5.0):
@@ -115,7 +146,7 @@ class TestLSeparated:
 class TestFieldEval:
     def test_matches_pointwise(self):
         gen = cubic_drift_gen()
-        qc = QuadratureConfig(panels=16, nested_panels=16)
+        qc = QuadratureConfig(panels=16)
         ev = SeparatedEvaluator(gen, quad_cfg=qc)
         fld = dirichlet_field(32)
         fe = ev.field_eval(fld)
@@ -127,6 +158,36 @@ class TestFieldEval:
                 fresh.L(x[i], fld.values[i], p[i]), abs=1e-8)
             assert fe["L_pp"][i] == pytest.approx(
                 fresh.L_pp(x[i], fld.values[i], p[i]), abs=1e-10)
+
+
+class TestPDependentDrift:
+    def test_L_matches_nested_reference(self):
+        gen = cubic_drift_gen_p_dependent()
+        qc = QuadratureConfig(rule=GAUSS_LEGENDRE, panels=16)
+        ev = SeparatedEvaluator(gen, quad_cfg=qc)
+        fld = dirichlet_field(32)
+        fe = ev.field_eval(fld)
+        x = fld.grid()
+        p = gradient(fld).values
+        for i in (3, 12, 20):
+            ref = nested_reference_L(gen, x[i], fld.values[i], p[i])
+            assert fe["L"][i] == pytest.approx(ref, abs=1e-8)
+            assert ev.L(x[i], fld.values[i], p[i]) == pytest.approx(ref,
+                                                                    abs=1e-8)
+
+
+class TestGBatchEscape:
+    def test_escape_names_the_sample(self):
+        free = GeneralNonlinearity(
+            f=lambda x, u, p: 0.0 * np.asarray(u, dtype=float),
+            f_p=lambda x, u, p: 0.0 * np.asarray(p, dtype=float),
+            x_periodic=False)
+        ev = SeparatedEvaluator(free, CharflowConfig(escape_bound=1.0))
+        # with f = 0 the backward characteristic from (x, u, p) reaches
+        # u - x*p at x = 0: -1.4 for sample 1, inside the bound for the rest
+        with pytest.raises(CharacteristicEscape,
+                           match=r"sample 1 at \(x, u, p\) = \(1, -0.5, 0.9\)"):
+            ev.g_batch([0.5, 1.0, 0.8], [0.1, -0.5, 0.2], [0.1, 0.9, -0.2])
 
 
 class TestConsistencyWithCircleConstruction:
@@ -152,7 +213,7 @@ class TestDecayIdentity:
         cfg = SolverConfig(n=n, dt=4e-5, t_end=0.01, save_every=25)
         trajectory = integrate(cubic_drift_gen(), None, dirichlet_field(n),
                                cfg)
-        qc = QuadratureConfig(panels=16, nested_panels=16)
+        qc = QuadratureConfig(panels=16)
         res = decay_identity_residual(cubic_drift_gen(), trajectory,
                                       quad_cfg=qc)
         assert res.size == len(trajectory.times) - 2
@@ -170,7 +231,7 @@ class TestDecayIdentity:
         n = 64
         cfg = SolverConfig(n=n, t_end=0.01, save_every=80)
         traj = integrate(cubic_gen(lam), None, dirichlet_field(n), cfg)
-        qc = QuadratureConfig(rule=GAUSS_LEGENDRE, panels=12, nested_panels=12)
+        qc = QuadratureConfig(rule=GAUSS_LEGENDRE, panels=12)
         res_sep = decay_identity_residual(cubic_gen(lam), traj, quad_cfg=qc)
 
         F = cubic_primitive(lam)
@@ -192,7 +253,7 @@ class TestDecayIdentity:
         u0 = ScalarField(np.zeros(n), 1.0, DIRICHLET)
         cfg = SolverConfig(n=n, t_end=0.01, save_every=40)
         traj = integrate(cubic_drift_gen(), None, u0, cfg)
-        qc = QuadratureConfig(panels=8, nested_panels=8)
+        qc = QuadratureConfig(panels=8)
         res = decay_identity_residual(cubic_drift_gen(), traj, quad_cfg=qc)
         assert np.max(res) <= 1e-12
 
@@ -207,7 +268,7 @@ class TestDecayIdentity:
 
     def test_field_report_consistent_with_parts(self):
         gen = cubic_drift_gen()
-        qc = QuadratureConfig(panels=16, nested_panels=16)
+        qc = QuadratureConfig(panels=16)
         ev = SeparatedEvaluator(gen, quad_cfg=qc)
         fld = dirichlet_field(32)
         ut = ScalarField(0.1 * np.sin(np.pi * fld.grid()), 1.0, DIRICHLET)
