@@ -617,37 +617,31 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True):
 
     Returns (trajectory, extras). ``extras['status']`` is one of "ok",
     "blowup" or "construction_failure"; on failure the partial series is
-    still emitted together with a machine-readable error record.
+    still emitted together with a machine-readable error record
+    (``error.json``) that says what failed, where and when.
     """
     gen, a_coeff, u0, series_fn, extras_fn, solver_cfg = _build_scenario(cfg)
     burn_in = float(cfg.params.get("burn_in", 0.0))
+    traj = None
     if burn_in > 0.0:
         # evolve past the fast initial transient before monitoring starts,
         # so the centered time differences see a resolved signal
         pre_cfg = replace(solver_cfg, t_end=burn_in, save_every=10**9)
         pre = integrate(gen, a_coeff, u0, pre_cfg)
-        u0 = pre.snapshots[-1]
         if pre.blew_up:
-            traj = pre
-            series = _empty_series(traj)
-            extras = {"status": "blowup"}
-            for key in ("V", "dissipation", "residual",
-                        "convexity_min", "ut_inf"):
-                extras.setdefault(key, series[key])
-            if write:
-                out_dir = _resolve_output_dir(cfg)
-                _write_outputs(out_dir, cfg, traj, series, extras, "blowup")
-                extras["output_dir"] = str(out_dir)
-            return traj, extras
-    traj = integrate(gen, a_coeff, u0, solver_cfg)
+            # nothing left to monitor
+            traj, series_fn, extras_fn = pre, _empty_series, lambda _: {}
+        else:
+            u0 = pre.snapshots[-1]
+    if traj is None:
+        traj = integrate(gen, a_coeff, u0, solver_cfg)
     status = "blowup" if traj.blew_up else "ok"
-    error = None
+    error = traj.message
     try:
         series = series_fn(traj)
         extras = extras_fn(traj)
     except (CharacteristicEscape, IntegrationFailure) as exc:
-        status = "construction_failure"
-        error = str(exc)
+        status, error = "construction_failure", str(exc)
         series = _empty_series(traj)
         extras = {}
     extras = dict(extras)

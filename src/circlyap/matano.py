@@ -48,6 +48,23 @@ class CharacteristicState:
     g: float
 
 
+def _escaped_lane(sol, m: int):
+    """Where a batched characteristic solve (states u, p, g of m lanes)
+    stopped early: (s, lane, note).
+
+    The lane is the one with the largest |u| or |p| at the escape event or,
+    for a failed solve, at the last accepted step: a characteristic that
+    blows up in finite time collapses the step size before it reaches the
+    escape bound. The note carries the solver's message in that case.
+    """
+    if sol.status == 1:
+        s_end, y, note = float(sol.t_events[0][0]), sol.y_events[0][0], ""
+    else:
+        s_end, y, note = float(sol.t[-1]), sol.y[:, -1], f"; {sol.message}"
+    k = int(np.argmax(np.maximum(np.abs(y[:m]), np.abs(y[m:2 * m]))))
+    return s_end, k, note
+
+
 def _char_batch(nl: GeneralNonlinearity, x: float, us: np.ndarray,
                 ps: np.ndarray, cfg: CharflowConfig) -> np.ndarray:
     """g(x, u_k, p_k) for batched states, one backward solve to x = 0."""
@@ -78,13 +95,13 @@ def _char_batch(nl: GeneralNonlinearity, x: float, us: np.ndarray,
                         rtol=cfg.rel_tol, atol=cfg.abs_tol, events=escape)
     except _Abort as ab:
         raise IntegrationFailure(ab.reason, ab.u_reached) from None
-    if sol.status == 1:
-        raise CharacteristicEscape(float(sol.t_events[0][0]),
-                                   f"backward characteristic from x={x:.6g}")
-    if not sol.success:
-        raise IntegrationFailure(sol.message, float(sol.t[-1]))
-    # accumulated integral runs from x down to 0; g is its negative
-    return -sol.y[2 * m:, -1]
+    if sol.status == 0:
+        # accumulated integral runs from x down to 0; g is its negative
+        return -sol.y[2 * m:, -1]
+    s_end, k, note = _escaped_lane(sol, m)
+    raise CharacteristicEscape(
+        s_end, f"backward characteristic from x={x:.6g}: sample {k} at "
+        f"(u, p) = ({us[k]:.6g}, {ps[k]:.6g}){note}")
 
 
 def g_value(nl: GeneralNonlinearity, x: float, u: float, p: float,
@@ -190,16 +207,12 @@ class SeparatedEvaluator:
                             rtol=cfg.rel_tol, atol=cfg.abs_tol, events=escape)
         except _Abort as ab:
             raise IntegrationFailure(ab.reason, ab.u_reached) from None
-        if sol.status == 1:
-            y = sol.y_events[0][0]
-            k = int(np.argmax(np.maximum(np.abs(y[:m]), np.abs(y[m:2 * m]))))
-            raise CharacteristicEscape(
-                float(sol.t_events[0][0]),
-                f"batched backward characteristics: sample {k} at "
-                f"(x, u, p) = ({xs[k]:.6g}, {us[k]:.6g}, {ps[k]:.6g})")
-        if not sol.success:
-            raise IntegrationFailure(sol.message, float(sol.t[-1]))
-        return -sol.y[2 * m:, -1]
+        if sol.status == 0:
+            return -sol.y[2 * m:, -1]
+        s_end, k, note = _escaped_lane(sol, m)
+        raise CharacteristicEscape(
+            s_end, f"batched backward characteristics: sample {k} at "
+            f"(x, u, p) = ({xs[k]:.6g}, {us[k]:.6g}, {ps[k]:.6g}){note}")
 
     def field_eval(self, fld: ScalarField):
         """L, L_pp and F over a whole gridded field in one fused solve.

@@ -3,10 +3,20 @@
 Second-order central stencils in space; explicit RK4 or an IMEX scheme
 (Crank-Nicolson diffusion, Adams-Bashforth 2 reaction) in time. The IMEX
 path needs a constant diffusion coefficient.
+
+Each solve builds one semi-discrete operator on plain arrays, with the grid,
+2h, h^2 and the derivative buffers fixed; the RK4 stages, the IMEX reaction
+term, the saved u_t snapshots and the public ``rhs`` all evaluate it, so
+the stencils exist once. The operator pins Dirichlet ends and names the
+grid index of a non-finite right-hand side. A run stops with a blow-up
+record, which keeps the snapshots saved so far and says what happened and
+when, if max|u| exceeds 1e6, the state turns non-finite or the right-hand
+side does.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -15,7 +25,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .functional import DIRICHLET, NEUMANN, PERIODIC, FunctionalReport, ScalarField
+from .functional import (
+    DIRICHLET,
+    NEUMANN,
+    PERIODIC,
+    FunctionalReport,
+    ScalarField,
+    central_difference,
+)
 
 BLOWUP_THRESHOLD = 1e6
 
@@ -76,51 +93,102 @@ class TrajectoryRecord:
     reports: list | None = None
     blew_up: bool = False
     blowup_time: float | None = None
+    message: str | None = None
 
 
-def _normalize_a(a):
-    """Return (callable or None, constant value or None)."""
-    if a is None:
-        return None, 1.0
-    if np.isscalar(a):
-        val = float(a)
-        return (lambda x, u, p: np.full_like(np.asarray(u, dtype=float), val)), val
-    return a, None
+def second_difference(u: np.ndarray, h2: float, bc: str,
+                      out: np.ndarray) -> np.ndarray:
+    """Second-order u_xx of the samples ``u`` into ``out``; ``h2`` is the
+    squared spacing. Dirichlet ends read 0 (the values there are pinned),
+    Neumann ends mirror the ghost values. Each value is computed as
+    ((u[i+1] - 2 u[i]) + u[i-1]) / h2; tests hold that order bit for bit."""
+    mid = out[1:-1]
+    np.multiply(u[1:-1], 2, out=mid)
+    np.subtract(u[2:], mid, out=mid)
+    mid += u[:-2]
+    mid /= h2
+    if bc == PERIODIC:
+        out[0] = (u[1] - 2 * u[0] + u[-1]) / h2
+        out[-1] = (u[0] - 2 * u[-1] + u[-2]) / h2
+    elif bc == DIRICHLET:
+        out[0] = out[-1] = 0.0
+    else:
+        out[0] = 2 * (u[1] - u[0]) / h2
+        out[-1] = 2 * (u[-2] - u[-1]) / h2
+    return out
+
+
+class _SemiDiscrete:
+    """The semi-discrete operator u -> a * u_xx + f(x, u, u_x) on plain arrays.
+
+    Built once per solve from the grid ``x``, the spacing ``h`` and the
+    boundary tag: the grid, 2h, h^2 and the derivative buffers are fixed, so
+    one evaluation costs the two stencils, the user's callables and one
+    finiteness check. ``a`` is None (unit coefficient), a constant or a
+    callable a(x, u, p).
+    """
+
+    def __init__(self, nl: GeneralNonlinearity, a, x: np.ndarray, h: float,
+                 bc: str):
+        self.f = nl.f
+        self.a = float(a) if np.isscalar(a) else a
+        self.x = x
+        self.bc = bc
+        self.two_h = 2 * h
+        self.h2 = h**2
+        self._p = np.empty(x.size)
+        self._uxx = np.empty(x.size)
+        self._ones = np.ones(x.size)
+
+    def reaction(self, u: np.ndarray) -> np.ndarray:
+        """f(x, u, u_x), zero at pinned Dirichlet ends.
+
+        The slope goes into a new array: f may return it, and the caller
+        keeps each result for the next step.
+        """
+        p = central_difference(u, self.two_h, self.bc, np.empty(u.size))
+        out = self.f(self.x, u, p)
+        if self.bc == DIRICHLET:
+            out = np.array(out, dtype=float)
+            out[0] = out[-1] = 0.0
+        return out
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """a * u_xx + f(x, u, u_x) as a new array.
+
+        Raises FloatingPointError naming the first grid index whose value
+        is not finite.
+        """
+        x, a = self.x, self.a
+        p = central_difference(u, self.two_h, self.bc, self._p)
+        uxx = second_difference(u, self.h2, self.bc, self._uxx)
+        if a is None:
+            out = uxx + self.f(x, u, p)
+        elif callable(a):
+            out = a(x, u, p) * uxx + self.f(x, u, p)
+        else:
+            out = a * uxx + self.f(x, u, p)
+        if self.bc == DIRICHLET:
+            out[0] = out[-1] = 0.0
+        # a finite sum (out @ ones) rules out NaN and inf; an overflowing
+        # one is confirmed element by element
+        if not math.isfinite(out @ self._ones):
+            bad = np.flatnonzero(~np.isfinite(out))
+            if bad.size:
+                raise FloatingPointError(
+                    f"non-finite right-hand side at grid index {bad[0]}")
+        return out
 
 
 def laplacian(field: ScalarField) -> np.ndarray:
-    u = field.values
-    h2 = field.dx**2
-    if field.bc == PERIODIC:
-        return (np.roll(u, -1) - 2 * u + np.roll(u, 1)) / h2
-    uxx = np.empty_like(u)
-    uxx[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / h2
-    if field.bc == DIRICHLET:
-        uxx[0] = uxx[-1] = 0.0  # boundary values are pinned; u_t = 0 there
-    else:  # Neumann: mirror ghost values
-        uxx[0] = 2 * (u[1] - u[0]) / h2
-        uxx[-1] = 2 * (u[-2] - u[-1]) / h2
-    return uxx
+    return second_difference(field.values, field.dx**2, field.bc,
+                             np.empty(field.n))
 
 
 def rhs(nl: GeneralNonlinearity, a, field: ScalarField) -> ScalarField:
     """Semi-discrete right-hand side a * u_xx + f(x, u, u_x)."""
-    from .functional import gradient
-
-    a_fn, _ = _normalize_a(a)
-    u = field.values
-    x = field.grid()
-    p = gradient(field).values
-    uxx = laplacian(field)
-    coeff = a_fn(x, u, p) if a_fn is not None else 1.0
-    out = coeff * uxx + nl.f(x, u, p)
-    if field.bc == DIRICHLET:
-        out = np.array(out, dtype=float)
-        out[0] = out[-1] = 0.0
-    if not np.all(np.isfinite(out)):
-        bad = int(np.argmax(~np.isfinite(np.asarray(out))))
-        raise FloatingPointError(f"non-finite right-hand side at grid index {bad}")
-    return field.like(out)
+    op = _SemiDiscrete(nl, a, field.grid(), field.dx, field.bc)
+    return field.like(op(field.values))
 
 
 def _diffusion_matrix(n: int, h: float, bc: str) -> sp.csc_matrix:
@@ -146,9 +214,16 @@ def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
 
     Snapshots and the discrete right-hand side are stored every
     ``save_every`` steps. Integration stops early with a blow-up record if
-    max|u| exceeds 1e6 or the state turns non-finite.
+    max|u| exceeds 1e6, the state turns non-finite or the right-hand side
+    does; the record keeps the snapshots saved so far and says in
+    ``message`` what happened, where and when.
     """
-    a_fn, a_const = _normalize_a(a)
+    if a is None:
+        a_const = 1.0
+    elif np.isscalar(a):
+        a_const = float(a)
+    else:
+        a_const = None
     h = u0.dx
     a_scale = a_const if a_const is not None else 1.0
     dt = cfg.dt if cfg.dt is not None else 0.4 * h * h / a_scale
@@ -162,40 +237,48 @@ def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
     n_steps = int(np.ceil(cfg.t_end / dt - 1e-9))
     u = u0.values.copy()
     make = u0.like
+    op = _SemiDiscrete(nl, a, u0.grid(), h, u0.bc)
 
     times, snaps, rhs_snaps = [], [], []
 
     def record(t, uv):
+        """Save the state and its u_t, or say why u_t cannot be saved."""
         fld = make(uv.copy())
+        try:
+            u_t = rhs(nl, a, fld)
+        except FloatingPointError as exc:
+            return f"{exc} at t={t:.6g}"
         times.append(t)
         snaps.append(fld)
-        rhs_snaps.append(rhs(nl, a_fn if a_const is None else a_const, fld))
+        rhs_snaps.append(u_t)
+        return None
 
-    def finish(blew_up=False, t_blow=None):
+    def finish(message=None, t_blow=None):
         return TrajectoryRecord(np.array(times), snaps, rhs_snaps,
-                                blew_up=blew_up, blowup_time=t_blow)
+                                blew_up=message is not None,
+                                blowup_time=t_blow, message=message)
 
-    record(0.0, u)
+    def blowup_reason(uv, t):
+        """Why the state at t ends the run, or None while it is sound."""
+        peak = np.abs(uv).max()  # NaN or inf make this comparison fail
+        if peak <= BLOWUP_THRESHOLD:
+            return None
+        if not np.isfinite(peak):
+            return f"state turned non-finite at t={t:.6g}"
+        return f"max|u| = {peak:.3g} exceeds {BLOWUP_THRESHOLD:g} at t={t:.6g}"
+
+    why = record(0.0, u)
+    if why is not None:
+        return finish(why, 0.0)
 
     if cfg.scheme == IMEX:
         A = _diffusion_matrix(u0.n, h, u0.bc) * a_const
         eye = sp.identity(u0.n, format="csc")
         lhs = splu(sp.csc_matrix(eye - 0.5 * dt * A))
         explicit = eye + 0.5 * dt * A
-        x = u0.grid()
-
-        def reaction(uv):
-            fld = make(uv)
-            from .functional import gradient
-            out = nl.f(x, uv, gradient(fld).values)
-            if u0.bc == DIRICHLET:
-                out = np.array(out, dtype=float)
-                out[0] = out[-1] = 0.0
-            return out
-
-        N_prev = reaction(u)
+        N_prev = None
         for k in range(1, n_steps + 1):
-            N_cur = reaction(u)
+            N_cur = op.reaction(u)
             if k == 1:
                 expl = N_cur  # first step: IMEX Euler start
             else:
@@ -205,23 +288,29 @@ def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
                 u[0] = u[-1] = 0.0
             N_prev = N_cur
             t = k * dt
-            if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > BLOWUP_THRESHOLD:
-                return finish(blew_up=True, t_blow=t)
-            if k % cfg.save_every == 0 or k == n_steps:
-                record(t, u)
+            why = blowup_reason(u, t)
+            if why is None and (k % cfg.save_every == 0 or k == n_steps):
+                why = record(t, u)
+            if why is not None:
+                return finish(why, t)
         return finish()
 
     # explicit RK4
-    a_arg = a_const if a_const is not None else (a_fn if a_fn is not None else None)
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     for k in range(1, n_steps + 1):
-        k1 = rhs(nl, a_arg, make(u)).values
-        k2 = rhs(nl, a_arg, make(u + 0.5 * dt * k1)).values
-        k3 = rhs(nl, a_arg, make(u + 0.5 * dt * k2)).values
-        k4 = rhs(nl, a_arg, make(u + dt * k3)).values
-        u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t = k * dt
-        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > BLOWUP_THRESHOLD:
-            return finish(blew_up=True, t_blow=t)
-        if k % cfg.save_every == 0 or k == n_steps:
-            record(t, u)
+        try:
+            k1 = op(u)
+            k2 = op(u + half_dt * k1)
+            k3 = op(u + half_dt * k2)
+            k4 = op(u + dt * k3)
+        except FloatingPointError as exc:
+            return finish(f"{exc} in the step from t={(k - 1) * dt:.6g} "
+                          f"to t={t:.6g}", t)
+        u = u + sixth_dt * (k1 + 2 * k2 + 2 * k3 + k4)
+        why = blowup_reason(u, t)
+        if why is None and (k % cfg.save_every == 0 or k == n_steps):
+            why = record(t, u)
+        if why is not None:
+            return finish(why, t)
     return finish()

@@ -226,6 +226,9 @@ class TestRunScenario:
         manifest = json.loads(
             (tmp_path / "out" / "run_manifest.json").read_text())
         assert manifest["status"] == "blowup"
+        error = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert error["status"] == "blowup"
+        assert f"t={traj.blowup_time:.6g}" in error["error"]
 
     def test_construction_failure_is_reported(self, tmp_path):
         cfg = tiny_config(

@@ -189,6 +189,26 @@ class TestGBatchEscape:
                            match=r"sample 1 at \(x, u, p\) = \(1, -0.5, 0.9\)"):
             ev.g_batch([0.5, 1.0, 0.8], [0.1, -0.5, 0.2], [0.1, 0.9, -0.2])
 
+    def test_finite_time_blowup_is_an_escape(self):
+        # with f = 5u(1 - u^2) + 0.5p + 0.3p^3 the backward characteristic
+        # from the steep right end blows up in finite time: the step size
+        # collapses long before |p| reaches escape_bound
+        gen = GeneralNonlinearity(
+            f=lambda x, u, p: 5.0 * u * (1.0 - u * u) + 0.5 * p + 0.3 * p**3,
+            f_p=lambda x, u, p: 0.5 + 0.9 * p * p,
+            x_periodic=False)
+        n = 64
+        x = np.linspace(0.0, 1.0, n)
+        fld = ScalarField(0.3 * np.sin(np.pi * x) + 0.05 * np.sin(3 * np.pi * x),
+                          1.0, DIRICHLET)
+        with pytest.raises(CharacteristicEscape,
+                           match=r"sample \d+ at \(x, u, p\) = \(1, "):
+            SeparatedEvaluator(gen).field_eval(fld)
+        # the scalar path, from the slope at the right end
+        with pytest.raises(CharacteristicEscape,
+                           match=r"from x=1: sample 0 at \(u, p\) = \(0, -1.42\)"):
+            g_value(gen, 1.0, 0.0, -1.42)
+
 
 class TestConsistencyWithCircleConstruction:
     def test_x_independent_and_equal_for_classical_reaction(self):

@@ -25,9 +25,98 @@ def cubic_gen(lam):
                                f_p=lambda x, u, p: 0.0 * u)
 
 
+def log_barrier_gen():
+    """f = 5 - log(0.4 - u): NaN once u passes 0.4."""
+    def f(x, u, p):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return 5.0 - np.log(0.4 - u)
+
+    return GeneralNonlinearity(f=f, f_p=lambda x, u, p: 1.0 / (0.4 - u))
+
+
 def sine_field(n, ell=1.0, amplitude=1.0):
     x = np.arange(n) * (ell / n)
     return ScalarField(amplitude * np.sin(2 * np.pi * x / ell), ell, PERIODIC)
+
+
+# Reference semi-discretisation: the np.roll formulas the solver was first
+# written with. The array kernel must reproduce them bit for bit.
+
+def reference_gradient(fld):
+    u, h = fld.values, fld.dx
+    if fld.bc == PERIODIC:
+        return (np.roll(u, -1) - np.roll(u, 1)) / (2 * h)
+    ux = np.empty_like(u)
+    ux[1:-1] = (u[2:] - u[:-2]) / (2 * h)
+    ux[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * h)
+    ux[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
+    return ux
+
+
+def reference_laplacian(fld):
+    u, h2 = fld.values, fld.dx**2
+    if fld.bc == PERIODIC:
+        return (np.roll(u, -1) - 2 * u + np.roll(u, 1)) / h2
+    uxx = np.empty_like(u)
+    uxx[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / h2
+    if fld.bc == DIRICHLET:
+        uxx[0] = uxx[-1] = 0.0
+    else:
+        uxx[0] = 2 * (u[1] - u[0]) / h2
+        uxx[-1] = 2 * (u[-2] - u[-1]) / h2
+    return uxx
+
+
+def reference_rhs(nl, a, fld):
+    x, u = fld.grid(), fld.values
+    p = reference_gradient(fld)
+    if a is None:
+        coeff = 1.0
+    elif np.isscalar(a):
+        coeff = np.full_like(u, float(a))
+    else:
+        coeff = a(x, u, p)
+    out = coeff * reference_laplacian(fld) + nl.f(x, u, p)
+    if fld.bc == DIRICHLET:
+        out[0] = out[-1] = 0.0
+    return out
+
+
+def reference_rk4(nl, a, u0, dt, n_steps):
+    u = u0.values.copy()
+    for _ in range(n_steps):
+        k1 = reference_rhs(nl, a, u0.like(u))
+        k2 = reference_rhs(nl, a, u0.like(u + 0.5 * dt * k1))
+        k3 = reference_rhs(nl, a, u0.like(u + 0.5 * dt * k2))
+        k4 = reference_rhs(nl, a, u0.like(u + dt * k3))
+        u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return u
+
+
+def advective_gen():
+    return GeneralNonlinearity(
+        f=lambda x, u, p: 4.0 * u * (1.0 - u * u) + 0.7 * p
+        + 0.3 * np.sin(2 * np.pi * x) * p * p,
+        f_p=lambda x, u, p: 0.7 + 0.6 * np.sin(2 * np.pi * x) * p)
+
+
+def profile(bc, n=48):
+    if bc == PERIODIC:
+        x = np.arange(n) / n
+        return ScalarField(0.4 * np.sin(2 * np.pi * x)
+                           + 0.2 * np.cos(6 * np.pi * x) + 0.1, 1.0, bc)
+    x = np.linspace(0.0, 1.0, n)
+    if bc == DIRICHLET:
+        return ScalarField(0.4 * np.sin(np.pi * x)
+                           + 0.1 * np.sin(3 * np.pi * x), 1.0, bc)
+    return ScalarField(0.3 * np.cos(np.pi * x) + 0.1 * x * x, 1.0, bc)
+
+
+COEFFICIENTS = {
+    "unit": None,
+    "constant": 0.7,
+    "callable": lambda x, u, p: 1.0 + 0.2 * u * u + 0.05 * p * p,
+}
 
 
 class TestRhs:
@@ -67,6 +156,30 @@ class TestRhs:
         one = rhs(zero_gen(), None, fld).values
         two = rhs(zero_gen(), 2.0, fld).values
         assert np.allclose(two, 2.0 * one)
+
+
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET, NEUMANN])
+@pytest.mark.parametrize("coeff", sorted(COEFFICIENTS))
+class TestAgainstReference:
+    def test_rhs_is_bit_identical(self, bc, coeff):
+        fld = profile(bc)
+        a = COEFFICIENTS[coeff]
+        got = rhs(advective_gen(), a, fld).values
+        assert np.array_equal(got, reference_rhs(advective_gen(), a, fld))
+        assert np.array_equal(laplacian(fld), reference_laplacian(fld))
+
+    def test_rk4_run_is_bit_identical(self, bc, coeff):
+        u0 = profile(bc)
+        a = COEFFICIENTS[coeff]
+        dt, n_steps = 2e-5, 60
+        traj = integrate(advective_gen(), a, u0,
+                         SolverConfig(n=u0.n, dt=dt, t_end=n_steps * dt,
+                                      save_every=10**9))
+        assert not traj.blew_up
+        ref = reference_rk4(advective_gen(), a, u0, dt, n_steps)
+        assert np.array_equal(traj.snapshots[-1].values, ref)
+        assert np.array_equal(traj.u_t_snapshots[-1].values,
+                              reference_rhs(advective_gen(), a, u0.like(ref)))
 
 
 class TestIntegrate:
@@ -132,6 +245,28 @@ class TestIntegrate:
                          SolverConfig(n=32, t_end=5.0, save_every=100))
         assert traj.blew_up
         assert traj.blowup_time is not None and traj.blowup_time < 5.0
+        assert f"t={traj.blowup_time:.6g}" in traj.message
+
+    def test_non_finite_rhs_ends_the_run_with_a_record(self):
+        # u grows at rate about 5 until log(0.4 - u) leaves its domain at the
+        # peak of the profile
+        n = 32
+        u0 = ScalarField(0.2 * np.sin(2 * np.pi * np.arange(n) / n), 1.0)
+        traj = integrate(log_barrier_gen(), None, u0,
+                         SolverConfig(n=n, t_end=1.0, save_every=20))
+        assert traj.blew_up
+        assert 0.0 < traj.blowup_time < 1.0
+        assert "non-finite right-hand side at grid index" in traj.message
+        assert f"t={traj.blowup_time:.6g}" in traj.message
+        # the snapshots saved before the failure are kept, each with its u_t
+        assert len(traj.snapshots) == len(traj.u_t_snapshots) == len(traj.times)
+        assert len(traj.times) >= 2 and traj.times[-1] < traj.blowup_time
+
+    def test_public_rhs_names_the_non_finite_index(self):
+        vals = np.full(16, 0.1)
+        vals[8] = 0.5
+        with pytest.raises(FloatingPointError, match="grid index 8"):
+            rhs(log_barrier_gen(), None, ScalarField(vals, 1.0))
 
     def test_imex_matches_rk4(self):
         n = 64
