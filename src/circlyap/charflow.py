@@ -11,6 +11,13 @@ of the solution with respect to the initial value q0 (the linearized
 equation d(eta)/du = -fbar_q(u, q) * eta, eta(u0) = 1).
 
 Negative q is allowed throughout; the flow is not stopped at q = 0.
+
+Every characteristic solve in the package, here and in
+:mod:`circlyap.lagrangian` and :mod:`circlyap.matano`, runs through one
+driver, :func:`solve_characteristics`, which owns the failure policy: a
+non-finite right-hand side or an exhausted step budget is an
+:class:`IntegrationFailure`; an escape past ``escape_bound`` or a step-size
+collapse is a :class:`CharacteristicEscape` that names the lane.
 """
 
 from __future__ import annotations
@@ -36,14 +43,19 @@ class IntegrationFailure(RuntimeError):
 
 
 class CharacteristicEscape(RuntimeError):
-    """A characteristic left the configured |q| bound before completion."""
+    """A characteristic left the configured |q| bound before completion,
+    or blew up in finite time so that the step size collapsed.
 
-    def __init__(self, u_at_escape: float, context: str = ""):
+    ``state`` is the solver state where the solve stopped, when known.
+    """
+
+    def __init__(self, u_at_escape: float, context: str = "", state=None):
         msg = f"characteristic escaped |q| bound at u={u_at_escape:.6g}"
         if context:
             msg += f" ({context})"
         super().__init__(msg)
         self.u_at_escape = u_at_escape
+        self.state = state
 
 
 class Status(enum.Enum):
@@ -56,8 +68,8 @@ class NonlinearityO2:
     """Reflection-symmetric nonlinearity fbar(u, q) with q = p^2/2.
 
     ``f_bar_q`` is the partial derivative of ``f_bar`` in its second
-    argument. Callables should accept numpy arrays in ``q`` (scalar
-    fallback is handled by the integrator, at a cost).
+    argument. Callables should accept numpy arrays in ``u`` and ``q``;
+    scalar-only callables are called once per sample, at a cost.
     """
 
     f_bar: Callable[[float, float], float]
@@ -108,23 +120,65 @@ class EvolutionResult:
 DEFAULT_CONFIG = CharflowConfig()
 
 
-class _Abort(Exception):
-    """Internal signal used to bail out of solve_ivp."""
-
-    def __init__(self, u_reached, reason):
-        self.u_reached = float(u_reached)
-        self.reason = reason
-
-
 def _eval_vec(fn, u, q):
-    """Evaluate fn(u, q_array) elementwise, tolerating scalar-only callables."""
+    """Evaluate fn(u, q) over an array q (u a scalar or an array of q's
+    shape), calling a scalar-only fn once per broadcast (u, q) pair."""
     try:
         out = np.asarray(fn(u, q), dtype=float)
     except (TypeError, ValueError):
-        out = np.array([fn(u, qi) for qi in np.atleast_1d(q)], dtype=float)
+        uq = np.broadcast_arrays(u, q)
+        out = np.array([fn(a, b) for a, b in zip(uq[0].ravel(), uq[1].ravel())],
+                       dtype=float).reshape(uq[1].shape)
     if out.shape != np.shape(q):
         out = np.broadcast_to(out, np.shape(q)).copy()
     return out
+
+
+def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
+                          lane, dense_output: bool = False):
+    """Integrate a stack of characteristics over ``span``; the one driver
+    of every characteristic solve.
+
+    ``rhs(t, y)`` is the vectorised right-hand side of the stacked state
+    ``y``; its first ``watch`` components are held to ``cfg.escape_bound``.
+    RK45 runs at ``cfg.rel_tol``/``cfg.abs_tol``. Failure policy:
+
+    * a non-finite right-hand side, or more than ``7 * cfg.max_steps``
+      right-hand-side evaluations: :class:`IntegrationFailure`;
+    * a watched component leaving the escape bound, or a step size that
+      collapses (finite-time blow-up): :class:`CharacteristicEscape`, whose
+      context ``lane(k)`` names the lane of the watched component k of
+      largest modulus where the solve stopped, followed by the solver's
+      message on a collapse.
+
+    Returns the solver result of a completed solve.
+    """
+    budget = 7 * cfg.max_steps
+    nfev = 0
+
+    def checked(t, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > budget:
+            raise IntegrationFailure("step budget exhausted", float(t))
+        dy = rhs(t, y)
+        if not np.isfinite(dy).all():
+            raise IntegrationFailure("non-finite right-hand side", float(t))
+        return dy
+
+    def escape(t, y):
+        return np.max(np.abs(y[:watch])) - cfg.escape_bound
+
+    escape.terminal = True
+
+    sol = solve_ivp(checked, span, y0, method="RK45", rtol=cfg.rel_tol,
+                    atol=cfg.abs_tol, events=escape, dense_output=dense_output)
+    if sol.status == 0:
+        return sol
+    y = sol.y[:, -1]
+    k = int(np.argmax(np.abs(y[:watch])))
+    note = "" if sol.status == 1 else f"; {sol.message}"
+    raise CharacteristicEscape(float(sol.t[-1]), lane(k) + note, state=y)
 
 
 def evolve(
@@ -146,48 +200,19 @@ def evolve(
     if u0 == u1:
         return EvolutionResult(float(q0), 1.0, Status.COMPLETED)
 
-    nfev_budget = 7 * cfg.max_steps
-
-    state = {"nfev": 0}
-
     def rhs(u, y):
-        state["nfev"] += 1
-        if state["nfev"] > nfev_budget:
-            raise _Abort(u, "step budget exhausted")
         q, eta = y
-        fv = nl.f_bar(u, q)
-        fq = nl.f_bar_q(u, q)
-        if not (np.isfinite(fv) and np.isfinite(fq)):
-            raise _Abort(u, "non-finite right-hand side")
-        return (-fv, -fq * eta)
-
-    def escape(u, y):
-        return abs(y[0]) - cfg.escape_bound
-
-    escape.terminal = True
+        return (-nl.f_bar(u, q), -nl.f_bar_q(u, q) * eta)
 
     try:
-        sol = solve_ivp(
-            rhs,
-            (u0, u1),
-            (float(q0), 1.0),
-            method="RK45",
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
-            events=escape,
-            dense_output=False,
-        )
-    except _Abort as ab:
-        raise IntegrationFailure(ab.reason, ab.u_reached) from None
-
-    if sol.status == 1:  # terminated by the escape event
-        u_esc = float(sol.t_events[0][0])
-        return EvolutionResult(
-            float(sol.y[0, -1]), float(sol.y[1, -1]), Status.ESCAPED_BOUND, u_esc
-        )
-    if not sol.success:
-        raise IntegrationFailure(sol.message, float(sol.t[-1]))
-    return EvolutionResult(float(sol.y[0, -1]), float(sol.y[1, -1]), Status.COMPLETED)
+        sol = solve_characteristics(
+            rhs, (u0, u1), (float(q0), 1.0), cfg, 1,
+            lambda k: f"evolution from (u, q) = ({u0:.6g}, {q0:.6g})")
+    except CharacteristicEscape as esc:
+        return EvolutionResult(float(esc.state[0]), float(esc.state[1]),
+                               Status.ESCAPED_BOUND, esc.u_at_escape)
+    return EvolutionResult(float(sol.y[0, -1]), float(sol.y[1, -1]),
+                           Status.COMPLETED)
 
 
 def evolve_batch(
@@ -199,8 +224,9 @@ def evolve_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized evolution for many initial values over the same u-span.
 
-    Returns (values, sensitivities). Escapes raise CharacteristicEscape:
-    batched callers need all characteristics to complete.
+    Returns (values, sensitivities). Escapes raise CharacteristicEscape
+    naming the sample: batched callers need all characteristics to
+    complete.
     """
     q0 = np.asarray(q0, dtype=float)
     if q0.size == 0:
@@ -208,33 +234,18 @@ def evolve_batch(
     if u0 == u1:
         return q0.copy(), np.ones_like(q0)
     m = q0.size
+    qs = q0.ravel()
 
     def rhs(u, y):
         q = y[:m]
         eta = y[m:]
-        fv = _eval_vec(nl.f_bar, u, q)
-        fq = _eval_vec(nl.f_bar_q, u, q)
-        if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(fq))):
-            raise _Abort(u, "non-finite right-hand side")
-        return np.concatenate([-fv, -fq * eta])
+        return np.concatenate([-_eval_vec(nl.f_bar, u, q),
+                               -_eval_vec(nl.f_bar_q, u, q) * eta])
 
-    def escape(u, y):
-        return np.max(np.abs(y[:m])) - cfg.escape_bound
-
-    escape.terminal = True
-
-    y0 = np.concatenate([q0.ravel(), np.ones(m)])
-    try:
-        sol = solve_ivp(
-            rhs, (u0, u1), y0, method="RK45",
-            rtol=cfg.rel_tol, atol=cfg.abs_tol, events=escape,
-        )
-    except _Abort as ab:
-        raise IntegrationFailure(ab.reason, ab.u_reached) from None
-    if sol.status == 1:
-        raise CharacteristicEscape(float(sol.t_events[0][0]), "batched evolution")
-    if not sol.success:
-        raise IntegrationFailure(sol.message, float(sol.t[-1]))
+    sol = solve_characteristics(
+        rhs, (u0, u1), np.concatenate([qs, np.ones(m)]), cfg, m,
+        lambda k: f"evolution to u={u1:.6g}: sample {k} at (u, q) = "
+                  f"({u0:.6g}, {qs[k]:.6g})")
     values = sol.y[:m, -1].reshape(q0.shape)
     sens = sol.y[m:, -1].reshape(q0.shape)
     return values, sens
@@ -286,21 +297,12 @@ def verify_equilibrium_first_integral(
 
     def rhs(x, y):
         u, p = y
-        fv = nl.f_bar(u, 0.5 * p * p)
-        if not np.isfinite(fv):
-            raise _Abort(x, "equilibrium blow-up")
-        return (p, -fv)
+        return (p, -nl.f_bar(u, 0.5 * p * p))
 
-    try:
-        sol = solve_ivp(
-            rhs, (0.0, x_span), (float(u_init), float(p_init)),
-            method="RK45", rtol=cfg.rel_tol, atol=cfg.abs_tol,
-            dense_output=True,
-        )
-    except _Abort as ab:
-        raise IntegrationFailure(ab.reason, ab.u_reached) from None
-    if not sol.success:
-        raise IntegrationFailure(sol.message, float(sol.t[-1]))
+    sol = solve_characteristics(
+        rhs, (0.0, x_span), (float(u_init), float(p_init)), cfg, 2,
+        lambda k: f"equilibrium from (u, p) = ({u_init:.6g}, {p_init:.6g})",
+        dense_output=True)
 
     xs = np.linspace(0.0, x_span, n_check)
     defect = 0.0

@@ -654,7 +654,12 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True):
         out_dir = _resolve_output_dir(cfg)
         _write_outputs(out_dir, cfg, traj, series, extras, status)
         if error:
+            record = {"status": status, "error": error}
+            if traj.blew_up:
+                # a failed construction must not hide the blow-up before it
+                record.update(blowup=traj.message,
+                              blowup_time=traj.blowup_time)
             (out_dir / "error.json").write_text(
-                json.dumps({"status": status, "error": error}, indent=2) + "\n")
+                json.dumps(record, indent=2) + "\n")
         extras["output_dir"] = str(out_dir)
     return traj, extras

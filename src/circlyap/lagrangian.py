@@ -24,17 +24,14 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
 
 from .charflow import (
     DEFAULT_CONFIG,
-    CharacteristicEscape,
     CharflowConfig,
-    IntegrationFailure,
     NonlinearityO2,
-    _Abort,
     _eval_vec,
     evolve_batch,
+    solve_characteristics,
 )
 
 SIMPSON = "simpson"
@@ -146,33 +143,19 @@ class LagrangianEvaluator:
         """Integrate (q, g) from u down to 0; returns Fq = -g(0)."""
         if u == 0.0:
             return np.zeros_like(qs)
-        nl, cfg = self.nl, self.charflow_cfg
+        nl = self.nl
         m = qs.size
 
         def rhs(s, y):
             q = y[:m]
-            fv = _eval_vec(nl.f_bar, s, q)
-            fq = _eval_vec(nl.f_bar_q, s, q)
-            if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(fq))):
-                raise _Abort(s, "non-finite right-hand side")
-            return np.concatenate([-fv, fq])
+            return np.concatenate([-_eval_vec(nl.f_bar, s, q),
+                                   _eval_vec(nl.f_bar_q, s, q)])
 
-        def escape(s, y):
-            return np.max(np.abs(y[:m])) - cfg.escape_bound
-
-        escape.terminal = True
-
-        y0 = np.concatenate([qs, np.zeros(m)])
-        try:
-            sol = solve_ivp(rhs, (u, 0.0), y0, method="RK45",
-                            rtol=cfg.rel_tol, atol=cfg.abs_tol, events=escape)
-        except _Abort as ab:
-            raise IntegrationFailure(ab.reason, ab.u_reached) from None
-        if sol.status == 1:
-            raise CharacteristicEscape(float(sol.t_events[0][0]),
-                                       f"transport solve from u={u:.6g}")
-        if not sol.success:
-            raise IntegrationFailure(sol.message, float(sol.t[-1]))
+        sol = solve_characteristics(
+            rhs, (u, 0.0), np.concatenate([qs, np.zeros(m)]),
+            self.charflow_cfg, m,
+            lambda k: f"transport solve: sample {k} at (u, q) = "
+                      f"({u:.6g}, {qs[k]:.6g})")
         return -sol.y[m:, -1]
 
     def _psi_batch(self, u: float, qs: np.ndarray):
@@ -189,12 +172,8 @@ class LagrangianEvaluator:
             else:
                 vals.ravel()[i], sens.ravel()[i] = cached
         if missing:
-            try:
-                v, s = evolve_batch(self.nl, u, 0.0, np.array(missing),
-                                    self.charflow_cfg)
-            except CharacteristicEscape as esc:
-                raise CharacteristicEscape(
-                    esc.u_at_escape, f"evolution Psi^(0,{u:.6g})") from None
+            v, s = evolve_batch(self.nl, u, 0.0, np.array(missing),
+                                self.charflow_cfg)
             for i, q, vi, si in zip(idx, missing, v, s):
                 vals.ravel()[i], sens.ravel()[i] = vi, si
                 self._psi_cache[(_key(u), _key(q))] = (vi, si)
@@ -273,49 +252,35 @@ class LagrangianEvaluator:
 
         # stacked state: node characteristics, node sensitivities,
         # star characteristics, star transport exponents
-        u_out_nodes = np.repeat(u_arr, m)
-        nl, cfg = self.nl, self.charflow_cfg
+        un = np.repeat(u_arr, m)
+        nm = npts * m
+        nl = self.nl
 
         def rhs(s, y):
-            qn = y[:npts * m]
-            eta = y[npts * m:2 * npts * m]
-            qs = y[2 * npts * m:2 * npts * m + npts]
-            un = u_out_nodes * 1.0
-            fv_n = np.asarray(nl.f_bar(un * s, qn), dtype=float)
-            fq_n = np.asarray(nl.f_bar_q(un * s, qn), dtype=float)
-            fv_s = np.asarray(nl.f_bar(u_arr * s, qs), dtype=float)
-            fq_s = np.asarray(nl.f_bar_q(u_arr * s, qs), dtype=float)
-            if not all(np.all(np.isfinite(v))
-                       for v in (fv_n, fq_n, fv_s, fq_s)):
-                raise _Abort(s, "non-finite right-hand side")
+            qn = y[:nm]
+            eta = y[nm:2 * nm]
+            qs = y[2 * nm:2 * nm + npts]
             return np.concatenate([
-                -un * np.broadcast_to(fv_n, un.shape),
-                -un * np.broadcast_to(fq_n, un.shape) * eta,
-                -u_arr * np.broadcast_to(fv_s, u_arr.shape),
-                u_arr * np.broadcast_to(fq_s, u_arr.shape),
+                -un * _eval_vec(nl.f_bar, un * s, qn),
+                -un * _eval_vec(nl.f_bar_q, un * s, qn) * eta,
+                -u_arr * _eval_vec(nl.f_bar, u_arr * s, qs),
+                u_arr * _eval_vec(nl.f_bar_q, u_arr * s, qs),
             ])
 
-        def escape(s, y):
-            return np.max(np.abs(y[:2 * npts * m + npts])) - cfg.escape_bound
+        def sample(k):
+            # node lanes (q and eta) run sample-major, then the star lanes
+            i = k - 2 * nm if k >= 2 * nm else (k % nm) // m
+            return (f"batched field evaluation: sample {i} at (u, p) = "
+                    f"({u_arr[i]:.6g}, {p_arr[i]:.6g})")
 
-        escape.terminal = True
-
-        y0 = np.concatenate([q_nodes.ravel(), np.ones(npts * m),
+        y0 = np.concatenate([q_nodes.ravel(), np.ones(nm),
                              q_star, np.zeros(npts)])
-        try:
-            sol = solve_ivp(rhs, (1.0, 0.0), y0, method="RK45",
-                            rtol=cfg.rel_tol, atol=cfg.abs_tol, events=escape)
-        except _Abort as ab:
-            raise IntegrationFailure(ab.reason, ab.u_reached) from None
-        if sol.status == 1:
-            raise CharacteristicEscape(float(sol.t_events[0][0]),
-                                       "batched field evaluation")
-        if not sol.success:
-            raise IntegrationFailure(sol.message, float(sol.t[-1]))
+        sol = solve_characteristics(rhs, (1.0, 0.0), y0, self.charflow_cfg,
+                                    2 * nm + npts, sample)
         yf = sol.y[:, -1]
-        eta = yf[npts * m:2 * npts * m].reshape(npts, m)
-        psi_star = yf[2 * npts * m:2 * npts * m + npts]
-        fq_star = -yf[2 * npts * m + npts:]
+        eta = yf[nm:2 * nm].reshape(npts, m)
+        psi_star = yf[2 * nm:2 * nm + npts]
+        fq_star = -yf[2 * nm + npts:]
         phi = np.sum(weights * eta, axis=1)
         L_vals = p_arr * phi - psi_star
         lpp = np.exp(fq_star)

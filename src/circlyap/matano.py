@@ -23,15 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .charflow import (
-    DEFAULT_CONFIG,
-    CharacteristicEscape,
-    CharflowConfig,
-    IntegrationFailure,
-    _Abort,
-)
+from .charflow import DEFAULT_CONFIG, CharflowConfig, solve_characteristics
 from .functional import DIRICHLET, ScalarField, gradient, quadrature_weights
 from .lagrangian import QuadratureConfig, _unit_rule, quad_nodes_weights
 from .pde import GeneralNonlinearity, TrajectoryRecord
@@ -48,23 +41,6 @@ class CharacteristicState:
     g: float
 
 
-def _escaped_lane(sol, m: int):
-    """Where a batched characteristic solve (states u, p, g of m lanes)
-    stopped early: (s, lane, note).
-
-    The lane is the one with the largest |u| or |p| at the escape event or,
-    for a failed solve, at the last accepted step: a characteristic that
-    blows up in finite time collapses the step size before it reaches the
-    escape bound. The note carries the solver's message in that case.
-    """
-    if sol.status == 1:
-        s_end, y, note = float(sol.t_events[0][0]), sol.y_events[0][0], ""
-    else:
-        s_end, y, note = float(sol.t[-1]), sol.y[:, -1], f"; {sol.message}"
-    k = int(np.argmax(np.maximum(np.abs(y[:m]), np.abs(y[m:2 * m]))))
-    return s_end, k, note
-
-
 def _char_batch(nl: GeneralNonlinearity, x: float, us: np.ndarray,
                 ps: np.ndarray, cfg: CharflowConfig) -> np.ndarray:
     """g(x, u_k, p_k) for batched states, one backward solve to x = 0."""
@@ -78,30 +54,15 @@ def _char_batch(nl: GeneralNonlinearity, x: float, us: np.ndarray,
         u, p = y[:m], y[m:2 * m]
         fv = np.asarray(nl.f(s, u, p), dtype=float)
         fp = np.asarray(nl.f_p(s, u, p), dtype=float)
-        if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(fp))):
-            raise _Abort(s, "non-finite right-hand side")
         return np.concatenate([p, -np.broadcast_to(fv, (m,)),
                                np.broadcast_to(fp, (m,))])
 
-    def escape(s, y):
-        return max(np.max(np.abs(y[:m])), np.max(np.abs(y[m:2 * m]))) \
-            - cfg.escape_bound
-
-    escape.terminal = True
-
-    y0 = np.concatenate([us, ps, np.zeros(m)])
-    try:
-        sol = solve_ivp(rhs, (x, 0.0), y0, method="RK45",
-                        rtol=cfg.rel_tol, atol=cfg.abs_tol, events=escape)
-    except _Abort as ab:
-        raise IntegrationFailure(ab.reason, ab.u_reached) from None
-    if sol.status == 0:
-        # accumulated integral runs from x down to 0; g is its negative
-        return -sol.y[2 * m:, -1]
-    s_end, k, note = _escaped_lane(sol, m)
-    raise CharacteristicEscape(
-        s_end, f"backward characteristic from x={x:.6g}: sample {k} at "
-        f"(u, p) = ({us[k]:.6g}, {ps[k]:.6g}){note}")
+    sol = solve_characteristics(
+        rhs, (x, 0.0), np.concatenate([us, ps, np.zeros(m)]), cfg, 2 * m,
+        lambda k: f"backward characteristic from x={x:.6g}: sample {k % m} "
+                  f"at (u, p) = ({us[k % m]:.6g}, {ps[k % m]:.6g})")
+    # accumulated integral runs from x down to 0; g is its negative
+    return -sol.y[2 * m:, -1]
 
 
 def g_value(nl: GeneralNonlinearity, x: float, u: float, p: float,
@@ -190,29 +151,16 @@ class SeparatedEvaluator:
             pos = xs * s
             fv = np.asarray(nl.f(pos, u, p), dtype=float)
             fp = np.asarray(nl.f_p(pos, u, p), dtype=float)
-            if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(fp))):
-                raise _Abort(s, "non-finite right-hand side")
             return np.concatenate([xs * p, -xs * np.broadcast_to(fv, (m,)),
                                    xs * np.broadcast_to(fp, (m,))])
 
-        def escape(s, y):
-            return max(np.max(np.abs(y[:m])), np.max(np.abs(y[m:2 * m]))) \
-                - cfg.escape_bound
-
-        escape.terminal = True
-
-        y0 = np.concatenate([us, ps, np.zeros(m)])
-        try:
-            sol = solve_ivp(rhs, (1.0, 0.0), y0, method="RK45",
-                            rtol=cfg.rel_tol, atol=cfg.abs_tol, events=escape)
-        except _Abort as ab:
-            raise IntegrationFailure(ab.reason, ab.u_reached) from None
-        if sol.status == 0:
-            return -sol.y[2 * m:, -1]
-        s_end, k, note = _escaped_lane(sol, m)
-        raise CharacteristicEscape(
-            s_end, f"batched backward characteristics: sample {k} at "
-            f"(x, u, p) = ({xs[k]:.6g}, {us[k]:.6g}, {ps[k]:.6g}){note}")
+        sol = solve_characteristics(
+            rhs, (1.0, 0.0), np.concatenate([us, ps, np.zeros(m)]), cfg,
+            2 * m,
+            lambda k: f"batched backward characteristics: sample {k % m} at "
+                      f"(x, u, p) = ({xs[k % m]:.6g}, {us[k % m]:.6g}, "
+                      f"{ps[k % m]:.6g})")
+        return -sol.y[2 * m:, -1]
 
     def field_eval(self, fld: ScalarField):
         """L, L_pp and F over a whole gridded field in one fused solve.
@@ -228,19 +176,23 @@ class SeparatedEvaluator:
         frac, wfrac = _unit_rule(self.quad_cfg.rule, self.quad_cfg.panels)
         m = frac.size
 
-        # nodes s_j = frac_j * p with weights w_j * (p - s_j)
-        p_nodes = p[:, None] * frac[None, :]                  # (n, m)
-        wL = (p * p)[:, None] * (wfrac * (1.0 - frac))[None, :]
+        # nodes s_j = frac_j * p with weights w_j * (p - s_j); the node
+        # s = p (Simpson's last) has weight zero and gets no lane
+        keep = frac < 1.0
+        fL = frac[keep]
+        mL = fL.size
+        p_nodes = p[:, None] * fL[None, :]                    # (n, mL)
+        wL = (p * p)[:, None] * (wfrac * (1.0 - frac))[keep][None, :]
         u_nodes = u[:, None] * frac[None, :]                  # (n, m) for F
         wF = u[:, None] * wfrac[None, :]
 
-        xs = np.concatenate([np.repeat(x, m), np.repeat(x, m), x])
-        us = np.concatenate([np.repeat(u, m), u_nodes.ravel(), u])
+        xs = np.concatenate([np.repeat(x, mL), np.repeat(x, m), x])
+        us = np.concatenate([np.repeat(u, mL), u_nodes.ravel(), u])
         ps = np.concatenate([p_nodes.ravel(), np.zeros(n * m), p])
         g_all = self.g_batch(xs, us, ps)
-        g_L = g_all[:n * m].reshape(n, m)
-        g_F = g_all[n * m:2 * n * m].reshape(n, m)
-        g_star = g_all[2 * n * m:]
+        g_L = g_all[:n * mL].reshape(n, mL)
+        g_F = g_all[n * mL:n * (mL + m)].reshape(n, m)
+        g_star = g_all[n * (mL + m):]
 
         f0 = np.asarray(self.nl.f(np.repeat(x, m), u_nodes.ravel(),
                                   np.zeros(n * m)), dtype=float).reshape(n, m)
@@ -314,11 +266,9 @@ def _flow_map(nl: GeneralNonlinearity, z: np.ndarray,
         return out
 
     y0 = list(z) + ([0.0] if with_fp else [])
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="RK45",
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol, dense_output=with_fp)
-    if not sol.success:
-        raise IntegrationFailure(sol.message, float(sol.t[-1]))
-    return sol
+    return solve_characteristics(
+        rhs, (0.0, 1.0), y0, cfg, 2,
+        lambda k: f"flow map from (u, p) = ({z[0]:.6g}, {z[1]:.6g})")
 
 
 def integrability_defect(nl: GeneralNonlinearity,

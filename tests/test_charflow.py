@@ -1,11 +1,15 @@
 """Tests for the characteristic evolution and its sensitivity."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from circlyap import lagrangian, matano
 from circlyap.charflow import (
     CharacteristicEscape,
     CharflowConfig,
+    IntegrationFailure,
     NonlinearityO2,
     Status,
     compose_check,
@@ -13,6 +17,7 @@ from circlyap.charflow import (
     evolve_batch,
     verify_equilibrium_first_integral,
 )
+from circlyap.pde import GeneralNonlinearity
 
 
 def zero_nl():
@@ -152,7 +157,9 @@ class TestBatch:
                             f_bar_q=lambda u, q: -2.0 * q,
                             label="blowup")
         cfg = CharflowConfig(escape_bound=1e6)
-        with pytest.raises(CharacteristicEscape):
+        # dq/du = q^2 from q0 = 1 blows up at u = 1, from q0 = 0.1 at u = 10
+        with pytest.raises(CharacteristicEscape,
+                           match=r"sample 1 at \(u, q\) = \(0, 1\)"):
             evolve_batch(nl, 0.0, 10.0, np.array([0.1, 1.0]), cfg)
 
 
@@ -193,3 +200,40 @@ class TestConfigValidation:
             CharflowConfig(rel_tol=-1e-10)
         with pytest.raises(ValueError):
             CharflowConfig(escape_bound=0.0)
+
+
+def _linear_gen():
+    return GeneralNonlinearity(
+        f=lambda x, u, p: (2 * np.pi) ** 2 * u + 0.1 * p,
+        f_p=lambda x, u, p: np.full_like(np.asarray(p, dtype=float), 0.1),
+        x_periodic=False)
+
+
+class TestDriverPolicy:
+    """Every characteristic solve runs through one driver and shares its
+    failure policy."""
+
+    def test_single_solve_path(self):
+        for mod in (lagrangian, matano):
+            assert "solve_ivp" not in inspect.getsource(mod), mod.__name__
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda cfg: evolve(mixed_nl(), 0.0, 1.0, 0.5, cfg),
+                     id="evolve"),
+        pytest.param(lambda cfg: evolve_batch(
+            mixed_nl(), 0.0, 1.0, np.array([0.1, 0.5]), cfg),
+                     id="evolve_batch"),
+        pytest.param(lambda cfg: lagrangian.LagrangianEvaluator(
+            mixed_nl(), cfg).field_eval(np.array([0.5, -0.3]),
+                                        np.array([0.4, 1.0])),
+                     id="lagrangian.field_eval"),
+        pytest.param(lambda cfg: matano.SeparatedEvaluator(
+            _linear_gen(), cfg).g_batch([0.5, 1.0], [0.1, -0.2], [0.3, 0.4]),
+                     id="matano.g_batch"),
+        pytest.param(lambda cfg: matano.integrability_defect(
+            _linear_gen(), (0.3, 0.1), cfg),
+                     id="matano.integrability_defect"),
+    ])
+    def test_step_budget_on_every_path(self, call):
+        with pytest.raises(IntegrationFailure, match="step budget exhausted"):
+            call(CharflowConfig(max_steps=1))

@@ -238,9 +238,15 @@ class TestRunScenario:
             solver=SolverConfig(n=32, t_end=0.004, save_every=20),
             initial={"kind": "random_smooth", "seed": 1, "amplitude": 1.5},
         )
-        _, extras = run_scenario(cfg)
+        traj, extras = run_scenario(cfg)
         assert extras["status"] == "construction_failure"
-        assert (tmp_path / "out" / "error.json").exists()
+        # the run blew up first; the failed construction must not hide it
+        assert traj.blew_up
+        error = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert error["status"] == "construction_failure"
+        assert error["blowup"] == traj.message
+        assert f"t={traj.blowup_time:.6g}" in error["blowup"]
+        assert error["blowup_time"] == traj.blowup_time
 
     def test_planar_embedding_smoke(self, tmp_path):
         cfg = ScenarioConfig(

@@ -1,11 +1,18 @@
 """Tests for the Lagrange function and its ingredients."""
 
+import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from circlyap.charflow import IntegrationFailure, NonlinearityO2, evolve
+from circlyap.charflow import (
+    CharacteristicEscape,
+    CharflowConfig,
+    IntegrationFailure,
+    NonlinearityO2,
+    evolve,
+)
 from circlyap.lagrangian import (
     DOUBLE_INTEGRAL,
     GAUSS_LEGENDRE,
@@ -234,6 +241,42 @@ class TestFieldEval:
             ev.field_eval(np.array([0.5, -0.3]), np.array([0.4, 1.0]))
         # caught at the first evaluation, not after NaN reached the solver
         assert np.isfinite(err.value.u_reached)
+
+    def test_escape_names_the_sample(self):
+        # with f_bar = q every characteristic of sample k grows by e^{u_k}
+        # on its way to u = 0: only sample 1 (u = 3) passes the bound
+        nl = NonlinearityO2(f_bar=lambda u, q: q,
+                            f_bar_q=lambda u, q: 1.0 + 0.0 * q, label="exp")
+        ev = LagrangianEvaluator(nl, CharflowConfig(escape_bound=10.0))
+        with pytest.raises(CharacteristicEscape,
+                           match=r"sample 1 at \(u, p\) = \(3, 0.2\)"):
+            ev.field_eval(np.array([0.1, 3.0, 0.2]), np.array([0.5, 0.2, 1.0]))
+
+    def test_scalar_callables_match_vectorised(self):
+        vec = NonlinearityO2(f_bar=lambda u, q: 2.0 * np.sin(u) + q * np.cos(u),
+                             f_bar_q=lambda u, q: np.cos(u) + 0.0 * q)
+        scalar = NonlinearityO2(
+            f_bar=lambda u, q: 2.0 * math.sin(u) + q * math.cos(u),
+            f_bar_q=lambda u, q: math.cos(u))
+        u = np.array([0.7, -0.4, 1.1, 0.0])
+        p = np.array([0.3, -1.2, 0.8, 0.5])
+        want = LagrangianEvaluator(vec).field_eval(u, p)
+        got = LagrangianEvaluator(scalar).field_eval(u, p)
+        for key in ("L", "L_pp"):
+            np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12)
+
+
+class TestTransportEscape:
+    def test_escape_names_the_sample(self):
+        # with f_bar = q^2 the characteristic from (u, q) = (2, 1) blows up
+        # at u = 1 on its way down to 0
+        nl = NonlinearityO2(f_bar=lambda u, q: q * q,
+                            f_bar_q=lambda u, q: 2.0 * q, label="blowup")
+        ev = LagrangianEvaluator(nl, CharflowConfig(escape_bound=1e6))
+        with pytest.raises(CharacteristicEscape,
+                           match=r"transport solve: sample 0 at "
+                                 r"\(u, q\) = \(2, 1\)"):
+            ev.F_q(2.0, 1.0)
 
 
 class TestEffectiveNonlinearity:

@@ -7,6 +7,7 @@ from numpy.polynomial.legendre import leggauss
 from circlyap.charflow import (
     CharacteristicEscape,
     CharflowConfig,
+    IntegrationFailure,
     NonlinearityO2,
 )
 from circlyap.functional import DIRICHLET, ScalarField, gradient, quadrature_weights
@@ -339,3 +340,15 @@ class TestIntegrabilityDefect:
             x_periodic=False)
         with pytest.raises(RuntimeError):
             integrability_defect(gen, (1.0, 1.0), max_iter=10)
+
+    def test_non_finite_flow_raises(self):
+        # the restoring force sqrt(1 - u^2) is NaN outside |u| <= 1, where
+        # the seed lies: the flow map must stop instead of stepping on NaN
+        gen = GeneralNonlinearity(
+            f=lambda x, u, p: (2 * np.pi) ** 2 * u * np.sqrt(1.0 - u * u),
+            f_p=lambda x, u, p: 0.0 * np.asarray(p, dtype=float),
+            x_periodic=False)
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(IntegrationFailure,
+                              match="non-finite right-hand side"):
+            integrability_defect(gen, (1.2, 0.0))
