@@ -34,6 +34,7 @@ from .functional import (
     ScalarField,
     dissipation_rate,
     evaluate_V,
+    field_report,
     gradient,
 )
 from .pde import (

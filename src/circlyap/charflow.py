@@ -43,18 +43,22 @@ class IntegrationFailure(RuntimeError):
 
 
 class CharacteristicEscape(RuntimeError):
-    """A characteristic left the configured |q| bound before completion,
-    or blew up in finite time so that the step size collapsed.
+    """A characteristic left the configured bound before completion, or
+    blew up in finite time so that the step size collapsed.
 
-    ``state`` is the solver state where the solve stopped, when known.
+    ``at`` is where the solve stopped, as a value of its independent
+    variable ``var`` (u, x, or the rescaled parameter s of a batched
+    solve); ``state`` is the solver state there, when known.
     """
 
-    def __init__(self, u_at_escape: float, context: str = "", state=None):
-        msg = f"characteristic escaped |q| bound at u={u_at_escape:.6g}"
+    def __init__(self, at: float, context: str = "", state=None,
+                 var: str = "u"):
+        msg = f"characteristic escaped its bound at {var}={at:.6g}"
         if context:
             msg += f" ({context})"
         super().__init__(msg)
-        self.u_at_escape = u_at_escape
+        self.at = at
+        self.var = var
         self.state = state
 
 
@@ -135,24 +139,34 @@ def _eval_vec(fn, u, q):
 
 
 def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
-                          lane, dense_output: bool = False):
+                          lane, dense_output: bool = False, var: str = "u"):
     """Integrate a stack of characteristics over ``span``; the one driver
     of every characteristic solve.
 
     ``rhs(t, y)`` is the vectorised right-hand side of the stacked state
-    ``y``; its first ``watch`` components are held to ``cfg.escape_bound``.
-    RK45 runs at ``cfg.rel_tol``/``cfg.abs_tol``. Failure policy:
+    ``y``, whose independent variable is named ``var`` in messages. Its
+    first ``watch`` components are the characteristics proper and are held
+    to ``cfg.escape_bound``; the components after them (sensitivities,
+    accumulated exponents) are not. RK45 runs at
+    ``cfg.rel_tol``/``cfg.abs_tol``. Failure policy:
 
     * a non-finite right-hand side, or more than ``7 * cfg.max_steps``
       right-hand-side evaluations: :class:`IntegrationFailure`;
-    * a watched component leaving the escape bound, or a step size that
-      collapses (finite-time blow-up): :class:`CharacteristicEscape`, whose
-      context ``lane(k)`` names the lane of the watched component k of
-      largest modulus where the solve stopped, followed by the solver's
+    * a watched component beyond the escape bound, at the start or on the
+      way, or a step size that collapses (finite-time blow-up):
+      :class:`CharacteristicEscape`, whose context ``lane(k, t)`` names
+      the lane of the watched component k of largest modulus at the
+      parameter value t where the solve stopped, followed by the solver's
       message on a collapse.
 
     Returns the solver result of a completed solve.
     """
+    y0 = np.asarray(y0, dtype=float)
+    start = np.abs(y0[:watch])
+    if np.max(start) > cfg.escape_bound:
+        k = int(np.argmax(start))
+        raise CharacteristicEscape(float(span[0]), lane(k, float(span[0])),
+                                   state=y0, var=var)
     budget = 7 * cfg.max_steps
     nfev = 0
 
@@ -175,10 +189,11 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
                     atol=cfg.abs_tol, events=escape, dense_output=dense_output)
     if sol.status == 0:
         return sol
+    t = float(sol.t[-1])
     y = sol.y[:, -1]
     k = int(np.argmax(np.abs(y[:watch])))
     note = "" if sol.status == 1 else f"; {sol.message}"
-    raise CharacteristicEscape(float(sol.t[-1]), lane(k) + note, state=y)
+    raise CharacteristicEscape(t, lane(k, t) + note, state=y, var=var)
 
 
 def evolve(
@@ -207,10 +222,10 @@ def evolve(
     try:
         sol = solve_characteristics(
             rhs, (u0, u1), (float(q0), 1.0), cfg, 1,
-            lambda k: f"evolution from (u, q) = ({u0:.6g}, {q0:.6g})")
+            lambda k, _: f"evolution from (u, q) = ({u0:.6g}, {q0:.6g})")
     except CharacteristicEscape as esc:
         return EvolutionResult(float(esc.state[0]), float(esc.state[1]),
-                               Status.ESCAPED_BOUND, esc.u_at_escape)
+                               Status.ESCAPED_BOUND, esc.at)
     return EvolutionResult(float(sol.y[0, -1]), float(sol.y[1, -1]),
                            Status.COMPLETED)
 
@@ -244,8 +259,8 @@ def evolve_batch(
 
     sol = solve_characteristics(
         rhs, (u0, u1), np.concatenate([qs, np.ones(m)]), cfg, m,
-        lambda k: f"evolution to u={u1:.6g}: sample {k} at (u, q) = "
-                  f"({u0:.6g}, {qs[k]:.6g})")
+        lambda k, _: f"evolution to u={u1:.6g}: sample {k} at (u, q) = "
+                     f"({u0:.6g}, {qs[k]:.6g})")
     values = sol.y[:m, -1].reshape(q0.shape)
     sens = sol.y[m:, -1].reshape(q0.shape)
     return values, sens
@@ -301,8 +316,9 @@ def verify_equilibrium_first_integral(
 
     sol = solve_characteristics(
         rhs, (0.0, x_span), (float(u_init), float(p_init)), cfg, 2,
-        lambda k: f"equilibrium from (u, p) = ({u_init:.6g}, {p_init:.6g})",
-        dense_output=True)
+        lambda k, _: f"equilibrium from (u, p) = "
+                     f"({u_init:.6g}, {p_init:.6g})",
+        dense_output=True, var="x")
 
     xs = np.linspace(0.0, x_span, n_check)
     defect = 0.0

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .charflow import NonlinearityO2, _eval_vec
 from .lagrangian import REDUCED, LagrangianEvaluator
-from .charflow import NonlinearityO2
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
@@ -113,25 +113,45 @@ def quadrature_weights(field: ScalarField) -> np.ndarray:
     return w
 
 
-def evaluate_V(ev: LagrangianEvaluator, field: ScalarField) -> FunctionalReport:
-    """Lyapunov functional of a periodic field under the O(2) construction.
-
-    The dissipation slot of the report is left at zero; the trajectory
-    monitor fills it from the solver's u_t snapshots.
-    """
+def _circle_values(ev: LagrangianEvaluator, field: ScalarField):
+    """(u_x, L, L_pp) on the grid of a periodic field, from one
+    ``field_eval``; the double-integral form takes L point by point."""
     if field.bc != PERIODIC:
         raise ValueError("the circle construction needs a periodic field")
     u = field.values
     p = gradient(field).values
-    w = quadrature_weights(field)
-    if ev.form == REDUCED:
-        fe = ev.field_eval(u, p)
-        L_vals, lpp = fe["L"], fe["L_pp"]
-    else:
+    fe = ev.field_eval(u, p)
+    L_vals = fe["L"]
+    if ev.form != REDUCED:
         L_vals = np.array([ev.L(ui, pi) for ui, pi in zip(u, p)])
-        lpp = ev.L_pp_field(u, p)
+    return p, L_vals, fe["L_pp"]
+
+
+def _check_velocity(field: ScalarField, u_t: ScalarField) -> None:
+    if field.n != u_t.n or field.bc != u_t.bc:
+        raise ValueError("field and u_t must share grid and boundary condition")
+
+
+def _dissipation(field: ScalarField, p: np.ndarray, lpp: np.ndarray,
+                 u_t: ScalarField, weight_a: NonlinearityO2 | None) -> float:
+    w = lpp
+    if weight_a is not None:
+        av = _eval_vec(weight_a.f_bar, field.values, 0.5 * p * p)
+        if np.any(av <= 0):
+            raise ValueError("diffusion coefficient must be positive on the grid")
+        w = (1.0 / av) * lpp
+    return -float(np.dot(quadrature_weights(field), w * u_t.values**2))
+
+
+def evaluate_V(ev: LagrangianEvaluator, field: ScalarField) -> FunctionalReport:
+    """Lyapunov functional of a periodic field under the O(2) construction.
+
+    The dissipation slot of the report is left at zero; ``field_report``
+    fills it from the same evaluation.
+    """
+    _, L_vals, lpp = _circle_values(ev, field)
     return FunctionalReport(
-        V=float(np.dot(w, L_vals)),
+        V=float(np.dot(quadrature_weights(field), L_vals)),
         dissipation=0.0,
         convexity_min=float(np.min(lpp)),
     )
@@ -146,18 +166,27 @@ def dissipation_rate(
     """Signed dissipation integral -int w * L_pp(u, u_x) * u_t^2 dx.
 
     ``weight_a`` supplies the quasilinear weight 1/abar(u, u_x^2/2); omit it
-    in the semilinear case. The return value is always <= 0.
+    in the semilinear case. The return value is always <= 0. L_pp comes
+    from one ``field_eval`` of the whole grid.
     """
-    if field.n != u_t.n or field.bc != u_t.bc:
-        raise ValueError("field and u_t must share grid and boundary condition")
-    u = field.values
+    _check_velocity(field, u_t)
     p = gradient(field).values
-    lpp = ev.L_pp_field(u, p)
-    w = np.ones_like(u)
-    if weight_a is not None:
-        av = np.array([weight_a.f_bar(ui, 0.5 * pi * pi) for ui, pi in zip(u, p)])
-        if np.any(av <= 0):
-            raise ValueError("diffusion coefficient must be positive on the grid")
-        w = 1.0 / av
-    qw = quadrature_weights(field)
-    return -float(np.dot(qw, w * lpp * u_t.values**2))
+    lpp = ev.field_eval(field.values, p)["L_pp"]
+    return _dissipation(field, p, lpp, u_t, weight_a)
+
+
+def field_report(
+    ev: LagrangianEvaluator,
+    field: ScalarField,
+    u_t: ScalarField,
+    weight_a: NonlinearityO2 | None = None,
+) -> FunctionalReport:
+    """V, dissipation (as in ``dissipation_rate``) and min L_pp of one
+    periodic snapshot with velocity ``u_t``, from a single ``field_eval``."""
+    _check_velocity(field, u_t)
+    p, L_vals, lpp = _circle_values(ev, field)
+    return FunctionalReport(
+        V=float(np.dot(quadrature_weights(field), L_vals)),
+        dissipation=_dissipation(field, p, lpp, u_t, weight_a),
+        convexity_min=float(np.min(lpp)),
+    )

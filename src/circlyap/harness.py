@@ -31,8 +31,7 @@ from .functional import (
     DIRICHLET,
     PERIODIC,
     ScalarField,
-    dissipation_rate,
-    evaluate_V,
+    field_report,
     gradient,
 )
 from .lagrangian import (
@@ -381,11 +380,8 @@ def shift_match(u_ref: np.ndarray, u: np.ndarray, ell: float):
 def _lyapunov_series(traj: TrajectoryRecord, ev: LagrangianEvaluator,
                      weight_a: NonlinearityO2 | None = None) -> dict:
     """V, dissipation and centered decay residual along a trajectory."""
-    reports = []
-    for snap, ut in zip(traj.snapshots, traj.u_t_snapshots):
-        rep = evaluate_V(ev, snap)
-        rep.dissipation = dissipation_rate(ev, snap, ut, weight_a)
-        reports.append(rep)
+    reports = [field_report(ev, snap, ut, weight_a)
+               for snap, ut in zip(traj.snapshots, traj.u_t_snapshots)]
     traj.reports = reports
     ts = traj.times
     V = np.array([r.V for r in reports])

@@ -43,20 +43,33 @@ REDUCED = "reduced"
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Quadrature rule and panel count for every p- and u-integral.
+    """Quadrature rule and node count for every p- and u-integral.
 
-    ``nested_panels`` is accepted and ignored so that configs written while
-    the double p-integrals were evaluated as nested quadratures still
-    parse; it is neither stored nor serialized.
+    The default is Gauss-Legendre with 16 nodes. The integrands (exp Fq
+    and the evolution sensitivity along p, fbar * exp Fq along u) are
+    smooth, so Gauss-Legendre converges much faster than Simpson: against
+    a 48-node reference, 16 nodes give F(u) to about 3e-15 and field
+    values of L (|p| up to 7) to 5e-13, where Simpson with 64 panels (65
+    nodes, four times the characteristic lanes) is off by up to 4e-8 in F.
+
+    ``panels`` is the number of Gauss nodes or of Simpson panels. Left
+    out, it is 16 for Gauss-Legendre and 64 for Simpson, resolved here so
+    that ``asdict`` records the count in use. ``nested_panels`` is
+    accepted and ignored so that configs written while the double
+    p-integrals were evaluated as nested quadratures still parse; it is
+    neither stored nor serialized.
     """
 
-    rule: str = SIMPSON
-    panels: int = 64
+    rule: str = GAUSS_LEGENDRE
+    panels: int | None = None
     nested_panels: InitVar[int | None] = None
 
     def __post_init__(self, nested_panels):
         if self.rule not in (SIMPSON, GAUSS_LEGENDRE):
             raise ValueError(f"unknown quadrature rule: {self.rule!r}")
+        if self.panels is None:
+            object.__setattr__(self, "panels",
+                               64 if self.rule == SIMPSON else 16)
         if self.panels < 2:
             raise ValueError("panels must be >= 2")
         if self.rule == SIMPSON and self.panels % 2:
@@ -154,8 +167,8 @@ class LagrangianEvaluator:
         sol = solve_characteristics(
             rhs, (u, 0.0), np.concatenate([qs, np.zeros(m)]),
             self.charflow_cfg, m,
-            lambda k: f"transport solve: sample {k} at (u, q) = "
-                      f"({u:.6g}, {qs[k]:.6g})")
+            lambda k, _: f"transport solve: sample {k} at (u, q) = "
+                         f"({u:.6g}, {qs[k]:.6g})")
         return -sol.y[m:, -1]
 
     def _psi_batch(self, u: float, qs: np.ndarray):
@@ -250,37 +263,39 @@ class LagrangianEvaluator:
         q_nodes = 0.5 * nodes**2
         q_star = 0.5 * p_arr**2
 
-        # stacked state: node characteristics, node sensitivities,
-        # star characteristics, star transport exponents
+        # stacked state: node characteristics, star characteristics (the
+        # watched lanes), node sensitivities, star transport exponents
         un = np.repeat(u_arr, m)
         nm = npts * m
+        nq = nm + npts
         nl = self.nl
 
         def rhs(s, y):
             qn = y[:nm]
-            eta = y[nm:2 * nm]
-            qs = y[2 * nm:2 * nm + npts]
+            qs = y[nm:nq]
+            eta = y[nq:nq + nm]
             return np.concatenate([
                 -un * _eval_vec(nl.f_bar, un * s, qn),
-                -un * _eval_vec(nl.f_bar_q, un * s, qn) * eta,
                 -u_arr * _eval_vec(nl.f_bar, u_arr * s, qs),
+                -un * _eval_vec(nl.f_bar_q, un * s, qn) * eta,
                 u_arr * _eval_vec(nl.f_bar_q, u_arr * s, qs),
             ])
 
-        def sample(k):
-            # node lanes (q and eta) run sample-major, then the star lanes
-            i = k - 2 * nm if k >= 2 * nm else (k % nm) // m
+        def sample(k, s):
+            # node lanes run sample-major, then one star lane per sample
+            i = k // m if k < nm else k - nm
             return (f"batched field evaluation: sample {i} at (u, p) = "
-                    f"({u_arr[i]:.6g}, {p_arr[i]:.6g})")
+                    f"({u_arr[i]:.6g}, {p_arr[i]:.6g}), "
+                    f"stopped at u={u_arr[i] * s:.6g}")
 
-        y0 = np.concatenate([q_nodes.ravel(), np.ones(nm),
-                             q_star, np.zeros(npts)])
+        y0 = np.concatenate([q_nodes.ravel(), q_star, np.ones(nm),
+                             np.zeros(npts)])
         sol = solve_characteristics(rhs, (1.0, 0.0), y0, self.charflow_cfg,
-                                    2 * nm + npts, sample)
+                                    nq, sample, var="s")
         yf = sol.y[:, -1]
-        eta = yf[nm:2 * nm].reshape(npts, m)
-        psi_star = yf[2 * nm:2 * nm + npts]
-        fq_star = -yf[2 * nm + npts:]
+        psi_star = yf[nm:nq]
+        eta = yf[nq:nq + nm].reshape(npts, m)
+        fq_star = -yf[nq + nm:]
         phi = np.sum(weights * eta, axis=1)
         L_vals = p_arr * phi - psi_star
         lpp = np.exp(fq_star)
@@ -288,15 +303,6 @@ class LagrangianEvaluator:
             self._fq_cache.setdefault((_key(u), _key(q)), fq)
         return {"L": L_vals, "L_pp": lpp, "phi": phi, "psi": psi_star,
                 "F_q": fq_star}
-
-    def L_pp_field(self, u_arr, p_arr) -> np.ndarray:
-        """L_pp on paired arrays of (u, p) samples."""
-        u_arr = np.asarray(u_arr, dtype=float)
-        p_arr = np.asarray(p_arr, dtype=float)
-        out = np.empty_like(u_arr)
-        for i in range(u_arr.size):
-            out.ravel()[i] = self.L_pp(u_arr.ravel()[i], p_arr.ravel()[i])
-        return out
 
 
 def effective_nonlinearity(f_bar: NonlinearityO2, a_bar: NonlinearityO2) -> NonlinearityO2:

@@ -59,8 +59,9 @@ def _char_batch(nl: GeneralNonlinearity, x: float, us: np.ndarray,
 
     sol = solve_characteristics(
         rhs, (x, 0.0), np.concatenate([us, ps, np.zeros(m)]), cfg, 2 * m,
-        lambda k: f"backward characteristic from x={x:.6g}: sample {k % m} "
-                  f"at (u, p) = ({us[k % m]:.6g}, {ps[k % m]:.6g})")
+        lambda k, _: f"backward characteristic from x={x:.6g}: sample "
+                     f"{k % m} at (u, p) = ({us[k % m]:.6g}, {ps[k % m]:.6g})",
+        var="x")
     # accumulated integral runs from x down to 0; g is its negative
     return -sol.y[2 * m:, -1]
 
@@ -157,9 +158,10 @@ class SeparatedEvaluator:
         sol = solve_characteristics(
             rhs, (1.0, 0.0), np.concatenate([us, ps, np.zeros(m)]), cfg,
             2 * m,
-            lambda k: f"batched backward characteristics: sample {k % m} at "
-                      f"(x, u, p) = ({xs[k % m]:.6g}, {us[k % m]:.6g}, "
-                      f"{ps[k % m]:.6g})")
+            lambda k, s: f"batched backward characteristics: sample {k % m} "
+                         f"at (x, u, p) = ({xs[k % m]:.6g}, {us[k % m]:.6g}, "
+                         f"{ps[k % m]:.6g}), stopped at x={xs[k % m] * s:.6g}",
+            var="s")
         return -sol.y[2 * m:, -1]
 
     def field_eval(self, fld: ScalarField):
@@ -268,7 +270,8 @@ def _flow_map(nl: GeneralNonlinearity, z: np.ndarray,
     y0 = list(z) + ([0.0] if with_fp else [])
     return solve_characteristics(
         rhs, (0.0, 1.0), y0, cfg, 2,
-        lambda k: f"flow map from (u, p) = ({z[0]:.6g}, {z[1]:.6g})")
+        lambda k, _: f"flow map from (u, p) = ({z[0]:.6g}, {z[1]:.6g})",
+        var="x")
 
 
 def integrability_defect(nl: GeneralNonlinearity,

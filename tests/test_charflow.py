@@ -237,3 +237,28 @@ class TestDriverPolicy:
     def test_step_budget_on_every_path(self, call):
         with pytest.raises(IntegrationFailure, match="step budget exhausted"):
             call(CharflowConfig(max_steps=1))
+
+    def test_start_beyond_bound_escapes_at_once(self):
+        # f_bar = 0 keeps every q constant: no crossing ever happens, yet
+        # sample 1 starts beyond the bound
+        cfg = CharflowConfig(escape_bound=1.0)
+        with pytest.raises(CharacteristicEscape,
+                           match=r"at u=0\.25 .*sample 1 at \(u, q\) = "
+                                 r"\(0\.25, 2\)") as err:
+            evolve_batch(zero_nl(), 0.25, 1.0, np.array([0.1, 2.0]), cfg)
+        assert err.value.at == 0.25 and err.value.var == "u"
+        res = evolve(zero_nl(), 0.25, 1.0, 2.0, cfg)
+        assert res.status is Status.ESCAPED_BOUND
+        assert res.u_at_escape == 0.25 and res.value == 2.0
+
+    def test_escape_names_its_parameter(self):
+        # the separated-BC backward characteristic runs in x: with f = 0,
+        # u = -0.5 - 0.9 (1 - x) reaches -1 at x = 4/9
+        free = GeneralNonlinearity(
+            f=lambda x, u, p: 0.0 * np.asarray(u, dtype=float),
+            f_p=lambda x, u, p: 0.0 * np.asarray(p, dtype=float),
+            x_periodic=False)
+        with pytest.raises(CharacteristicEscape, match=r"at x=0\.444") as err:
+            matano.g_value(free, 1.0, -0.5, 0.9,
+                           CharflowConfig(escape_bound=1.0))
+        assert err.value.var == "x"

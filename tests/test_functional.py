@@ -11,10 +11,11 @@ from circlyap.functional import (
     ScalarField,
     dissipation_rate,
     evaluate_V,
+    field_report,
     gradient,
     quadrature_weights,
 )
-from circlyap.lagrangian import LagrangianEvaluator
+from circlyap.lagrangian import LagrangianEvaluator, effective_nonlinearity
 
 
 def harmonic_nl():
@@ -179,3 +180,58 @@ class TestDissipationRate:
         ev = LagrangianEvaluator(cubic_nl())
         with pytest.raises(ValueError):
             dissipation_rate(ev, smooth_field(64), smooth_field(32))
+
+
+class TestFieldReport:
+    """One field_eval per snapshot gives V, the dissipation and min L_pp;
+    none of them depends on what the evaluator computed before."""
+
+    def test_matches_separate_calls(self):
+        fld = smooth_field(64)
+        ut = fld.like(0.3 * np.cos(2 * np.pi * fld.grid()))
+        rep = field_report(LagrangianEvaluator(mixed_nl()), fld, ut)
+        alone = evaluate_V(LagrangianEvaluator(mixed_nl()), fld)
+        assert rep.V == alone.V
+        assert rep.convexity_min == alone.convexity_min
+        assert dissipation_rate(LagrangianEvaluator(mixed_nl()), fld, ut) \
+            == rep.dissipation
+
+    def test_dissipation_independent_of_cache_state(self):
+        # f_bar_q depends on q, so F_q from different solves differs in
+        # its last digits
+        nl = NonlinearityO2(
+            f_bar=lambda u, q: 2.0 * u * (1.0 - u * u) + q * u + 0.2 * q * q,
+            f_bar_q=lambda u, q: u + 0.4 * q, label="q-dependent")
+        fld = smooth_field(64)
+        ut = fld.like(0.3 * np.cos(2 * np.pi * fld.grid()))
+        fresh = dissipation_rate(LagrangianEvaluator(nl), fld, ut)
+        # an unrelated batch that holds the same samples among others
+        # fills the evaluator's F_q cache with values from another solve
+        ev = LagrangianEvaluator(nl)
+        u, p = fld.values, gradient(fld).values
+        ev.field_eval(np.concatenate([np.linspace(-1.0, 1.0, 40), u]),
+                      np.concatenate([np.linspace(2.0, -2.0, 40), p]))
+        assert dissipation_rate(ev, fld, ut) == fresh
+        assert field_report(ev, fld, ut).dissipation == fresh
+
+    def test_quasilinear_weight_matches_pointwise_loop(self):
+        a_bar = NonlinearityO2(f_bar=lambda u, q: 2.0 + 0.1 * q + 0.3 * u * u,
+                               f_bar_q=lambda u, q: 0.1 + 0.0 * q, label="a")
+        ev = LagrangianEvaluator(effective_nonlinearity(mixed_nl(), a_bar))
+        fld = smooth_field(64)
+        ut = fld.like(0.3 * np.cos(2 * np.pi * fld.grid()))
+        u, p = fld.values, gradient(fld).values
+        # the per-point loop the weight used to be computed by
+        av = np.array([a_bar.f_bar(ui, 0.5 * pi * pi) for ui, pi in zip(u, p)])
+        lpp = ev.field_eval(u, p)["L_pp"]
+        ref = -float(np.dot(quadrature_weights(fld), (1.0 / av) * lpp
+                            * ut.values**2))
+        assert dissipation_rate(ev, fld, ut, weight_a=a_bar) == \
+            pytest.approx(ref, rel=1e-14)
+        assert field_report(ev, fld, ut, weight_a=a_bar).dissipation == \
+            pytest.approx(ref, rel=1e-14)
+
+    def test_interval_field_rejected(self):
+        fld = smooth_field(64, bc=NEUMANN)
+        with pytest.raises(ValueError):
+            field_report(LagrangianEvaluator(mixed_nl()), fld, fld)

@@ -22,6 +22,7 @@ from circlyap.harness import (
     run_scenario,
     shift_match,
 )
+from circlyap.lagrangian import LagrangianEvaluator
 from circlyap.pde import SolverConfig
 
 
@@ -173,6 +174,26 @@ class TestConfigRoundTrip:
         assert parse_config(path) == cfg
 
 
+    def test_default_quadrature_written_to_manifest(self, tmp_path):
+        d = tiny_config(tmp_path).to_dict()
+        del d["quadrature"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(d))
+        run_scenario(parse_config(path))
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json")
+                              .read_text())
+        assert manifest["config"]["quadrature"] == {
+            "rule": "gauss_legendre", "panels": 16}
+
+    def test_old_quadrature_json_parses(self, tmp_path):
+        d = tiny_config(tmp_path).to_dict()
+        d["quadrature"] = {"rule": "simpson", "nested_panels": 16}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(d))
+        assert parse_config(path).to_dict()["quadrature"] == {
+            "rule": "simpson", "panels": 64}
+
+
 class TestRunScenario:
     def test_output_files_and_manifest(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -262,6 +283,32 @@ class TestRunScenario:
         assert extras["fourier_match"] <= 1e-2  # coarse smoke bound
         series = (tmp_path / "planar" / "series.csv").read_text().splitlines()
         assert series[0].endswith("a_mode,b_mode")
+
+
+class TestLyapunovSeries:
+    def test_one_field_eval_per_snapshot(self, tmp_path, monkeypatch):
+        calls = {"field_eval": 0, "scalar": 0}
+        orig = LagrangianEvaluator.field_eval
+
+        def counted(self, u, p):
+            calls["field_eval"] += 1
+            return orig(self, u, p)
+
+        def scalar(name):
+            fn = getattr(LagrangianEvaluator, name)
+
+            def wrapper(self, *args):
+                calls["scalar"] += 1
+                return fn(self, *args)
+            return wrapper
+
+        monkeypatch.setattr(LagrangianEvaluator, "field_eval", counted)
+        for name in ("L", "L_pp", "F_q", "F", "phi"):
+            monkeypatch.setattr(LagrangianEvaluator, name, scalar(name))
+        assert not hasattr(LagrangianEvaluator, "L_pp_field")
+        traj, extras = run_scenario(tiny_config(tmp_path), write=False)
+        assert extras["status"] == "ok"
+        assert calls == {"field_eval": len(traj.times), "scalar": 0}
 
 
 class TestCli:

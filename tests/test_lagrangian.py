@@ -1,6 +1,7 @@
 """Tests for the Lagrange function and its ingredients."""
 
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -13,6 +14,7 @@ from circlyap.charflow import (
     NonlinearityO2,
     evolve,
 )
+from circlyap.harness import chafee_infante_nl, gradient_quadratic_nl
 from circlyap.lagrangian import (
     DOUBLE_INTEGRAL,
     GAUSS_LEGENDRE,
@@ -74,6 +76,40 @@ class TestQuadRule:
         old = QuadratureConfig(rule=SIMPSON, panels=16, nested_panels=7)
         assert old == QuadratureConfig(rule=SIMPSON, panels=16)
         assert asdict(old) == {"rule": SIMPSON, "panels": 16}
+
+
+class TestDefaultQuadrature:
+    """The default rule is sized by its error against a 48-node
+    Gauss-Legendre reference."""
+
+    @pytest.mark.parametrize("nl", [
+        pytest.param(mixed_nl(2.0), id="mixed"),
+        pytest.param(gradient_quadratic_nl(1.0, -1.0), id="gradient_quadratic"),
+        pytest.param(chafee_infante_nl(2.0), id="chafee_infante"),
+    ])
+    def test_within_1e_11_of_reference(self, nl):
+        x = np.arange(64) / 64
+        u = 0.6 * np.sin(2 * np.pi * x) + 0.3 * np.cos(4 * np.pi * x + 0.4)
+        p = np.gradient(u, x)
+        ev = LagrangianEvaluator(nl)
+        ref = LagrangianEvaluator(
+            nl, quad_cfg=QuadratureConfig(rule=GAUSS_LEGENDRE, panels=48))
+        np.testing.assert_allclose(ev.field_eval(u, p)["L"],
+                                   ref.field_eval(u, p)["L"],
+                                   rtol=0, atol=1e-11)
+        for v in (0.5, 0.7, 1.0):
+            assert abs(ev.F(v) - ref.F(v)) <= 1e-11
+
+    def test_default_is_gauss_legendre_16(self):
+        assert QuadratureConfig() == QuadratureConfig(rule=GAUSS_LEGENDRE,
+                                                      panels=16)
+        assert asdict(QuadratureConfig(panels=16)) == {
+            "rule": GAUSS_LEGENDRE, "panels": 16}
+
+    def test_simpson_without_panels_is_simpson_64(self):
+        qc = QuadratureConfig(rule=SIMPSON)
+        assert qc == QuadratureConfig(rule=SIMPSON, panels=64)
+        assert asdict(qc) == {"rule": SIMPSON, "panels": 64}
 
 
 class TestFq:
@@ -244,13 +280,35 @@ class TestFieldEval:
 
     def test_escape_names_the_sample(self):
         # with f_bar = q every characteristic of sample k grows by e^{u_k}
-        # on its way to u = 0: only sample 1 (u = 3) passes the bound
+        # on its way to u = 0: only sample 1 (u = 3, q = 4.5) passes the
+        # bound, where 4.5 e^{3 - u} = 10; the batched solve runs in the
+        # rescaled s = u / 3 and the message gives both
         nl = NonlinearityO2(f_bar=lambda u, q: q,
                             f_bar_q=lambda u, q: 1.0 + 0.0 * q, label="exp")
         ev = LagrangianEvaluator(nl, CharflowConfig(escape_bound=10.0))
         with pytest.raises(CharacteristicEscape,
-                           match=r"sample 1 at \(u, p\) = \(3, 0.2\)"):
-            ev.field_eval(np.array([0.1, 3.0, 0.2]), np.array([0.5, 0.2, 1.0]))
+                           match=r"sample 1 at \(u, p\) = \(3, 3\)") as err:
+            ev.field_eval(np.array([0.1, 3.0, 0.2]), np.array([0.5, 3.0, 1.0]))
+        msg = str(err.value)
+        s = float(re.search(r"at s=(\S+) ", msg).group(1))
+        u = float(re.search(r"stopped at u=([^)\s]+)", msg).group(1))
+        assert err.value.var == "s" and err.value.at == pytest.approx(s,
+                                                                      rel=1e-5)
+        assert u == pytest.approx(3.0 * s, rel=1e-5)
+        assert u == pytest.approx(3.0 - math.log(10.0 / 4.5), abs=1e-3)
+
+    def test_sensitivities_are_not_watched(self):
+        # the sensitivities eta grow to e^{u_k} (about 20 for u = 3), the
+        # characteristics q stay below 0.5: the evaluation completes
+        nl = NonlinearityO2(f_bar=lambda u, q: q,
+                            f_bar_q=lambda u, q: 1.0 + 0.0 * q, label="exp")
+        ev = LagrangianEvaluator(nl, CharflowConfig(escape_bound=0.5))
+        u, p = np.array([0.1, 3.0]), np.array([0.5, 0.2])
+        fe = ev.field_eval(u, p)
+        # closed form for f_bar = q: L = p^2/2 e^u, L_pp = e^u
+        np.testing.assert_allclose(fe["L"], 0.5 * p * p * np.exp(u),
+                                   rtol=1e-8)
+        np.testing.assert_allclose(fe["L_pp"], np.exp(u), rtol=1e-8)
 
     def test_scalar_callables_match_vectorised(self):
         vec = NonlinearityO2(f_bar=lambda u, q: 2.0 * np.sin(u) + q * np.cos(u),
