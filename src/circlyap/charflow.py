@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 
 class IntegrationFailure(RuntimeError):
@@ -138,6 +138,17 @@ def _eval_vec(fn, u, q):
     return out
 
 
+class _RK45(RK45):
+    """scipy's RK45, listed in ``solvers`` so that its solve can take it
+    apart when it ends. The solver refers to itself through its wrapped
+    right-hand side; left alone it waits, stage vectors and all, for the
+    cyclic garbage collector, and peak memory depends on when that runs."""
+
+    def __init__(self, *args, solvers: list, **kwargs):
+        super().__init__(*args, **kwargs)
+        solvers.append(self)
+
+
 def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
                           lane, dense_output: bool = False, var: str = "u"):
     """Integrate a stack of characteristics over ``span``; the one driver
@@ -185,8 +196,14 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
 
     escape.terminal = True
 
-    sol = solve_ivp(checked, span, y0, method="RK45", rtol=cfg.rel_tol,
-                    atol=cfg.abs_tol, events=escape, dense_output=dense_output)
+    solvers = []
+    try:
+        sol = solve_ivp(checked, span, y0, method=_RK45, rtol=cfg.rel_tol,
+                        atol=cfg.abs_tol, events=escape,
+                        dense_output=dense_output, solvers=solvers)
+    finally:
+        for solver in solvers:
+            solver.__dict__.clear()
     if sol.status == 0:
         return sol
     t = float(sol.t[-1])

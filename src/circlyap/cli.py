@@ -11,12 +11,14 @@ import copy
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
 from . import charflow, harness
 from .lagrangian import DOUBLE_INTEGRAL, REDUCED, LagrangianEvaluator
-from .functional import ScalarField, gradient
+from .functional import PERIODIC, ScalarField, gradient
+from .pde import SolverConfig, integrate
 
 EXIT_OK = 0
 EXIT_BLOWUP = 2
@@ -88,12 +90,13 @@ def cmd_list_scenarios(_args) -> int:
 
 def cmd_check(_args) -> int:
     """Fast built-in invariant suite (a subset of the full test suite)."""
-    failures = 0
+    failures = total = 0
 
     def check(name, ok):
-        nonlocal failures
+        nonlocal failures, total
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
         failures += 0 if ok else 1
+        total += 1
 
     nl = harness.gradient_quadratic_nl(b=1.0, slope=-1.0)
     res = charflow.evolve(nl, 0.7, 0.7, 1.3)
@@ -122,8 +125,23 @@ def cmd_check(_args) -> int:
     err = np.max(np.abs(gradient(fld).values - 2 * np.pi * np.cos(2 * np.pi * x)))
     check("gradient stencil accuracy", err < 2e-3)
 
+    # the burn-in's ETDRK4 at the save interval against RK4 at 0.4 h^2,
+    # both landing on t = 0.02
+    n, burn_in = 64, 0.02
+    u0 = harness.make_initial({"kind": "random_smooth", "seed": 7}, n, 1.0,
+                              PERIODIC)
+    gen = harness.general_from_o2(harness.chafee_infante_nl(15.0))
+    steps = int(np.ceil(burn_in / (0.4 / n**2)))
+    monitored = SolverConfig(n=n, dt=burn_in / steps, t_end=burn_in,
+                             save_every=steps // 5)
+    etd = integrate(gen, None, u0,
+                    harness.burn_in_config(monitored, burn_in, None, u0.dx))
+    rk = integrate(gen, None, u0, replace(monitored, save_every=10**9))
+    gap = np.max(np.abs(etd.snapshots[-1].values - rk.snapshots[-1].values))
+    check("ETDRK4 burn-in matches RK4", gap <= 1e-8)
+
     print(f"{'OK' if failures == 0 else 'FAILED'}: "
-          f"{6 - failures}/6 checks passed")
+          f"{total - failures}/{total} checks passed")
     return EXIT_OK if failures == 0 else 1
 
 

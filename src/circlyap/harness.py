@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -40,7 +41,15 @@ from .lagrangian import (
     effective_nonlinearity,
 )
 from . import matano
-from .pde import IMEX, RK4, GeneralNonlinearity, SolverConfig, TrajectoryRecord, integrate
+from .pde import (
+    ETDRK4,
+    GeneralNonlinearity,
+    SolverConfig,
+    TrajectoryRecord,
+    constant_coefficient,
+    integrate,
+    time_step,
+)
 
 FORMAT_VERSION = 1
 OUTPUT_ROOT_ENV = "CIRCLYAP_OUTPUT_ROOT"
@@ -377,11 +386,26 @@ def shift_match(u_ref: np.ndarray, u: np.ndarray, ell: float):
     return theta, mismatch
 
 
+def _per_save(report, traj: TrajectoryRecord) -> list:
+    """``report(snapshot, u_t)`` at every save. A characteristic escape or
+    integration failure is re-raised as it is, with "at save k, t=..."
+    added to its message."""
+    out = []
+    for k, (t, snap, ut) in enumerate(zip(traj.times, traj.snapshots,
+                                          traj.u_t_snapshots)):
+        try:
+            out.append(report(snap, ut))
+        except (CharacteristicEscape, IntegrationFailure) as exc:
+            exc.args = (f"{exc} at save {k}, t={t:.6g}",)
+            raise
+    return out
+
+
 def _lyapunov_series(traj: TrajectoryRecord, ev: LagrangianEvaluator,
                      weight_a: NonlinearityO2 | None = None) -> dict:
     """V, dissipation and centered decay residual along a trajectory."""
-    reports = [field_report(ev, snap, ut, weight_a)
-               for snap, ut in zip(traj.snapshots, traj.u_t_snapshots)]
+    reports = _per_save(lambda snap, ut: field_report(ev, snap, ut, weight_a),
+                        traj)
     traj.reports = reports
     ts = traj.times
     V = np.array([r.V for r in reports])
@@ -401,8 +425,7 @@ def _lyapunov_series(traj: TrajectoryRecord, ev: LagrangianEvaluator,
 
 def _matano_series(traj: TrajectoryRecord, ev: matano.SeparatedEvaluator) -> dict:
     ts = traj.times
-    VDC = [matano.field_report(ev, s, ut)
-           for s, ut in zip(traj.snapshots, traj.u_t_snapshots)]
+    VDC = _per_save(lambda snap, ut: matano.field_report(ev, snap, ut), traj)
     V = np.array([v for v, _, _ in VDC])
     D = np.array([d for _, d, _ in VDC])
     res = np.full_like(V, np.nan)
@@ -608,6 +631,24 @@ def _write_outputs(out_dir: Path, cfg: ScenarioConfig, traj: TrajectoryRecord,
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def burn_in_config(solver_cfg: SolverConfig, burn_in: float, a_coeff,
+                   h: float) -> SolverConfig:
+    """Solver config of the discarded burn-in to t = ``burn_in``.
+
+    With a constant diffusion coefficient the burn-in runs ETDRK4 at the
+    monitored run's save interval, shortened to divide ``burn_in``, so it
+    lands exactly there; a callable coefficient keeps the configured
+    scheme and step. ``h`` is the grid spacing, for the default step.
+    """
+    if constant_coefficient(a_coeff) is None:
+        return replace(solver_cfg, t_end=burn_in, save_every=10**9)
+    interval = solver_cfg.save_every * time_step(solver_cfg, h, a_coeff)
+    # tolerate round-off when burn_in is an exact multiple of the interval
+    steps = math.ceil(burn_in / interval - 1e-9)
+    return replace(solver_cfg, scheme=ETDRK4, dt=burn_in / steps,
+                   t_end=burn_in, save_every=10**9)
+
+
 def run_scenario(cfg: ScenarioConfig, write: bool = True):
     """Integrate a scenario and attach its monitors.
 
@@ -622,7 +663,7 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True):
     if burn_in > 0.0:
         # evolve past the fast initial transient before monitoring starts,
         # so the centered time differences see a resolved signal
-        pre_cfg = replace(solver_cfg, t_end=burn_in, save_every=10**9)
+        pre_cfg = burn_in_config(solver_cfg, burn_in, a_coeff, u0.dx)
         pre = integrate(gen, a_coeff, u0, pre_cfg)
         if pre.blew_up:
             # nothing left to monitor

@@ -249,8 +249,9 @@ class LagrangianEvaluator:
         Rescales every characteristic span [u_i, 0] to a common parameter
         s in [1, 0] and integrates all quadrature-node characteristics,
         their sensitivities and the transport exponents as one stacked
-        system. Feeds the Fq cache so pointwise queries on the same samples
-        are free afterwards.
+        system. The batch leaves the memo caches alone: its F_q carries
+        the error of the stacked solve, so a later pointwise query makes
+        its own transport solve and does not depend on this call.
         """
         u_arr = np.asarray(u_arr, dtype=float)
         p_arr = np.asarray(p_arr, dtype=float)
@@ -299,8 +300,6 @@ class LagrangianEvaluator:
         phi = np.sum(weights * eta, axis=1)
         L_vals = p_arr * phi - psi_star
         lpp = np.exp(fq_star)
-        for u, q, fq in zip(u_arr, q_star, fq_star):
-            self._fq_cache.setdefault((_key(u), _key(q)), fq)
         return {"L": L_vals, "L_pp": lpp, "phi": phi, "psi": psi_star,
                 "F_q": fq_star}
 

@@ -210,18 +210,6 @@ def L_separated(nl: GeneralNonlinearity, x: float, u: float, p: float,
     return SeparatedEvaluator(nl, charflow_cfg, quad_cfg).L(x, u, p)
 
 
-def functional_V(ev: SeparatedEvaluator, fld: ScalarField) -> float:
-    w = quadrature_weights(fld)
-    return float(np.dot(w, ev.field_eval(fld)["L"]))
-
-
-def weighted_dissipation(ev: SeparatedEvaluator, fld: ScalarField,
-                         u_t: ScalarField) -> float:
-    lpp = ev.field_eval(fld)["L_pp"]
-    w = quadrature_weights(fld)
-    return -float(np.dot(w, lpp * u_t.values**2))
-
-
 def field_report(ev: SeparatedEvaluator, fld: ScalarField,
                  u_t: ScalarField):
     """(V, dissipation, min L_pp) of one snapshot from a single fused solve."""

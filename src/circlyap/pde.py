@@ -1,17 +1,35 @@
 """Method-of-lines integrator for u_t = a * u_xx + f(x, u, u_x).
 
-Second-order central stencils in space; explicit RK4 or an IMEX scheme
-(Crank-Nicolson diffusion, Adams-Bashforth 2 reaction) in time. The IMEX
-path needs a constant diffusion coefficient.
+Second-order central stencils in space. In time, one of three schemes:
+
+* ``rk4``: explicit RK4, the reference; any coefficient a(x, u, u_x);
+* ``etdrk4``: the exponential integrator of Cox & Matthews (J. Comput.
+  Phys. 176, 2002). The linear part a * u_xx, with the same
+  second-difference matrix, is applied exactly in the basis that
+  diagonalises it (``scipy.fft``: real FFT on the circle, DST-I on the
+  Dirichlet interior, DCT-I for Neumann's mirrored ghosts); the reaction
+  f(x, u, u_x) stays explicit through the same central difference.
+  Non-zero Dirichlet end values enter as a constant forcing. So it
+  integrates the same semi-discrete ODE as RK4, at steps far above RK4's
+  stability limit. Its phi-functions come from Kassam & Trefethen's
+  contour integrals (SIAM J. Sci. Comput. 26, 2005), once per solve and
+  step size. The initial transient changes faster than a large step
+  resolves, so each step is checked against two half steps and covered
+  in halved steps until the two agree to 1e-9, until a whole step passes;
+  plain steps follow;
+* ``imex``: Crank-Nicolson diffusion with Adams-Bashforth 2 reaction.
+
+ETDRK4 and IMEX need a constant diffusion coefficient; ETDRK4 also an
+explicit step ``dt``.
 
 Each solve builds one semi-discrete operator on plain arrays, with the grid,
-2h, h^2 and the derivative buffers fixed; the RK4 stages, the IMEX reaction
-term, the saved u_t snapshots and the public ``rhs`` all evaluate it, so
-the stencils exist once. The operator pins Dirichlet ends and names the
-grid index of a non-finite right-hand side. A run stops with a blow-up
-record, which keeps the snapshots saved so far and says what happened and
-when, if max|u| exceeds 1e6, the state turns non-finite or the right-hand
-side does.
+2h, h^2 and the derivative buffers fixed; the RK4 stages, the ETDRK4 and
+IMEX reaction terms, the saved u_t snapshots and the public ``rhs`` all
+evaluate it, so the stencils exist once. The operator pins Dirichlet ends
+and names the grid index of a non-finite right-hand side or reaction term.
+A run stops with a blow-up record, which keeps the snapshots saved so far
+and says what happened and when, if max|u| exceeds 1e6, the state turns
+non-finite or the right-hand side does.
 """
 
 from __future__ import annotations
@@ -22,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.fft as sfft
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -35,9 +54,14 @@ from .functional import (
 )
 
 BLOWUP_THRESHOLD = 1e6
+# ETDRK4 step doubling in the initial transient: a step and its two
+# halves must agree to this, relative to max(1, max|u|)
+ETDRK4_TOL = 1e-9
+ETDRK4_MAX_SUBSTEPS = 128
 
 RK4 = "rk4"
 IMEX = "imex"
+ETDRK4 = "etdrk4"
 
 
 @dataclass(frozen=True)
@@ -69,7 +93,7 @@ class GeneralNonlinearity:
 @dataclass
 class SolverConfig:
     n: int = 256
-    dt: float | None = None  # default 0.4 * (l/n)^2 / a
+    dt: float | None = None  # default 0.4 * (l/n)^2 / a; etdrk4 needs it
     t_end: float = 1.0
     save_every: int = 100
     scheme: str = RK4
@@ -81,8 +105,10 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
-        if self.scheme not in (RK4, IMEX):
+        if self.scheme not in (RK4, IMEX, ETDRK4):
             raise ValueError(f"unknown scheme: {self.scheme!r}")
+        if self.scheme == ETDRK4 and self.dt is None:
+            raise ValueError("ETDRK4 stepping needs an explicit dt")
 
 
 @dataclass
@@ -144,13 +170,24 @@ class _SemiDiscrete:
         """f(x, u, u_x), zero at pinned Dirichlet ends.
 
         The slope goes into a new array: f may return it, and the caller
-        keeps each result for the next step.
+        keeps each result for the next step. Raises FloatingPointError
+        naming the first grid index whose value is not finite.
         """
         p = central_difference(u, self.two_h, self.bc, np.empty(u.size))
         out = self.f(self.x, u, p)
         if self.bc == DIRICHLET:
             out = np.array(out, dtype=float)
             out[0] = out[-1] = 0.0
+        return self._finite(out, "reaction term")
+
+    def _finite(self, out: np.ndarray, what: str) -> np.ndarray:
+        # a finite sum (out @ ones) rules out NaN and inf; an overflowing
+        # one is confirmed element by element
+        if not math.isfinite(out @ self._ones):
+            bad = np.flatnonzero(~np.isfinite(out))
+            if bad.size:
+                raise FloatingPointError(
+                    f"non-finite {what} at grid index {bad[0]}")
         return out
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
@@ -170,14 +207,7 @@ class _SemiDiscrete:
             out = a * uxx + self.f(x, u, p)
         if self.bc == DIRICHLET:
             out[0] = out[-1] = 0.0
-        # a finite sum (out @ ones) rules out NaN and inf; an overflowing
-        # one is confirmed element by element
-        if not math.isfinite(out @ self._ones):
-            bad = np.flatnonzero(~np.isfinite(out))
-            if bad.size:
-                raise FloatingPointError(
-                    f"non-finite right-hand side at grid index {bad[0]}")
-        return out
+        return self._finite(out, "right-hand side")
 
 
 def laplacian(field: ScalarField) -> np.ndarray:
@@ -208,6 +238,64 @@ def _diffusion_matrix(n: int, h: float, bc: str) -> sp.csc_matrix:
     return sp.csc_matrix(A / h2)
 
 
+def constant_coefficient(a) -> float | None:
+    """The diffusion coefficient as a number (1 for None), or None for a
+    callable a(x, u, p)."""
+    if a is None:
+        return 1.0
+    if np.isscalar(a):
+        return float(a)
+    return None
+
+
+def time_step(cfg: SolverConfig, h: float, a) -> float:
+    """The configured step, or by default 0.4 h^2 / a (a = 1 if callable)."""
+    if cfg.dt is not None:
+        return cfg.dt
+    a_const = constant_coefficient(a)
+    return 0.4 * h * h / (a_const if a_const is not None else 1.0)
+
+
+def _diagonalised_second_difference(n: int, h: float, bc: str):
+    """Eigenvalues of the ``second_difference`` matrix and the transform
+    pair that diagonalises it, acting on the points that move: all of
+    them, or the Dirichlet interior. The eigenvalues are
+    -4 sin^2(theta_k / 2) / h^2 for the real FFT (theta_k = 2 pi k / n),
+    DST-I (theta_k = pi k / (n - 1), k = 1 .. n - 2) and DCT-I
+    (theta_k = pi k / (n - 1), k = 0 .. n - 1)."""
+    if bc == PERIODIC:
+        half = np.pi * np.arange(n // 2 + 1) / n
+        fwd, inv = sfft.rfft, (lambda v: sfft.irfft(v, n))
+    elif bc == DIRICHLET:
+        half = 0.5 * np.pi * np.arange(1, n - 1) / (n - 1)
+        fwd, inv = (lambda w: sfft.dst(w, type=1)), \
+            (lambda v: sfft.idst(v, type=1))
+    else:
+        half = 0.5 * np.pi * np.arange(n) / (n - 1)
+        fwd, inv = (lambda w: sfft.dct(w, type=1)), \
+            (lambda v: sfft.idct(v, type=1))
+    return -4.0 * np.sin(half) ** 2 / (h * h), fwd, inv
+
+
+def _etdrk4_coefficients(z: np.ndarray, dt: float, points: int = 32):
+    """exp(z), exp(z/2) and Cox & Matthews' Q, f1, f2, f3 (each times dt)
+    for z = dt * eigenvalue, as Kassam & Trefethen's means over a circle of
+    radius 1 around each z, which avoid the cancellation near z = 0."""
+    r = np.exp(1j * np.pi * (np.arange(points) + 0.5) / points)
+    Z = z[:, None] + r[None, :]
+    eZ = np.exp(Z)
+    Z3 = Z ** 3
+
+    def mean(vals):
+        return dt * np.mean(vals, axis=1).real
+
+    Q = mean((np.exp(0.5 * Z) - 1.0) / Z)
+    f1 = mean((-4.0 - Z + eZ * (4.0 - 3.0 * Z + Z * Z)) / Z3)
+    f2 = mean((2.0 + Z + eZ * (Z - 2.0)) / Z3)
+    f3 = mean((-4.0 - 3.0 * Z - Z * Z + eZ * (4.0 - Z)) / Z3)
+    return np.exp(z), np.exp(0.5 * z), Q, f1, f2, f3
+
+
 def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
               cfg: SolverConfig) -> TrajectoryRecord:
     """Advance the semi-discrete system and record snapshots.
@@ -215,23 +303,19 @@ def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
     Snapshots and the discrete right-hand side are stored every
     ``save_every`` steps. Integration stops early with a blow-up record if
     max|u| exceeds 1e6, the state turns non-finite or the right-hand side
-    does; the record keeps the snapshots saved so far and says in
-    ``message`` what happened, where and when.
+    (for ETDRK4 and IMEX: the reaction term) does; the record keeps the
+    snapshots saved so far and says in ``message`` what happened, where
+    and when.
     """
-    if a is None:
-        a_const = 1.0
-    elif np.isscalar(a):
-        a_const = float(a)
-    else:
-        a_const = None
+    a_const = constant_coefficient(a)
     h = u0.dx
-    a_scale = a_const if a_const is not None else 1.0
-    dt = cfg.dt if cfg.dt is not None else 0.4 * h * h / a_scale
+    dt = time_step(cfg, h, a)
     if cfg.scheme == RK4 and a_const is not None and dt * 4 * a_const / (h * h) > 2.8:
         warnings.warn("time step exceeds the explicit diffusion stability limit",
                       stacklevel=2)
-    if cfg.scheme == IMEX and a_const is None:
-        raise ValueError("IMEX stepping needs a constant diffusion coefficient")
+    if cfg.scheme != RK4 and a_const is None:
+        raise ValueError(f"{cfg.scheme.upper()} stepping needs a constant "
+                         f"diffusion coefficient")
 
     # tolerate round-off when t_end is an exact multiple of dt
     n_steps = int(np.ceil(cfg.t_end / dt - 1e-9))
@@ -267,6 +351,19 @@ def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
             return f"state turned non-finite at t={t:.6g}"
         return f"max|u| = {peak:.3g} exceeds {BLOWUP_THRESHOLD:g} at t={t:.6g}"
 
+    def stepped(k, uv):
+        """Check the state after step k and save it when due; returns why
+        the run ends, or None."""
+        t = k * dt
+        why = blowup_reason(uv, t)
+        if why is None and (k % cfg.save_every == 0 or k == n_steps):
+            why = record(t, uv)
+        return why
+
+    def failed_step(exc, k):
+        return finish(f"{exc} in the step from t={(k - 1) * dt:.6g} "
+                      f"to t={k * dt:.6g}", k * dt)
+
     why = record(0.0, u)
     if why is not None:
         return finish(why, 0.0)
@@ -278,7 +375,10 @@ def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
         explicit = eye + 0.5 * dt * A
         N_prev = None
         for k in range(1, n_steps + 1):
-            N_cur = op.reaction(u)
+            try:
+                N_cur = op.reaction(u)
+            except FloatingPointError as exc:
+                return failed_step(exc, k)
             if k == 1:
                 expl = N_cur  # first step: IMEX Euler start
             else:
@@ -287,30 +387,88 @@ def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
             if u0.bc == DIRICHLET:
                 u[0] = u[-1] = 0.0
             N_prev = N_cur
-            t = k * dt
-            why = blowup_reason(u, t)
-            if why is None and (k % cfg.save_every == 0 or k == n_steps):
-                why = record(t, u)
+            why = stepped(k, u)
             if why is not None:
-                return finish(why, t)
+                return finish(why, k * dt)
+        return finish()
+
+    if cfg.scheme == ETDRK4:
+        lam, fwd, inv = _diagonalised_second_difference(u0.n, h, u0.bc)
+        moving = slice(1, -1) if u0.bc == DIRICHLET else slice(None)
+        # pinned Dirichlet end values reach their neighbours through u_xx
+        ends = np.zeros(u[moving].size)
+        if u0.bc == DIRICHLET:
+            ends[0], ends[-1] = u[0], u[-1]
+        forcing = fwd(ends * (a_const / (h * h)))
+        coefficients = {}
+
+        def N(uv):
+            """Transformed reaction term plus the end forcing."""
+            return fwd(op.reaction(uv)[moving]) + forcing
+
+        def physical(v):
+            uv = u0.values.copy()  # keeps the pinned ends
+            uv[moving] = inv(v)
+            return uv
+
+        def advance(v, uv, m):
+            """Cover one step dt in m ETDRK4 steps of dt / m; returns the
+            transformed and the physical state."""
+            if m not in coefficients:
+                coefficients[m] = _etdrk4_coefficients(
+                    a_const * (dt / m) * lam, dt / m)
+            E, E2, Q, f1, f2, f3 = coefficients[m]
+            for _ in range(m):
+                Nu = N(uv)
+                sa = E2 * v + Q * Nu
+                Na = N(physical(sa))
+                sb = E2 * v + Q * Na
+                Nb = N(physical(sb))
+                sc = E2 * sa + Q * (2.0 * Nb - Nu)
+                Nc = N(physical(sc))
+                v = E * v + f1 * Nu + 2.0 * f2 * (Na + Nb) + f3 * Nc
+                uv = physical(v)
+            return v, uv
+
+        # In the initial transient the reaction term changes faster than a
+        # step dt resolves. Until one step dt agrees with two of dt / 2,
+        # every step is checked that way (step doubling) and covered in
+        # halved steps until the two agree; then plain steps dt follow.
+        v, m, checking = fwd(u[moving]), 1, True
+        for k in range(1, n_steps + 1):
+            try:
+                if not checking:
+                    v, u = advance(v, u, 1)
+                else:
+                    coarse = advance(v, u, m)
+                    while True:
+                        fine = advance(v, u, 2 * m)
+                        gap = np.abs(coarse[1] - fine[1]).max()
+                        scale = max(1.0, np.abs(fine[1]).max())
+                        if (gap <= ETDRK4_TOL * scale
+                                or 2 * m >= ETDRK4_MAX_SUBSTEPS):
+                            break
+                        coarse, m = fine, 2 * m
+                    (v, u), checking, m = fine, m > 1, max(1, m // 2)
+            except FloatingPointError as exc:
+                return failed_step(exc, k)
+            why = stepped(k, u)
+            if why is not None:
+                return finish(why, k * dt)
         return finish()
 
     # explicit RK4
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     for k in range(1, n_steps + 1):
-        t = k * dt
         try:
             k1 = op(u)
             k2 = op(u + half_dt * k1)
             k3 = op(u + half_dt * k2)
             k4 = op(u + dt * k3)
         except FloatingPointError as exc:
-            return finish(f"{exc} in the step from t={(k - 1) * dt:.6g} "
-                          f"to t={t:.6g}", t)
+            return failed_step(exc, k)
         u = u + sixth_dt * (k1 + 2 * k2 + 2 * k3 + k4)
-        why = blowup_reason(u, t)
-        if why is None and (k % cfg.save_every == 0 or k == n_steps):
-            why = record(t, u)
+        why = stepped(k, u)
         if why is not None:
-            return finish(why, t)
+            return finish(why, k * dt)
     return finish()

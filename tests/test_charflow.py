@@ -1,9 +1,11 @@
 """Tests for the characteristic evolution and its sensitivity."""
 
+import gc
 import inspect
 
 import numpy as np
 import pytest
+from scipy.integrate import RK45
 
 from circlyap import lagrangian, matano
 from circlyap.charflow import (
@@ -237,6 +239,24 @@ class TestDriverPolicy:
     def test_step_budget_on_every_path(self, call):
         with pytest.raises(IntegrationFailure, match="step budget exhausted"):
             call(CharflowConfig(max_steps=1))
+
+    @pytest.mark.parametrize("cfg", [CharflowConfig(),
+                                     CharflowConfig(max_steps=1)],
+                             ids=["completes", "fails"])
+    def test_solver_is_freed_when_its_solve_ends(self, cfg):
+        # without the cyclic collector, a solver left in a reference cycle
+        # would still be alive after the solve
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                evolve_batch(mixed_nl(), 0.0, 1.0, np.array([0.1, 0.5]), cfg)
+            except IntegrationFailure:
+                pass
+            alive = [o for o in gc.get_objects() if isinstance(o, RK45)]
+        finally:
+            gc.enable()
+        assert alive == []
 
     def test_start_beyond_bound_escapes_at_once(self):
         # f_bar = 0 keeps every q constant: no crossing ever happens, yet

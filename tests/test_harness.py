@@ -1,13 +1,16 @@
 """Tests for scenario plumbing, output emission and the command line."""
 
 import json
+import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from circlyap import cli
-from circlyap.functional import PERIODIC, ScalarField
+from circlyap import cli, harness
+from circlyap.charflow import CharacteristicEscape, CharflowConfig, IntegrationFailure
+from circlyap.functional import DIRICHLET, NEUMANN, PERIODIC, ScalarField
 from circlyap.harness import (
     PlanarField,
     ScenarioConfig,
@@ -23,7 +26,7 @@ from circlyap.harness import (
     shift_match,
 )
 from circlyap.lagrangian import LagrangianEvaluator
-from circlyap.pde import SolverConfig
+from circlyap.pde import GeneralNonlinearity, SolverConfig, integrate
 
 
 def tiny_config(tmp_path, scenario="chafee_infante", **overrides):
@@ -285,6 +288,151 @@ class TestRunScenario:
         assert series[0].endswith("a_mode,b_mode")
 
 
+def burn_in_field(bc, n=64):
+    if bc == PERIODIC:
+        x = np.arange(n) / n
+        return ScalarField(0.4 * np.sin(2 * np.pi * x)
+                           + 0.2 * np.cos(6 * np.pi * x) + 0.1, 1.0, bc)
+    x = np.linspace(0.0, 1.0, n)
+    if bc == DIRICHLET:
+        return ScalarField(0.4 * np.sin(np.pi * x)
+                           + 0.1 * np.sin(3 * np.pi * x), 1.0, bc)
+    return ScalarField(0.3 * np.cos(np.pi * x) + 0.1 * x * x, 1.0, bc)
+
+
+def traced_integrate(monkeypatch):
+    """Record every (config, trajectory) run_scenario integrates."""
+    calls = []
+
+    def wrapped(gen, a, u0, cfg):
+        traj = integrate(gen, a, u0, cfg)
+        calls.append((cfg, traj))
+        return traj
+
+    monkeypatch.setattr(harness, "integrate", wrapped)
+    return calls
+
+
+class TestBurnIn:
+    @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET, NEUMANN])
+    @pytest.mark.parametrize("a", [None, 2.0])
+    def test_etdrk4_matches_rk4(self, bc, a):
+        # reaction and advection, both nonlinear in u_x
+        gen = GeneralNonlinearity(
+            f=lambda x, u, p: 4.0 * u * (1.0 - u * u) + 0.7 * p
+            + 0.3 * np.sin(2 * np.pi * x) * p * p,
+            f_p=lambda x, u, p: 0.7 + 0.6 * np.sin(2 * np.pi * x) * p)
+        u0 = burn_in_field(bc)
+        burn_in = 0.02
+        solver = SolverConfig(n=u0.n, t_end=0.01, save_every=25)
+        pre_cfg = harness.burn_in_config(solver, burn_in, a, u0.dx)
+        assert pre_cfg.scheme == "etdrk4" and pre_cfg.t_end == burn_in
+        etd = integrate(gen, a, u0, pre_cfg)
+        # RK4 at its default step, shortened to land on burn_in
+        dt = 0.4 * u0.dx**2 / (1.0 if a is None else a)
+        rk = integrate(gen, a, u0, SolverConfig(
+            n=u0.n, dt=burn_in / math.ceil(burn_in / dt), t_end=burn_in,
+            save_every=10**9))
+        gap = np.max(np.abs(etd.snapshots[-1].values
+                            - rk.snapshots[-1].values))
+        assert gap <= 1e-8
+
+    def test_step_is_the_save_interval_and_lands_on_burn_in(
+            self, tmp_path, monkeypatch):
+        calls = traced_integrate(monkeypatch)
+        # default step 0.4/32^2 = 3.9e-4; 0.002 is no multiple of it, and a
+        # save interval (40 steps) is longer than the burn-in
+        cfg = tiny_config(tmp_path, params={"lam": 5.0, "burn_in": 0.002})
+        _, extras = run_scenario(cfg, write=False)
+        assert extras["status"] == "ok"
+        (pre_cfg, pre), (main_cfg, _) = calls
+        assert pre_cfg.scheme == "etdrk4" and pre_cfg.dt == 0.002
+        assert pre.times[-1] == 0.002
+        assert main_cfg == cfg.solver
+
+        calls.clear()
+        cfg = tiny_config(tmp_path, params={"lam": 5.0, "burn_in": 0.05},
+                          solver=SolverConfig(n=32, dt=1e-4, t_end=0.01,
+                                              save_every=30))
+        run_scenario(cfg, write=False)
+        (pre_cfg, pre), _ = calls
+        assert math.ceil(0.05 / pre_cfg.dt - 1e-9) == 17  # ceil(0.05/0.003)
+        assert pre.times[-1] == pytest.approx(0.05, rel=1e-15)
+
+    def test_callable_coefficient_keeps_the_rk4_burn_in(
+            self, tmp_path, monkeypatch):
+        build = harness._build_scenario
+
+        def with_callable_a(cfg):
+            gen, _, *rest = build(cfg)
+            return (gen, lambda x, u, p: 1.0 + 0.1 * u * u, *rest)
+
+        monkeypatch.setattr(harness, "_build_scenario", with_callable_a)
+        calls = traced_integrate(monkeypatch)
+        cfg = tiny_config(tmp_path, params={"lam": 5.0, "burn_in": 0.002})
+        run_scenario(cfg, write=False)
+        (pre_cfg, pre), _ = calls
+        assert pre_cfg == replace(cfg.solver, t_end=0.002, save_every=10**9)
+        gen, a, u0, *_ = with_callable_a(cfg)
+        ref = integrate(gen, a, u0, pre_cfg)
+        assert np.array_equal(pre.snapshots[-1].values,
+                              ref.snapshots[-1].values)
+
+    def test_blowup_in_the_burn_in_is_reported(self, tmp_path):
+        cfg = tiny_config(
+            tmp_path,
+            params={"lam": -5.0, "burn_in": 1.0},
+            solver=SolverConfig(n=32, t_end=1.0, save_every=40),
+            initial={"kind": "fourier_modes", "modes": {"0": [2.0, 0.0]}},
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj, extras = run_scenario(cfg)
+        assert extras["status"] == "blowup"
+        assert traj.blew_up and 0.0 < traj.blowup_time < 1.0
+        error = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert error["status"] == "blowup"
+        assert error["blowup_time"] == traj.blowup_time
+        assert f"t={traj.blowup_time:.6g}" in error["error"]
+
+
+class TestFailuresNameTheSave:
+    def test_escape_names_save_and_time(self, tmp_path, monkeypatch):
+        calls = {"n": 0}
+        real = harness.field_report
+
+        def escapes_at_third_save(ev, snap, ut, weight_a=None):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise CharacteristicEscape(0.25, "sample 4", var="s")
+            return real(ev, snap, ut, weight_a)
+
+        monkeypatch.setattr(harness, "field_report", escapes_at_third_save)
+        cfg = tiny_config(tmp_path, solver=SolverConfig(n=32, t_end=0.01,
+                                                        save_every=5))
+        traj, extras = run_scenario(cfg)
+        assert extras["status"] == "construction_failure"
+        error = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert error["error"] == (
+            "characteristic escaped its bound at s=0.25 (sample 4) "
+            f"at save 2, t={traj.times[2]:.6g}")
+
+    def test_separated_series_failure_keeps_its_type(self, tmp_path):
+        # a step budget of one ends the first snapshot's characteristic solve
+        cfg = tiny_config(
+            tmp_path, scenario="matano_separated",
+            params={"lam": 5.0, "eps": 0.5},
+            solver=SolverConfig(n=32, t_end=0.004, save_every=5),
+            charflow=CharflowConfig(max_steps=1))
+        gen, _, u0, series_fn, *_ = harness._build_scenario(cfg)
+        traj = integrate(gen, None, u0, cfg.solver)
+        with pytest.raises(IntegrationFailure,
+                           match=r"step budget exhausted.* at save 0, t=0$"):
+            series_fn(traj)
+        _, extras = run_scenario(cfg)
+        assert extras["status"] == "construction_failure"
+        assert extras["error"].endswith("at save 0, t=0")
+
+
 class TestLyapunovSeries:
     def test_one_field_eval_per_snapshot(self, tmp_path, monkeypatch):
         calls = {"field_eval": 0, "scalar": 0}
@@ -319,7 +467,7 @@ class TestCli:
 
     def test_check_suite(self, capsys):
         assert cli.main(["check"]) == 0
-        assert "6/6 checks passed" in capsys.readouterr().out
+        assert "7/7 checks passed" in capsys.readouterr().out
 
     def test_run_exit_zero(self, tmp_path):
         cfg = tiny_config(tmp_path)

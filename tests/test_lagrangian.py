@@ -297,6 +297,18 @@ class TestFieldEval:
         assert u == pytest.approx(3.0 * s, rel=1e-5)
         assert u == pytest.approx(3.0 - math.log(10.0 / 4.5), abs=1e-3)
 
+    def test_leaves_pointwise_queries_unchanged(self):
+        # f_bar_q depends on q, so F_q from the batched solve differs from
+        # the pointwise transport solve in its last digits
+        nl = NonlinearityO2(
+            f_bar=lambda u, q: 2.0 * u * (1.0 - u * u) + q * u + 0.2 * q * q,
+            f_bar_q=lambda u, q: u + 0.4 * q, label="q-dependent")
+        fresh = LagrangianEvaluator(nl)
+        ev = LagrangianEvaluator(nl)
+        ev.field_eval([0.2, 0.6, -0.9], [0.5, 1.3, 2.0])
+        assert ev.L_pp(0.6, 1.3) == fresh.L_pp(0.6, 1.3)
+        assert ev.F_q(0.6, 0.5 * 1.3**2) == fresh.F_q(0.6, 0.5 * 1.3**2)
+
     def test_sensitivities_are_not_watched(self):
         # the sensitivities eta grow to e^{u_k} (about 20 for u = 3), the
         # characteristics q stay below 0.5: the evaluation completes

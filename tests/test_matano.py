@@ -21,10 +21,8 @@ from circlyap.matano import (
     L_separated,
     decay_identity_residual,
     field_report,
-    functional_V,
     g_value,
     integrability_defect,
-    weighted_dissipation,
 )
 from circlyap.pde import GeneralNonlinearity, SolverConfig, integrate
 
@@ -241,8 +239,8 @@ class TestDecayIdentity:
         # compare against the dissipation scale, as the identity is stated
         ev = SeparatedEvaluator(cubic_drift_gen(), quad_cfg=qc)
         for k in range(1, len(trajectory.times) - 1):
-            diss = weighted_dissipation(ev, trajectory.snapshots[k],
-                                        trajectory.u_t_snapshots[k])
+            _, diss, _ = field_report(ev, trajectory.snapshots[k],
+                                     trajectory.u_t_snapshots[k])
             assert res[k - 1] <= 2e-2 * max(1.0, abs(diss))
 
     def test_classical_reaction_matches_circle_formulas(self):
@@ -294,8 +292,12 @@ class TestDecayIdentity:
         fld = dirichlet_field(32)
         ut = ScalarField(0.1 * np.sin(np.pi * fld.grid()), 1.0, DIRICHLET)
         V, diss, cmin = field_report(ev, fld, ut)
-        assert V == pytest.approx(functional_V(ev, fld), abs=1e-12)
-        assert diss == pytest.approx(weighted_dissipation(ev, fld, ut),
+        # the parts, each from a field evaluation of its own
+        w = quadrature_weights(fld)
+        assert V == pytest.approx(float(np.dot(w, ev.field_eval(fld)["L"])),
+                                  abs=1e-12)
+        lpp = ev.field_eval(fld)["L_pp"]
+        assert diss == pytest.approx(-float(np.dot(w, lpp * ut.values**2)),
                                      abs=1e-12)
         assert cmin > 0.0
 

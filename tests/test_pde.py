@@ -9,9 +9,11 @@ from circlyap.functional import DIRICHLET, NEUMANN, PERIODIC, ScalarField
 from circlyap.pde import (
     GeneralNonlinearity,
     SolverConfig,
+    _diagonalised_second_difference,
     integrate,
     laplacian,
     rhs,
+    second_difference,
 )
 
 
@@ -307,6 +309,77 @@ class TestIntegrate:
                          SolverConfig(n=n, t_end=0.05, save_every=10**9))
         final = traj.snapshots[-1].values
         assert abs(final[0]) <= 1e-14 and abs(final[-1]) <= 1e-14
+
+
+class TestETDRK4:
+    @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET, NEUMANN])
+    def test_transforms_diagonalise_the_second_difference(self, bc):
+        rng = np.random.default_rng(3)
+        n = 40
+        u = rng.standard_normal(n)
+        if bc == DIRICHLET:
+            u[0] = u[-1] = 0.0
+        h = 1.0 / n if bc == PERIODIC else 1.0 / (n - 1)
+        lam, fwd, inv = _diagonalised_second_difference(n, h, bc)
+        moving = slice(1, -1) if bc == DIRICHLET else slice(None)
+        got = np.zeros(n)
+        got[moving] = inv(lam * fwd(u[moving]))
+        want = second_difference(u, h * h, bc, np.empty(n))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_needs_an_explicit_step(self):
+        with pytest.raises(ValueError, match="explicit dt"):
+            SolverConfig(n=32, t_end=0.01, scheme="etdrk4")
+
+    def test_needs_a_constant_coefficient(self):
+        with pytest.raises(ValueError, match="constant diffusion"):
+            integrate(zero_gen(), COEFFICIENTS["callable"], sine_field(32),
+                      SolverConfig(n=32, dt=1e-3, t_end=0.01,
+                                   scheme="etdrk4"))
+
+    def test_heat_equation_modes_decay_exactly(self):
+        # no reaction: each step applies exp(dt * lambda_k) to the
+        # eigenvector of the second difference
+        n = 64
+        fld = sine_field(n)
+        traj = integrate(zero_gen(), 0.5, fld,
+                         SolverConfig(n=n, dt=1e-2, t_end=0.1,
+                                      save_every=10**9, scheme="etdrk4"))
+        lam = -4.0 * np.sin(np.pi / n) ** 2 * n * n
+        exact = np.exp(0.5 * lam * 0.1) * fld.values
+        assert np.max(np.abs(traj.snapshots[-1].values - exact)) <= 1e-13
+
+    def test_lands_on_the_save_grid(self):
+        traj = integrate(cubic_gen(3.0), None, sine_field(64, amplitude=0.3),
+                         SolverConfig(n=64, dt=2.5e-3, t_end=0.02,
+                                      save_every=2, scheme="etdrk4"))
+        assert np.allclose(traj.times, [0.0, 5e-3, 1e-2, 1.5e-2, 2e-2],
+                           rtol=0, atol=1e-15)
+        assert len(traj.snapshots) == len(traj.u_t_snapshots) == 5
+
+    def test_blowup_guard(self):
+        gen = GeneralNonlinearity(f=lambda x, u, p: -u + u**3,
+                                  f_p=lambda x, u, p: 0.0 * u)
+        u0 = ScalarField(np.full(32, 3.0), 1.0, PERIODIC)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = integrate(gen, None, u0,
+                             SolverConfig(n=32, dt=0.01, t_end=5.0,
+                                          save_every=100, scheme="etdrk4"))
+        assert traj.blew_up
+        assert 0.0 < traj.blowup_time < 5.0
+        assert f"t={traj.blowup_time:.6g}" in traj.message
+
+    def test_non_finite_reaction_names_the_grid_index(self):
+        n = 32
+        u0 = ScalarField(0.2 * np.sin(2 * np.pi * np.arange(n) / n), 1.0)
+        traj = integrate(log_barrier_gen(), None, u0,
+                         SolverConfig(n=n, dt=5e-3, t_end=1.0, save_every=4,
+                                      scheme="etdrk4"))
+        assert traj.blew_up
+        assert 0.0 < traj.blowup_time < 1.0
+        assert "non-finite reaction term at grid index" in traj.message
+        assert f"t={traj.blowup_time:.6g}" in traj.message
+        assert len(traj.times) >= 2 and traj.times[-1] < traj.blowup_time
 
 
 class TestGeneralNonlinearityConsistency:
