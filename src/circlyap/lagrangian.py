@@ -105,17 +105,13 @@ def _unit_rule(rule: str, panels: int):
     return 0.5 * (xg + 1.0), 0.5 * wg
 
 
-def _key(x: float) -> float:
-    return round(float(x), 12)
-
-
 @dataclass
 class LagrangianEvaluator:
-    """Cached evaluator of L and its ingredients for one nonlinearity.
+    """Evaluator of L and its ingredients for one nonlinearity.
 
-    Instances memoize characteristic and transport solves keyed by their
-    arguments rounded to integration tolerance. Confine each instance to a
-    single thread; distinct instances may run concurrently.
+    Queries are independent: each makes its own characteristic solves and
+    keeps nothing, so a value depends only on its arguments, never on the
+    queries the evaluator answered before.
     """
 
     nl: NonlinearityO2
@@ -126,31 +122,8 @@ class LagrangianEvaluator:
     def __post_init__(self):
         if self.form not in (DOUBLE_INTEGRAL, REDUCED):
             raise ValueError(f"unknown Lagrangian form: {self.form!r}")
-        self._fq_cache: dict = {}
-        self._psi_cache: dict = {}
-        self._F_cache: dict = {}
 
     # -- characteristic solves -------------------------------------------
-
-    def _transport_batch(self, u: float, qs: np.ndarray) -> np.ndarray:
-        """Fq(u, q) for an array of q, by one vectorized transport solve."""
-        qs = np.asarray(qs, dtype=float)
-        out = np.empty_like(qs)
-        missing, idx = [], []
-        for i, q in enumerate(qs.ravel()):
-            cached = self._fq_cache.get((_key(u), _key(q)))
-            if cached is None:
-                missing.append(q)
-                idx.append(i)
-            else:
-                out.ravel()[i] = cached
-        if not missing:
-            return out
-        vals = self._transport_solve(u, np.array(missing))
-        for i, q, v in zip(idx, missing, vals):
-            out.ravel()[i] = v
-            self._fq_cache[(_key(u), _key(q))] = v
-        return out
 
     def _transport_solve(self, u: float, qs: np.ndarray) -> np.ndarray:
         """Integrate (q, g) from u down to 0; returns Fq = -g(0)."""
@@ -171,46 +144,39 @@ class LagrangianEvaluator:
                          f"({u:.6g}, {qs[k]:.6g})")
         return -sol.y[m:, -1]
 
-    def _psi_batch(self, u: float, qs: np.ndarray):
-        """(Psi^{0,u}(q), Psi_q^{0,u}(q)) for an array of q, cached."""
-        qs = np.asarray(qs, dtype=float)
-        vals = np.empty_like(qs)
-        sens = np.empty_like(qs)
-        missing, idx = [], []
-        for i, q in enumerate(qs.ravel()):
-            cached = self._psi_cache.get((_key(u), _key(q)))
-            if cached is None:
-                missing.append(q)
-                idx.append(i)
-            else:
-                vals.ravel()[i], sens.ravel()[i] = cached
-        if missing:
-            v, s = evolve_batch(self.nl, u, 0.0, np.array(missing),
-                                self.charflow_cfg)
-            for i, q, vi, si in zip(idx, missing, v, s):
-                vals.ravel()[i], sens.ravel()[i] = vi, si
-                self._psi_cache[(_key(u), _key(q))] = (vi, si)
-        return vals, sens
-
     # -- ingredients ------------------------------------------------------
 
     def F_q(self, u: float, q: float) -> float:
         """Accumulated partial derivative exponent Fq(u, q)."""
-        return float(self._transport_batch(u, np.array([q]))[0])
+        return float(self._transport_solve(u, np.array([float(q)]))[0])
 
     def F(self, u: float) -> float:
-        """F(u) by quadrature of fbar(u1, 0) * exp(Fq(u1, 0)) over [0, u]."""
-        cached = self._F_cache.get(_key(u))
-        if cached is not None:
-            return cached
-        nodes, w = quad_nodes_weights(self.quad_cfg.rule, self.quad_cfg.panels,
-                                      0.0, u)
-        total = 0.0
-        for u1, wi in zip(nodes, w):
-            fq = self._transport_batch(u1, np.array([0.0]))[0]
-            total += wi * self.nl.f_bar(u1, 0.0) * math.exp(fq)
-        self._F_cache[_key(u)] = total
-        return total
+        """F(u) by quadrature of fbar(u1, 0) * exp(Fq(u1, 0)) over [0, u].
+
+        The transport equations of all u-nodes u_k = u * frac_k run as one
+        solve: each span [u_k, 0] is rescaled to s in [1, 0], as in
+        ``field_eval``.
+        """
+        if u == 0.0:
+            return 0.0
+        frac, wfrac = _unit_rule(self.quad_cfg.rule, self.quad_cfg.panels)
+        un = u * frac
+        m = un.size
+        nl = self.nl
+
+        def rhs(s, y):
+            q = y[:m]
+            return np.concatenate([-un * _eval_vec(nl.f_bar, un * s, q),
+                                   un * _eval_vec(nl.f_bar_q, un * s, q)])
+
+        sol = solve_characteristics(
+            rhs, (1.0, 0.0), np.zeros(2 * m), self.charflow_cfg, m,
+            lambda k, s: f"F quadrature: node {k} at u={un[k]:.6g}, "
+                         f"stopped at u={un[k] * s:.6g}",
+            var="s")
+        fq = -sol.y[m:, -1]
+        f0 = _eval_vec(nl.f_bar, un, np.zeros(m))
+        return float(np.dot(u * wfrac, f0 * np.exp(fq)))
 
     def phi(self, u: float, p: float) -> float:
         """Antiderivative in p of the evolution sensitivity at q = p^2/2."""
@@ -218,14 +184,16 @@ class LagrangianEvaluator:
                                       0.0, p)
         if nodes.size == 0:
             return 0.0
-        _, sens = self._psi_batch(u, 0.5 * nodes**2)
+        _, sens = evolve_batch(self.nl, u, 0.0, 0.5 * nodes**2,
+                               self.charflow_cfg)
         return float(np.dot(w, sens))
 
     # -- Lagrange function ------------------------------------------------
 
     def L(self, u: float, p: float) -> float:
         if self.form == REDUCED:
-            vals, _ = self._psi_batch(u, np.array([0.5 * p * p]))
+            vals, _ = evolve_batch(self.nl, u, 0.0, np.array([0.5 * p * p]),
+                                   self.charflow_cfg)
             return p * self.phi(u, p) - float(vals[0])
         return self._L_double(u, p)
 
@@ -236,7 +204,7 @@ class LagrangianEvaluator:
                                       self.quad_cfg.panels, 0.0, p)
         if nodes.size == 0:
             return -self.F(u)
-        fq = self._transport_batch(u, 0.5 * nodes**2)
+        fq = self._transport_solve(u, 0.5 * nodes**2)
         return float(np.dot(w * (p - nodes), np.exp(fq))) - self.F(u)
 
     def L_pp(self, u: float, p: float) -> float:
@@ -249,9 +217,9 @@ class LagrangianEvaluator:
         Rescales every characteristic span [u_i, 0] to a common parameter
         s in [1, 0] and integrates all quadrature-node characteristics,
         their sensitivities and the transport exponents as one stacked
-        system. The batch leaves the memo caches alone: its F_q carries
-        the error of the stacked solve, so a later pointwise query makes
-        its own transport solve and does not depend on this call.
+        system. Its F_q carries the error of the stacked solve, so it may
+        differ in the last digits from a pointwise ``F_q`` query, which
+        makes its own transport solve.
         """
         u_arr = np.asarray(u_arr, dtype=float)
         p_arr = np.asarray(p_arr, dtype=float)

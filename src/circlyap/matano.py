@@ -73,7 +73,11 @@ def g_value(nl: GeneralNonlinearity, x: float, u: float, p: float,
 
 
 class SeparatedEvaluator:
-    """Cached evaluator of the separated-BC Lagrange function L(x, u, p)."""
+    """Evaluator of the separated-BC Lagrange function L(x, u, p).
+
+    Queries are independent: each makes its own backward solve and keeps
+    nothing, so a value depends only on its arguments.
+    """
 
     def __init__(self, nl: GeneralNonlinearity,
                  charflow_cfg: CharflowConfig = DEFAULT_CONFIG,
@@ -81,59 +85,32 @@ class SeparatedEvaluator:
         self.nl = nl
         self.charflow_cfg = charflow_cfg
         self.quad_cfg = quad_cfg or QuadratureConfig()
-        self._g_cache: dict = {}
 
-    def _key(self, *vals):
-        return tuple(round(float(v), 12) for v in vals)
-
-    def g(self, x, u, p) -> float:
-        key = self._key(x, u, p)
-        got = self._g_cache.get(key)
-        if got is None:
-            got = g_value(self.nl, x, u, p, self.charflow_cfg)
-            self._g_cache[key] = got
-        return got
-
-    def _g_many(self, x, us, ps) -> np.ndarray:
-        us = np.asarray(us, dtype=float)
-        ps = np.asarray(ps, dtype=float)
-        out = np.empty(us.size)
-        missing_u, missing_p, idx = [], [], []
-        for i, (u, p) in enumerate(zip(us.ravel(), ps.ravel())):
-            got = self._g_cache.get(self._key(x, u, p))
-            if got is None:
-                missing_u.append(u)
-                missing_p.append(p)
-                idx.append(i)
-            else:
-                out[i] = got
-        if missing_u:
-            vals = _char_batch(self.nl, x, np.array(missing_u),
-                               np.array(missing_p), self.charflow_cfg)
-            for i, u, p, v in zip(idx, missing_u, missing_p, vals):
-                out[i] = v
-                self._g_cache[self._key(x, u, p)] = v
-        return out
+    def _integrals(self, x, u, p):
+        """(p-integral, F) at (x, u, p): the (p - s)-weighted integral of
+        exp g over [0, p] and the F-integral over [0, u], from one backward
+        solve over the p-nodes (u, s_j) and the F-nodes (u_k, 0)."""
+        qc = self.quad_cfg
+        s, ws = quad_nodes_weights(qc.rule, qc.panels, 0.0, p)
+        uk, wk = quad_nodes_weights(qc.rule, qc.panels, 0.0, u)
+        if s.size + uk.size == 0:
+            return 0.0, 0.0
+        zeros = np.zeros_like(uk)
+        g = _char_batch(self.nl, x, np.concatenate([np.full(s.size, u), uk]),
+                        np.concatenate([s, zeros]), self.charflow_cfg)
+        f0 = np.asarray(self.nl.f(x, uk, zeros), dtype=float)
+        return (float(np.dot(ws * (p - s), np.exp(g[:s.size]))),
+                float(np.dot(wk, f0 * np.exp(g[s.size:]))))
 
     def F(self, x, u) -> float:
-        nodes, w = quad_nodes_weights(self.quad_cfg.rule,
-                                      self.quad_cfg.panels, 0.0, u)
-        if nodes.size == 0:
-            return 0.0
-        gv = self._g_many(x, nodes, np.zeros_like(nodes))
-        f0 = np.asarray(self.nl.f(x, nodes, np.zeros_like(nodes)), dtype=float)
-        return float(np.dot(w, f0 * np.exp(gv)))
+        return self._integrals(x, u, 0.0)[1]
 
     def L(self, x, u, p) -> float:
-        nodes, w = quad_nodes_weights(self.quad_cfg.rule,
-                                      self.quad_cfg.panels, 0.0, p)
-        if nodes.size == 0:
-            return -self.F(x, u)
-        gv = self._g_many(x, np.full(nodes.size, u), nodes)
-        return float(np.dot(w * (p - nodes), np.exp(gv))) - self.F(x, u)
+        double, F = self._integrals(x, u, p)
+        return double - F
 
     def L_pp(self, x, u, p) -> float:
-        return float(np.exp(self.g(x, u, p)))
+        return float(np.exp(g_value(self.nl, x, u, p, self.charflow_cfg)))
 
     def g_batch(self, xs, us, ps) -> np.ndarray:
         """g at paired samples with varying x, in a single backward solve.

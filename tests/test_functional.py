@@ -15,7 +15,12 @@ from circlyap.functional import (
     gradient,
     quadrature_weights,
 )
-from circlyap.lagrangian import LagrangianEvaluator, effective_nonlinearity
+from circlyap.lagrangian import (
+    DOUBLE_INTEGRAL,
+    REDUCED,
+    LagrangianEvaluator,
+    effective_nonlinearity,
+)
 
 
 def harmonic_nl():
@@ -141,6 +146,16 @@ class TestEvaluateV:
         ev = LagrangianEvaluator(mixed_nl())
         assert evaluate_V(ev, smooth_field(64)).convexity_min > 0.0
 
+    def test_double_integral_form_matches_reduced(self):
+        # the double-integral form takes L point by point, each with its
+        # own F(u)
+        fld = smooth_field(64)
+        rep = evaluate_V(LagrangianEvaluator(mixed_nl(), form=DOUBLE_INTEGRAL),
+                         fld)
+        ref = evaluate_V(LagrangianEvaluator(mixed_nl(), form=REDUCED), fld)
+        assert abs(rep.V - ref.V) <= 1e-8
+        assert rep.convexity_min > 0.0
+
 
 class TestDissipationRate:
     def test_zero_velocity(self):
@@ -206,7 +221,7 @@ class TestFieldReport:
         ut = fld.like(0.3 * np.cos(2 * np.pi * fld.grid()))
         fresh = dissipation_rate(LagrangianEvaluator(nl), fld, ut)
         # an unrelated batch that holds the same samples among others
-        # fills the evaluator's F_q cache with values from another solve
+        # computes their F_q in another solve first
         ev = LagrangianEvaluator(nl)
         u, p = fld.values, gradient(fld).values
         ev.field_eval(np.concatenate([np.linspace(-1.0, 1.0, 40), u]),

@@ -6,6 +6,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlyap.charflow import (
     CharacteristicEscape,
@@ -43,6 +45,14 @@ def mixed_nl(lam=2.0):
     return NonlinearityO2(f_bar=lambda u, q: lam * u * (1.0 - u * u) + q * u,
                           f_bar_q=lambda u, q: u + 0.0 * q,
                           label=f"mixed(lam={lam})")
+
+
+def q_dependent_nl():
+    """f_bar_q depends on q, so transport solves of nearby arguments
+    differ in their last digits."""
+    return NonlinearityO2(
+        f_bar=lambda u, q: 2.0 * u * (1.0 - u * u) + q * u + 0.2 * q * q,
+        f_bar_q=lambda u, q: u + 0.4 * q, label="q-dependent")
 
 
 def cubic_primitive(lam):
@@ -154,6 +164,40 @@ class TestF:
         for u in [-1.0, 0.5, 1.0]:
             assert ev.F(u) == pytest.approx(evolve(nl, u, 0.0, 0.0).value,
                                             abs=1e-8)
+
+    @pytest.mark.parametrize("panels", [16, 32])
+    @pytest.mark.parametrize("nl", [
+        pytest.param(mixed_nl(2.0), id="mixed"),
+        pytest.param(chafee_infante_nl(2.0), id="chafee_infante"),
+    ])
+    def test_matches_per_node_loop(self, nl, panels):
+        # one transport solve per u-node, as F was computed before its
+        # nodes were solved together
+        qc = QuadratureConfig(rule=GAUSS_LEGENDRE, panels=panels)
+        ev = LagrangianEvaluator(nl, quad_cfg=qc)
+        for u in [-1.3, -0.6, 0.2, 0.7, 1.0, 1.4]:
+            nodes, w = quad_nodes_weights(GAUSS_LEGENDRE, panels, 0.0, u)
+            ref = sum(wi * nl.f_bar(ui, 0.0) * math.exp(ev.F_q(ui, 0.0))
+                      for ui, wi in zip(nodes, w))
+            got = ev.F(u)
+            assert type(got) is float
+            assert abs(got - ref) <= 1e-14
+
+    def test_escape_names_the_node(self):
+        # with f_bar = -(1 + q^2) the characteristic of node u_k is
+        # q = tan(u - u_k) on its way down from u_k: nodes above pi/2 blow
+        # up at u = u_k - pi/2; the largest node, 15, goes first
+        nl = NonlinearityO2(f_bar=lambda u, q: -1.0 - q * q,
+                            f_bar_q=lambda u, q: -2.0 * q, label="tan")
+        ev = LagrangianEvaluator(nl, CharflowConfig(escape_bound=1e6))
+        with pytest.raises(CharacteristicEscape,
+                           match=r"F quadrature: node 15 at u=") as err:
+            ev.F(3.0)
+        msg = str(err.value)
+        u_k = float(re.search(r"node 15 at u=([^,]+),", msg).group(1))
+        stop = float(re.search(r"stopped at u=([^)\s]+)", msg).group(1))
+        assert err.value.var == "s"
+        assert stop == pytest.approx(u_k - math.pi / 2, abs=1e-3)
 
 
 class TestPhi:
@@ -298,11 +342,9 @@ class TestFieldEval:
         assert u == pytest.approx(3.0 - math.log(10.0 / 4.5), abs=1e-3)
 
     def test_leaves_pointwise_queries_unchanged(self):
-        # f_bar_q depends on q, so F_q from the batched solve differs from
-        # the pointwise transport solve in its last digits
-        nl = NonlinearityO2(
-            f_bar=lambda u, q: 2.0 * u * (1.0 - u * u) + q * u + 0.2 * q * q,
-            f_bar_q=lambda u, q: u + 0.4 * q, label="q-dependent")
+        # F_q from the batched solve differs from the pointwise transport
+        # solve in its last digits
+        nl = q_dependent_nl()
         fresh = LagrangianEvaluator(nl)
         ev = LagrangianEvaluator(nl)
         ev.field_eval([0.2, 0.6, -0.9], [0.5, 1.3, 2.0])
@@ -334,6 +376,31 @@ class TestFieldEval:
         got = LagrangianEvaluator(scalar).field_eval(u, p)
         for key in ("L", "L_pp"):
             np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12)
+
+
+def _queries(ev, u, p):
+    """F, F_q, L_pp and L at one point."""
+    return ev.F(u), ev.F_q(u, 0.5 * p * p), ev.L_pp(u, p), ev.L(u, p)
+
+
+class TestQueryOrder:
+    """A value depends on its arguments only, never on the queries the
+    evaluator answered before it."""
+
+    @pytest.mark.parametrize("form", [REDUCED, DOUBLE_INTEGRAL])
+    @settings(max_examples=10, deadline=None)
+    @given(u=st.floats(-1.2, 1.2), p=st.floats(-1.5, 1.5),
+           nudge=st.floats(-4e-13, 4e-13),
+           others=st.lists(st.tuples(st.floats(-1.2, 1.2),
+                                     st.floats(-1.5, 1.5)), max_size=3))
+    def test_bit_equal_after_other_queries(self, form, u, p, nudge, others):
+        nl = q_dependent_nl()
+        fresh = _queries(LagrangianEvaluator(nl, form=form), u, p)
+        ev = LagrangianEvaluator(nl, form=form)
+        # neighbours within 1e-12 round to the same 12 digits as (u, p)
+        for a, b in others + [(u + nudge, p + nudge), (u - nudge, p)]:
+            _queries(ev, a, b)
+        assert _queries(ev, u, p) == fresh
 
 
 class TestTransportEscape:

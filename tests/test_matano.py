@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from circlyap.charflow import (
@@ -157,6 +159,33 @@ class TestFieldEval:
                 fresh.L(x[i], fld.values[i], p[i]), abs=1e-8)
             assert fe["L_pp"][i] == pytest.approx(
                 fresh.L_pp(x[i], fld.values[i], p[i]), abs=1e-10)
+
+
+def _queries(ev, x, u, p):
+    """F, L and L_pp at one point."""
+    return ev.F(x, u), ev.L(x, u, p), ev.L_pp(x, u, p)
+
+
+class TestQueryOrder:
+    """A value depends on its arguments only, never on the queries the
+    evaluator answered before it."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(x=st.floats(0.1, 0.9), u=st.floats(-0.6, 0.6),
+           p=st.floats(-1.0, 1.0), nudge=st.floats(-4e-13, 4e-13),
+           others=st.lists(st.tuples(st.floats(0.1, 0.9),
+                                     st.floats(-0.6, 0.6),
+                                     st.floats(-1.0, 1.0)), max_size=3))
+    def test_bit_equal_after_other_queries(self, x, u, p, nudge, others):
+        gen = cubic_drift_gen_p_dependent()
+        qc = QuadratureConfig(panels=8)
+        fresh = _queries(SeparatedEvaluator(gen, quad_cfg=qc), x, u, p)
+        ev = SeparatedEvaluator(gen, quad_cfg=qc)
+        # neighbours within 1e-12 round to the same 12 digits as (x, u, p)
+        for point in others + [(x + nudge, u + nudge, p + nudge),
+                               (x, u - nudge, p)]:
+            _queries(ev, *point)
+        assert _queries(ev, x, u, p) == fresh
 
 
 class TestPDependentDrift:
