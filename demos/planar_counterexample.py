@@ -11,7 +11,7 @@ a PDE whose orbit is a closed loop -- no Lyapunov function exists.
 This script integrates the planar ODE as the oracle, runs the embedded
 PDE for one period, and compares the two mode by mode.
 
-Usage:  python3 planar_counterexample.py [--n 2048] [--dt 2e-3]
+Usage:  python3 planar_counterexample.py [--n 2048] [--dt 1e-2]
 """
 
 import argparse
@@ -30,7 +30,7 @@ from circlyap.pde import SolverConfig
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=2048)
-    ap.add_argument("--dt", type=float, default=2e-3)
+    ap.add_argument("--dt", type=float, default=1e-2)
     args = ap.parse_args()
 
     pf = center_planar_field()
@@ -43,8 +43,8 @@ def main():
 
     cfg = ScenarioConfig(
         scenario="planar_embedding",
-        solver=SolverConfig(n=args.n, dt=args.dt, t_end=1.0, save_every=200,
-                            scheme="imex"))
+        solver=SolverConfig(n=args.n, dt=args.dt, t_end=1.0, save_every=40,
+                            scheme="etdrk4"))
     traj, extras = run_scenario(cfg, write=False)
 
     print(f"{'t':>8} {'a (PDE)':>10} {'a (ODE)':>10} "

@@ -32,8 +32,8 @@ def main():
     cfg = ScenarioConfig(
         scenario="rotating_wave",
         params={"lam": args.lam, "c": args.c},
-        solver=SolverConfig(n=n, dt=0.125 / 1280, t_end=0.125,
-                            save_every=160, scheme="imex"))
+        solver=SolverConfig(n=n, dt=0.125 / 320, t_end=0.125,
+                            save_every=40, scheme="etdrk4"))
     traj, extras = run_scenario(cfg, write=False)
 
     print(f"{'t':>8} {'best shift theta':>17} {'profile mismatch':>17}")

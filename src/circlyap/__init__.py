@@ -21,7 +21,6 @@ from .lagrangian import (
     DOUBLE_INTEGRAL,
     GAUSS_LEGENDRE,
     REDUCED,
-    SIMPSON,
     LagrangianEvaluator,
     QuadratureConfig,
     effective_nonlinearity,

@@ -401,44 +401,39 @@ def _per_save(report, traj: TrajectoryRecord) -> list:
     return out
 
 
+def _series(traj: TrajectoryRecord, rows) -> dict:
+    """The series of a trajectory from one (V, dissipation, min L_pp) row
+    per save, with the centered decay residual |dV/dt - D| at interior
+    saves."""
+    ts = traj.times
+    V, D, convexity_min = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
+    res = np.full_like(V, np.nan)
+    for k in range(1, len(ts) - 1):
+        res[k] = abs((V[k + 1] - V[k - 1]) / (ts[k + 1] - ts[k - 1]) - D[k])
+    return {
+        "V": V,
+        "dissipation": D,
+        "residual": res,
+        "convexity_min": convexity_min,
+        "ut_inf": np.array([np.max(np.abs(ut.values))
+                            for ut in traj.u_t_snapshots]),
+    }
+
+
 def _lyapunov_series(traj: TrajectoryRecord, ev: LagrangianEvaluator,
                      weight_a: NonlinearityO2 | None = None) -> dict:
     """V, dissipation and centered decay residual along a trajectory."""
     reports = _per_save(lambda snap, ut: field_report(ev, snap, ut, weight_a),
                         traj)
     traj.reports = reports
-    ts = traj.times
-    V = np.array([r.V for r in reports])
-    D = np.array([r.dissipation for r in reports])
-    res = np.full_like(V, np.nan)
-    for k in range(1, len(ts) - 1):
-        res[k] = abs((V[k + 1] - V[k - 1]) / (ts[k + 1] - ts[k - 1]) - D[k])
-    return {
-        "V": V,
-        "dissipation": D,
-        "residual": res,
-        "convexity_min": np.array([r.convexity_min for r in reports]),
-        "ut_inf": np.array([np.max(np.abs(ut.values))
-                            for ut in traj.u_t_snapshots]),
-    }
+    return _series(traj, [(r.V, r.dissipation, r.convexity_min)
+                          for r in reports])
 
 
 def _matano_series(traj: TrajectoryRecord, ev: matano.SeparatedEvaluator) -> dict:
-    ts = traj.times
-    VDC = _per_save(lambda snap, ut: matano.field_report(ev, snap, ut), traj)
-    V = np.array([v for v, _, _ in VDC])
-    D = np.array([d for _, d, _ in VDC])
-    res = np.full_like(V, np.nan)
-    for k in range(1, len(ts) - 1):
-        res[k] = abs((V[k + 1] - V[k - 1]) / (ts[k + 1] - ts[k - 1]) - D[k])
-    return {
-        "V": V,
-        "dissipation": D,
-        "residual": res,
-        "convexity_min": np.array([c for _, _, c in VDC]),
-        "ut_inf": np.array([np.max(np.abs(ut.values))
-                            for ut in traj.u_t_snapshots]),
-    }
+    """The same series for the separated-BC Lagrange function."""
+    return _series(traj, _per_save(
+        lambda snap, ut: matano.field_report(ev, snap, ut), traj))
 
 
 # ---------------------------------------------------------------------------
@@ -574,15 +569,7 @@ def _build_scenario(cfg: ScenarioConfig):
 
 
 def _empty_series(traj: TrajectoryRecord) -> dict:
-    nan = np.full(len(traj.times), np.nan)
-    return {
-        "V": nan,
-        "dissipation": nan,
-        "residual": nan,
-        "convexity_min": nan,
-        "ut_inf": np.array([np.max(np.abs(ut.values))
-                            for ut in traj.u_t_snapshots]),
-    }
+    return _series(traj, np.full((len(traj.times), 3), np.nan))
 
 
 def _resolve_output_dir(cfg: ScenarioConfig) -> Path:

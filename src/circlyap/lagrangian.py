@@ -34,7 +34,6 @@ from .charflow import (
     solve_characteristics,
 )
 
-SIMPSON = "simpson"
 GAUSS_LEGENDRE = "gauss_legendre"
 
 DOUBLE_INTEGRAL = "double_integral"
@@ -43,64 +42,47 @@ REDUCED = "reduced"
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Quadrature rule and node count for every p- and u-integral.
+    """Gauss-Legendre node count for every p- and u-integral.
 
-    The default is Gauss-Legendre with 16 nodes. The integrands (exp Fq
-    and the evolution sensitivity along p, fbar * exp Fq along u) are
-    smooth, so Gauss-Legendre converges much faster than Simpson: against
-    a 48-node reference, 16 nodes give F(u) to about 3e-15 and field
-    values of L (|p| up to 7) to 5e-13, where Simpson with 64 panels (65
-    nodes, four times the characteristic lanes) is off by up to 4e-8 in F.
+    The integrands (exp Fq and the evolution sensitivity along p,
+    fbar * exp Fq along u) are smooth, so Gauss-Legendre converges fast:
+    against a 48-node reference, 16 nodes give F(u) to about 3e-15 and
+    field values of L (|p| up to 7) to 5e-13. Simpson's rule with 64
+    panels, four times the characteristic lanes, was off by up to 4e-8 in
+    F; it was retired for that reason.
 
-    ``panels`` is the number of Gauss nodes or of Simpson panels. Left
-    out, it is 16 for Gauss-Legendre and 64 for Simpson, resolved here so
-    that ``asdict`` records the count in use. ``nested_panels`` is
-    accepted and ignored so that configs written while the double
-    p-integrals were evaluated as nested quadratures still parse; it is
-    neither stored nor serialized.
+    ``rule`` and ``nested_panels`` are accepted so that configs written
+    earlier still parse; neither is stored or serialized. ``rule`` must be
+    ``"gauss_legendre"``. ``nested_panels`` is ignored: it sized the nested
+    quadratures that once evaluated the double p-integrals.
     """
 
-    rule: str = GAUSS_LEGENDRE
-    panels: int | None = None
+    panels: int = 16
+    rule: InitVar[str] = GAUSS_LEGENDRE
     nested_panels: InitVar[int | None] = None
 
-    def __post_init__(self, nested_panels):
-        if self.rule not in (SIMPSON, GAUSS_LEGENDRE):
-            raise ValueError(f"unknown quadrature rule: {self.rule!r}")
-        if self.panels is None:
-            object.__setattr__(self, "panels",
-                               64 if self.rule == SIMPSON else 16)
+    def __post_init__(self, rule, nested_panels):
+        if rule != GAUSS_LEGENDRE:
+            why = ("was retired; use 'gauss_legendre'" if rule == "simpson"
+                   else "is unknown")
+            raise ValueError(f"quadrature rule {rule!r} {why}")
         if self.panels < 2:
             raise ValueError("panels must be >= 2")
-        if self.rule == SIMPSON and self.panels % 2:
-            raise ValueError("Simpson panel counts must be even")
 
 
-def quad_nodes_weights(rule: str, panels: int, a: float, b: float):
-    """Nodes and weights for integrating over [a, b] (b may lie below a)."""
+def quad_nodes_weights(panels: int, a: float, b: float):
+    """Gauss-Legendre nodes and weights for integrating over [a, b] (b may
+    lie below a)."""
     if a == b:
         return np.empty(0), np.empty(0)
-    if rule == SIMPSON:
-        nodes = np.linspace(a, b, panels + 1)
-        h = (b - a) / panels
-        w = np.full(panels + 1, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        return nodes, w * (h / 3.0)
     x, w = leggauss(panels)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
 
-def _unit_rule(rule: str, panels: int):
-    """Nodes and weights on [0, 1]; scale nodes by an endpoint to cover
-    [0, b] with weights scaled by the same factor."""
-    if rule == SIMPSON:
-        frac = np.linspace(0.0, 1.0, panels + 1)
-        wfrac = np.full(panels + 1, 2.0)
-        wfrac[1::2] = 4.0
-        wfrac[0] = wfrac[-1] = 1.0
-        return frac, wfrac / (3.0 * panels)
+def _unit_rule(panels: int):
+    """Gauss-Legendre nodes and weights on [0, 1]; scale nodes by an
+    endpoint to cover [0, b] with weights scaled by the same factor."""
     xg, wg = leggauss(panels)
     return 0.5 * (xg + 1.0), 0.5 * wg
 
@@ -159,7 +141,7 @@ class LagrangianEvaluator:
         """
         if u == 0.0:
             return 0.0
-        frac, wfrac = _unit_rule(self.quad_cfg.rule, self.quad_cfg.panels)
+        frac, wfrac = _unit_rule(self.quad_cfg.panels)
         un = u * frac
         m = un.size
         nl = self.nl
@@ -180,8 +162,7 @@ class LagrangianEvaluator:
 
     def phi(self, u: float, p: float) -> float:
         """Antiderivative in p of the evolution sensitivity at q = p^2/2."""
-        nodes, w = quad_nodes_weights(self.quad_cfg.rule, self.quad_cfg.panels,
-                                      0.0, p)
+        nodes, w = quad_nodes_weights(self.quad_cfg.panels, 0.0, p)
         if nodes.size == 0:
             return 0.0
         _, sens = evolve_batch(self.nl, u, 0.0, 0.5 * nodes**2,
@@ -200,8 +181,7 @@ class LagrangianEvaluator:
     def _L_double(self, u: float, p: float) -> float:
         """Double p-integral of exp(Fq) minus F(u), with Fq from the
         transport solve, as one (p - s)-weighted integral over [0, p]."""
-        nodes, w = quad_nodes_weights(self.quad_cfg.rule,
-                                      self.quad_cfg.panels, 0.0, p)
+        nodes, w = quad_nodes_weights(self.quad_cfg.panels, 0.0, p)
         if nodes.size == 0:
             return -self.F(u)
         fq = self._transport_solve(u, 0.5 * nodes**2)
@@ -224,7 +204,7 @@ class LagrangianEvaluator:
         u_arr = np.asarray(u_arr, dtype=float)
         p_arr = np.asarray(p_arr, dtype=float)
         npts = u_arr.size
-        frac, wfrac = _unit_rule(self.quad_cfg.rule, self.quad_cfg.panels)
+        frac, wfrac = _unit_rule(self.quad_cfg.panels)
         m = frac.size
 
         nodes = p_arr[:, None] * frac[None, :]          # (npts, m)

@@ -20,25 +20,12 @@ and reports that integral. A nonzero value certifies the obstruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .charflow import DEFAULT_CONFIG, CharflowConfig, solve_characteristics
 from .functional import DIRICHLET, ScalarField, gradient, quadrature_weights
 from .lagrangian import QuadratureConfig, _unit_rule, quad_nodes_weights
 from .pde import GeneralNonlinearity, TrajectoryRecord
-
-
-@dataclass
-class CharacteristicState:
-    """State carried along a characteristic: position, profile, slope and
-    the accumulated convexity exponent."""
-
-    x: float
-    u: float
-    p: float
-    g: float
 
 
 def _char_batch(nl: GeneralNonlinearity, x: float, us: np.ndarray,
@@ -51,11 +38,13 @@ def _char_batch(nl: GeneralNonlinearity, x: float, us: np.ndarray,
         return np.zeros(m)
 
     def rhs(s, y):
+        # a fresh array per call: the integrator keeps the derivative
         u, p = y[:m], y[m:2 * m]
-        fv = np.asarray(nl.f(s, u, p), dtype=float)
-        fp = np.asarray(nl.f_p(s, u, p), dtype=float)
-        return np.concatenate([p, -np.broadcast_to(fv, (m,)),
-                               np.broadcast_to(fp, (m,))])
+        out = np.empty(3 * m)
+        out[:m] = p
+        np.negative(nl.f(s, u, p), out=out[m:2 * m])
+        out[2 * m:] = nl.f_p(s, u, p)
+        return out
 
     sol = solve_characteristics(
         rhs, (x, 0.0), np.concatenate([us, ps, np.zeros(m)]), cfg, 2 * m,
@@ -91,8 +80,8 @@ class SeparatedEvaluator:
         exp g over [0, p] and the F-integral over [0, u], from one backward
         solve over the p-nodes (u, s_j) and the F-nodes (u_k, 0)."""
         qc = self.quad_cfg
-        s, ws = quad_nodes_weights(qc.rule, qc.panels, 0.0, p)
-        uk, wk = quad_nodes_weights(qc.rule, qc.panels, 0.0, u)
+        s, ws = quad_nodes_weights(qc.panels, 0.0, p)
+        uk, wk = quad_nodes_weights(qc.panels, 0.0, u)
         if s.size + uk.size == 0:
             return 0.0, 0.0
         zeros = np.zeros_like(uk)
@@ -123,14 +112,17 @@ class SeparatedEvaluator:
         ps = np.asarray(ps, dtype=float).ravel()
         m = xs.size
         nl, cfg = self.nl, self.charflow_cfg
+        neg_xs = -xs
 
         def rhs(s, y):
+            # a fresh array per call: the integrator keeps the derivative
             u, p = y[:m], y[m:2 * m]
             pos = xs * s
-            fv = np.asarray(nl.f(pos, u, p), dtype=float)
-            fp = np.asarray(nl.f_p(pos, u, p), dtype=float)
-            return np.concatenate([xs * p, -xs * np.broadcast_to(fv, (m,)),
-                                   xs * np.broadcast_to(fp, (m,))])
+            out = np.empty(3 * m)
+            np.multiply(xs, p, out=out[:m])
+            np.multiply(neg_xs, nl.f(pos, u, p), out=out[m:2 * m])
+            np.multiply(xs, nl.f_p(pos, u, p), out=out[2 * m:])
+            return out
 
         sol = solve_characteristics(
             rhs, (1.0, 0.0), np.concatenate([us, ps, np.zeros(m)]), cfg,
@@ -152,28 +144,25 @@ class SeparatedEvaluator:
         u = fld.values
         p = gradient(fld).values
         n = x.size
-        frac, wfrac = _unit_rule(self.quad_cfg.rule, self.quad_cfg.panels)
+        frac, wfrac = _unit_rule(self.quad_cfg.panels)
         m = frac.size
 
-        # nodes s_j = frac_j * p with weights w_j * (p - s_j); the node
-        # s = p (Simpson's last) has weight zero and gets no lane
-        keep = frac < 1.0
-        fL = frac[keep]
-        mL = fL.size
-        p_nodes = p[:, None] * fL[None, :]                    # (n, mL)
-        wL = (p * p)[:, None] * (wfrac * (1.0 - frac))[keep][None, :]
+        # nodes s_j = frac_j * p with weights w_j * (p - s_j)
+        p_nodes = p[:, None] * frac[None, :]                  # (n, m)
+        wL = (p * p)[:, None] * (wfrac * (1.0 - frac))[None, :]
         u_nodes = u[:, None] * frac[None, :]                  # (n, m) for F
         wF = u[:, None] * wfrac[None, :]
 
-        xs = np.concatenate([np.repeat(x, mL), np.repeat(x, m), x])
-        us = np.concatenate([np.repeat(u, mL), u_nodes.ravel(), u])
+        xm = np.repeat(x, m)
+        xs = np.concatenate([xm, xm, x])
+        us = np.concatenate([np.repeat(u, m), u_nodes.ravel(), u])
         ps = np.concatenate([p_nodes.ravel(), np.zeros(n * m), p])
         g_all = self.g_batch(xs, us, ps)
-        g_L = g_all[:n * mL].reshape(n, mL)
-        g_F = g_all[n * mL:n * (mL + m)].reshape(n, m)
-        g_star = g_all[n * (mL + m):]
+        g_L = g_all[:n * m].reshape(n, m)
+        g_F = g_all[n * m:2 * n * m].reshape(n, m)
+        g_star = g_all[2 * n * m:]
 
-        f0 = np.asarray(self.nl.f(np.repeat(x, m), u_nodes.ravel(),
+        f0 = np.asarray(self.nl.f(xm, u_nodes.ravel(),
                                   np.zeros(n * m)), dtype=float).reshape(n, m)
         F_vals = np.sum(wF * f0 * np.exp(g_F), axis=1)
         L_vals = np.sum(wL * np.exp(g_L), axis=1) - F_vals

@@ -1,6 +1,6 @@
 """Method-of-lines integrator for u_t = a * u_xx + f(x, u, u_x).
 
-Second-order central stencils in space. In time, one of three schemes:
+Second-order central stencils in space. In time, one of two schemes:
 
 * ``rk4``: explicit RK4, the reference; any coefficient a(x, u, u_x);
 * ``etdrk4``: the exponential integrator of Cox & Matthews (J. Comput.
@@ -16,15 +16,12 @@ Second-order central stencils in space. In time, one of three schemes:
   step size. The initial transient changes faster than a large step
   resolves, so each step is checked against two half steps and covered
   in halved steps until the two agree to 1e-9, until a whole step passes;
-  plain steps follow;
-* ``imex``: Crank-Nicolson diffusion with Adams-Bashforth 2 reaction.
-
-ETDRK4 and IMEX need a constant diffusion coefficient; ETDRK4 also an
-explicit step ``dt``.
+  plain steps follow. It needs a constant diffusion coefficient and an
+  explicit step ``dt``.
 
 Each solve builds one semi-discrete operator on plain arrays, with the grid,
-2h, h^2 and the derivative buffers fixed; the RK4 stages, the ETDRK4 and
-IMEX reaction terms, the saved u_t snapshots and the public ``rhs`` all
+2h, h^2 and the derivative buffers fixed; the RK4 stages, the ETDRK4
+reaction terms, the saved u_t snapshots and the public ``rhs`` all
 evaluate it, so the stencils exist once. The operator pins Dirichlet ends
 and names the grid index of a non-finite right-hand side or reaction term.
 A run stops with a blow-up record, which keeps the snapshots saved so far
@@ -41,8 +38,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.fft as sfft
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .functional import (
     DIRICHLET,
@@ -60,7 +55,6 @@ ETDRK4_TOL = 1e-9
 ETDRK4_MAX_SUBSTEPS = 128
 
 RK4 = "rk4"
-IMEX = "imex"
 ETDRK4 = "etdrk4"
 
 
@@ -105,8 +99,11 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
-        if self.scheme not in (RK4, IMEX, ETDRK4):
-            raise ValueError(f"unknown scheme: {self.scheme!r}")
+        if self.scheme not in (RK4, ETDRK4):
+            why = ("was retired; use 'etdrk4' with an explicit dt (constant "
+                   "diffusion coefficient)" if self.scheme == "imex"
+                   else "is unknown")
+            raise ValueError(f"scheme {self.scheme!r} {why}")
         if self.scheme == ETDRK4 and self.dt is None:
             raise ValueError("ETDRK4 stepping needs an explicit dt")
 
@@ -221,23 +218,6 @@ def rhs(nl: GeneralNonlinearity, a, field: ScalarField) -> ScalarField:
     return field.like(op(field.values))
 
 
-def _diffusion_matrix(n: int, h: float, bc: str) -> sp.csc_matrix:
-    h2 = h * h
-    main = np.full(n, -2.0)
-    off = np.ones(n - 1)
-    A = sp.diags([off, main, off], (-1, 0, 1), format="lil")
-    if bc == PERIODIC:
-        A[0, -1] = 1.0
-        A[-1, 0] = 1.0
-    elif bc == DIRICHLET:
-        A[0, :] = 0.0
-        A[-1, :] = 0.0
-    else:  # Neumann, mirrored ghosts
-        A[0, 0], A[0, 1] = -2.0, 2.0
-        A[-1, -1], A[-1, -2] = -2.0, 2.0
-    return sp.csc_matrix(A / h2)
-
-
 def constant_coefficient(a) -> float | None:
     """The diffusion coefficient as a number (1 for None), or None for a
     callable a(x, u, p)."""
@@ -303,7 +283,7 @@ def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
     Snapshots and the discrete right-hand side are stored every
     ``save_every`` steps. Integration stops early with a blow-up record if
     max|u| exceeds 1e6, the state turns non-finite or the right-hand side
-    (for ETDRK4 and IMEX: the reaction term) does; the record keeps the
+    (for ETDRK4: the reaction term) does; the record keeps the
     snapshots saved so far and says in ``message`` what happened, where
     and when.
     """
@@ -313,9 +293,9 @@ def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
     if cfg.scheme == RK4 and a_const is not None and dt * 4 * a_const / (h * h) > 2.8:
         warnings.warn("time step exceeds the explicit diffusion stability limit",
                       stacklevel=2)
-    if cfg.scheme != RK4 and a_const is None:
-        raise ValueError(f"{cfg.scheme.upper()} stepping needs a constant "
-                         f"diffusion coefficient")
+    if cfg.scheme == ETDRK4 and a_const is None:
+        raise ValueError("ETDRK4 stepping needs a constant diffusion "
+                         "coefficient")
 
     # tolerate round-off when t_end is an exact multiple of dt
     n_steps = int(np.ceil(cfg.t_end / dt - 1e-9))
@@ -367,30 +347,6 @@ def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
     why = record(0.0, u)
     if why is not None:
         return finish(why, 0.0)
-
-    if cfg.scheme == IMEX:
-        A = _diffusion_matrix(u0.n, h, u0.bc) * a_const
-        eye = sp.identity(u0.n, format="csc")
-        lhs = splu(sp.csc_matrix(eye - 0.5 * dt * A))
-        explicit = eye + 0.5 * dt * A
-        N_prev = None
-        for k in range(1, n_steps + 1):
-            try:
-                N_cur = op.reaction(u)
-            except FloatingPointError as exc:
-                return failed_step(exc, k)
-            if k == 1:
-                expl = N_cur  # first step: IMEX Euler start
-            else:
-                expl = 1.5 * N_cur - 0.5 * N_prev
-            u = lhs.solve(explicit @ u + dt * expl)
-            if u0.bc == DIRICHLET:
-                u[0] = u[-1] = 0.0
-            N_prev = N_cur
-            why = stepped(k, u)
-            if why is not None:
-                return finish(why, k * dt)
-        return finish()
 
     if cfg.scheme == ETDRK4:
         lam, fwd, inv = _diagonalised_second_difference(u0.n, h, u0.bc)

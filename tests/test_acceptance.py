@@ -148,8 +148,8 @@ class TestAcceptance:
             scenario="chafee_infante",
             params={"lam": 15.0},
             initial={"kind": "random_smooth", "seed": 5},
-            solver=SolverConfig(n=128, dt=1e-3, t_end=10.0, save_every=500,
-                                scheme="imex"))
+            solver=SolverConfig(n=128, dt=1e-2, t_end=10.0, save_every=50,
+                                scheme="etdrk4"))
         _, extras = run_scenario(cfg, write=False)
         V = extras["V"]
         up_jump = np.max(np.append(
@@ -167,8 +167,8 @@ class TestAcceptance:
         cfg = ScenarioConfig(
             scenario="rotating_wave",
             params={"lam": 50.0, "c": c},
-            solver=SolverConfig(n=512, dt=0.125 / 1280, t_end=0.125,
-                                save_every=160, scheme="imex"))
+            solver=SolverConfig(n=512, dt=0.125 / 320, t_end=0.125,
+                                save_every=40, scheme="etdrk4"))
         _, extras = run_scenario(cfg, write=False)
         mismatch = float(np.max(extras["shift_mismatch"]))
         speed = extras["speed_estimate"]
@@ -181,8 +181,8 @@ class TestAcceptance:
     def test_07_planar_counterexample(self, capsys):
         cfg = ScenarioConfig(
             scenario="planar_embedding",
-            solver=SolverConfig(n=2048, dt=2e-3, t_end=1.0, save_every=200,
-                                scheme="imex"))
+            solver=SolverConfig(n=2048, dt=1e-2, t_end=1.0, save_every=40,
+                                scheme="etdrk4"))
         _, extras = run_scenario(cfg, write=False)
         ret = extras["period_return"]
         four = extras["fourier_match"]

@@ -185,16 +185,28 @@ class TestConfigRoundTrip:
         run_scenario(parse_config(path))
         manifest = json.loads((tmp_path / "out" / "run_manifest.json")
                               .read_text())
-        assert manifest["config"]["quadrature"] == {
-            "rule": "gauss_legendre", "panels": 16}
+        assert manifest["config"]["quadrature"] == {"panels": 16}
 
     def test_old_quadrature_json_parses(self, tmp_path):
+        # manifests written while the rule was stored name it
         d = tiny_config(tmp_path).to_dict()
-        d["quadrature"] = {"rule": "simpson", "nested_panels": 16}
+        d["quadrature"] = {"rule": "gauss_legendre", "panels": 16}
         path = tmp_path / "old.json"
         path.write_text(json.dumps(d))
-        assert parse_config(path).to_dict()["quadrature"] == {
-            "rule": "simpson", "panels": 64}
+        assert parse_config(path).to_dict()["quadrature"] == {"panels": 16}
+
+    @pytest.mark.parametrize("section, value", [
+        ("solver", {"scheme": "imex", "dt": 1e-3}),
+        ("quadrature", {"rule": "simpson", "nested_panels": 16}),
+    ], ids=["imex", "simpson"])
+    def test_retired_values_fail_at_parse_time(self, tmp_path, section,
+                                               value):
+        d = tiny_config(tmp_path).to_dict()
+        d[section].update(value)
+        path = tmp_path / "retired.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match="retired"):
+            parse_config(path)
 
 
 class TestRunScenario:
@@ -277,7 +289,7 @@ class TestRunScenario:
             scenario="planar_embedding",
             params={},
             solver=SolverConfig(n=256, dt=5e-3, t_end=1.0, save_every=200,
-                                scheme="imex"),
+                                scheme="etdrk4"),
             output_path=str(tmp_path / "planar"),
         )
         _, extras = run_scenario(cfg)

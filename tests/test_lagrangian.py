@@ -21,7 +21,6 @@ from circlyap.lagrangian import (
     DOUBLE_INTEGRAL,
     GAUSS_LEGENDRE,
     REDUCED,
-    SIMPSON,
     LagrangianEvaluator,
     QuadratureConfig,
     effective_nonlinearity,
@@ -60,32 +59,33 @@ def cubic_primitive(lam):
 
 
 class TestQuadRule:
-    def test_simpson_exact_on_cubics(self):
-        nodes, w = quad_nodes_weights(SIMPSON, 4, 0.0, 2.0)
-        assert np.dot(w, nodes**3) == pytest.approx(4.0, abs=1e-12)
-
     def test_gauss_exact_on_high_degree(self):
-        nodes, w = quad_nodes_weights(GAUSS_LEGENDRE, 8, -1.0, 3.0)
+        nodes, w = quad_nodes_weights(8, -1.0, 3.0)
         exact = (3.0**8 - (-1.0) ** 8) / 8.0
         assert np.dot(w, nodes**7) == pytest.approx(exact, rel=1e-12)
 
     def test_reversed_interval_flips_sign(self):
-        nodes, w = quad_nodes_weights(SIMPSON, 4, 1.0, 0.0)
+        nodes, w = quad_nodes_weights(4, 1.0, 0.0)
         assert np.dot(w, np.ones_like(nodes)) == pytest.approx(-1.0, abs=1e-12)
 
     def test_empty_interval(self):
-        nodes, w = quad_nodes_weights(SIMPSON, 4, 0.5, 0.5)
+        nodes, w = quad_nodes_weights(4, 0.5, 0.5)
         assert nodes.size == 0 and w.size == 0
-
-    def test_simpson_needs_even_panels(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(rule=SIMPSON, panels=5)
 
     def test_nested_panels_accepted_and_ignored(self):
         # configs from before the single (p - s)-weighted rule still parse
-        old = QuadratureConfig(rule=SIMPSON, panels=16, nested_panels=7)
-        assert old == QuadratureConfig(rule=SIMPSON, panels=16)
-        assert asdict(old) == {"rule": SIMPSON, "panels": 16}
+        old = QuadratureConfig(rule=GAUSS_LEGENDRE, panels=12,
+                               nested_panels=7)
+        assert old == QuadratureConfig(panels=12)
+        assert asdict(old) == {"panels": 12}
+
+    def test_simpson_is_retired(self):
+        with pytest.raises(ValueError, match="retired"):
+            QuadratureConfig(rule="simpson", panels=64)
+
+    def test_unknown_rule_rejected(self):
+        with pytest.raises(ValueError, match="unknown"):
+            QuadratureConfig(rule="trapezoid")
 
 
 class TestDefaultQuadrature:
@@ -111,15 +111,10 @@ class TestDefaultQuadrature:
             assert abs(ev.F(v) - ref.F(v)) <= 1e-11
 
     def test_default_is_gauss_legendre_16(self):
-        assert QuadratureConfig() == QuadratureConfig(rule=GAUSS_LEGENDRE,
-                                                      panels=16)
-        assert asdict(QuadratureConfig(panels=16)) == {
-            "rule": GAUSS_LEGENDRE, "panels": 16}
-
-    def test_simpson_without_panels_is_simpson_64(self):
-        qc = QuadratureConfig(rule=SIMPSON)
-        assert qc == QuadratureConfig(rule=SIMPSON, panels=64)
-        assert asdict(qc) == {"rule": SIMPSON, "panels": 64}
+        # written as the benchmark builds its pointwise quadrature
+        assert QuadratureConfig() == QuadratureConfig(
+            rule=GAUSS_LEGENDRE, panels=16, nested_panels=16)
+        assert asdict(QuadratureConfig()) == {"panels": 16}
 
 
 class TestFq:
@@ -176,7 +171,7 @@ class TestF:
         qc = QuadratureConfig(rule=GAUSS_LEGENDRE, panels=panels)
         ev = LagrangianEvaluator(nl, quad_cfg=qc)
         for u in [-1.3, -0.6, 0.2, 0.7, 1.0, 1.4]:
-            nodes, w = quad_nodes_weights(GAUSS_LEGENDRE, panels, 0.0, u)
+            nodes, w = quad_nodes_weights(panels, 0.0, u)
             ref = sum(wi * nl.f_bar(ui, 0.0) * math.exp(ev.F_q(ui, 0.0))
                       for ui, wi in zip(nodes, w))
             got = ev.F(u)

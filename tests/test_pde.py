@@ -270,23 +270,6 @@ class TestIntegrate:
         with pytest.raises(FloatingPointError, match="grid index 8"):
             rhs(log_barrier_gen(), None, ScalarField(vals, 1.0))
 
-    def test_imex_matches_rk4(self):
-        n = 64
-        u0 = sine_field(n, amplitude=0.3)
-        gen = cubic_gen(5.0)
-        rk = integrate(gen, None, u0,
-                       SolverConfig(n=n, t_end=0.05, save_every=10**9))
-        im = integrate(gen, None, u0,
-                       SolverConfig(n=n, dt=1e-4, t_end=0.05,
-                                    save_every=10**9, scheme="imex"))
-        diff = np.max(np.abs(rk.snapshots[-1].values - im.snapshots[-1].values))
-        assert diff <= 1e-5
-
-    def test_imex_needs_constant_coefficient(self):
-        with pytest.raises(ValueError):
-            integrate(zero_gen(), lambda x, u, p: 1.0 + 0.0 * u, sine_field(32),
-                      SolverConfig(n=32, t_end=0.01, scheme="imex"))
-
     def test_unstable_step_warns(self):
         with pytest.raises(Warning):
             with warnings.catch_warnings():
@@ -330,6 +313,14 @@ class TestETDRK4:
     def test_needs_an_explicit_step(self):
         with pytest.raises(ValueError, match="explicit dt"):
             SolverConfig(n=32, t_end=0.01, scheme="etdrk4")
+
+    def test_imex_is_retired(self):
+        with pytest.raises(ValueError, match="retired.*etdrk4"):
+            SolverConfig(n=32, dt=1e-3, t_end=0.01, scheme="imex")
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="unknown"):
+            SolverConfig(n=32, t_end=0.01, scheme="euler")
 
     def test_needs_a_constant_coefficient(self):
         with pytest.raises(ValueError, match="constant diffusion"):
