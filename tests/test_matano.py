@@ -162,13 +162,22 @@ class TestFieldEval:
 
 
 def _queries(ev, x, u, p):
-    """F, L and L_pp at one point."""
-    return ev.F(x, u), ev.L(x, u, p), ev.L_pp(x, u, p)
+    """F, L and L_pp at one point, or the escape that ended the query.
+
+    Near the corners of the sampled box (x near 0.9, u and p at the same
+    sign's extreme) the p**3 drift blows a backward characteristic up
+    before it reaches x = 0; the escape is then the answer at that point.
+    """
+    try:
+        return ev.F(x, u), ev.L(x, u, p), ev.L_pp(x, u, p)
+    except CharacteristicEscape as exc:
+        return type(exc), str(exc)
 
 
 class TestQueryOrder:
-    """A value depends on its arguments only, never on the queries the
-    evaluator answered before it."""
+    """A value, or the escape raised in its place, depends on its
+    arguments only, never on the queries the evaluator answered before
+    it."""
 
     @settings(max_examples=10, deadline=None)
     @given(x=st.floats(0.1, 0.9), u=st.floats(-0.6, 0.6),
