@@ -14,10 +14,13 @@ Negative q is allowed throughout; the flow is not stopped at q = 0.
 
 Every characteristic solve in the package, here and in
 :mod:`circlyap.lagrangian` and :mod:`circlyap.matano`, runs through one
-driver, :func:`solve_characteristics`, which owns the failure policy: a
-non-finite right-hand side or an exhausted step budget is an
-:class:`IntegrationFailure`; an escape past ``escape_bound`` or a step-size
-collapse is a :class:`CharacteristicEscape` that names the lane.
+driver, :func:`solve_characteristics`. It steps scipy's 8th-order DOP853
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.10) in its own loop and
+owns the failure policy: a non-finite right-hand side or more than
+``max_steps`` steps is an :class:`IntegrationFailure`; an escape past
+``escape_bound``, located on the interpolant of the step that crossed it,
+or a step-size collapse is a :class:`CharacteristicEscape` that names the
+lane.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import DOP853, OdeSolution
+from scipy.optimize import brentq
 
 
 class IntegrationFailure(RuntimeError):
@@ -101,6 +105,13 @@ class NonlinearityO2:
 
 @dataclass(frozen=True)
 class CharflowConfig:
+    """Settings of every characteristic solve.
+
+    ``rel_tol`` and ``abs_tol`` are DOP853's error tolerances; a watched
+    component beyond ``escape_bound`` is an escape; a solve that needs more
+    than ``max_steps`` accepted steps fails.
+    """
+
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     escape_bound: float = 1e12
@@ -122,6 +133,7 @@ class EvolutionResult:
 
 
 DEFAULT_CONFIG = CharflowConfig()
+_EPS = np.finfo(float).eps
 
 
 def _eval_vec(fn, u, q):
@@ -138,17 +150,6 @@ def _eval_vec(fn, u, q):
     return out
 
 
-class _RK45(RK45):
-    """scipy's RK45, listed in ``solvers`` so that its solve can take it
-    apart when it ends. The solver refers to itself through its wrapped
-    right-hand side; left alone it waits, stage vectors and all, for the
-    cyclic garbage collector, and peak memory depends on when that runs."""
-
-    def __init__(self, *args, solvers: list, **kwargs):
-        super().__init__(*args, **kwargs)
-        solvers.append(self)
-
-
 def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
                           lane, dense_output: bool = False, var: str = "u"):
     """Integrate a stack of characteristics over ``span``; the one driver
@@ -158,59 +159,75 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
     ``y``, whose independent variable is named ``var`` in messages. Its
     first ``watch`` components are the characteristics proper and are held
     to ``cfg.escape_bound``; the components after them (sensitivities,
-    accumulated exponents) are not. RK45 runs at
-    ``cfg.rel_tol``/``cfg.abs_tol``. Failure policy:
+    accumulated exponents) are not. scipy's DOP853 runs at
+    ``cfg.rel_tol``/``cfg.abs_tol``, one ``step()`` at a time. Failure
+    policy:
 
-    * a non-finite right-hand side, or more than ``7 * cfg.max_steps``
-      right-hand-side evaluations: :class:`IntegrationFailure`;
+    * a non-finite right-hand side, or a solve that needs more than
+      ``cfg.max_steps`` steps: :class:`IntegrationFailure`;
     * a watched component beyond the escape bound, at the start or on the
       way, or a step size that collapses (finite-time blow-up):
       :class:`CharacteristicEscape`, whose context ``lane(k, t)`` names
       the lane of the watched component k of largest modulus at the
       parameter value t where the solve stopped, followed by the solver's
-      message on a collapse.
+      message on a collapse. A crossing of the bound is located on the
+      interpolant of the step that made it.
 
-    Returns the solver result of a completed solve.
+    Returns the final state, or with ``dense_output`` an
+    :class:`~scipy.integrate.OdeSolution` over ``span`` built from the
+    interpolant of every step.
     """
     y0 = np.asarray(y0, dtype=float)
+    t0, t1 = float(span[0]), float(span[1])
     start = np.abs(y0[:watch])
     if np.max(start) > cfg.escape_bound:
         k = int(np.argmax(start))
-        raise CharacteristicEscape(float(span[0]), lane(k, float(span[0])),
-                                   state=y0, var=var)
-    budget = 7 * cfg.max_steps
-    nfev = 0
+        raise CharacteristicEscape(t0, lane(k, t0), state=y0, var=var)
 
     def checked(t, y):
-        nonlocal nfev
-        nfev += 1
-        if nfev > budget:
-            raise IntegrationFailure("step budget exhausted", float(t))
         dy = rhs(t, y)
         if not np.isfinite(dy).all():
             raise IntegrationFailure("non-finite right-hand side", float(t))
         return dy
 
-    def escape(t, y):
-        return np.max(np.abs(y[:watch])) - cfg.escape_bound
+    def escaped(t, y, note=""):
+        k = int(np.argmax(np.abs(y[:watch])))
+        return CharacteristicEscape(t, lane(k, t) + note, state=y, var=var)
 
-    escape.terminal = True
-
-    solvers = []
+    # bound before __init__, which already evaluates the right-hand side,
+    # so that the finally block below also takes apart a solver whose
+    # construction failed
+    solver = DOP853.__new__(DOP853)
+    ts, interpolants = [t0], []
     try:
-        sol = solve_ivp(checked, span, y0, method=_RK45, rtol=cfg.rel_tol,
-                        atol=cfg.abs_tol, events=escape,
-                        dense_output=dense_output, solvers=solvers)
+        solver.__init__(checked, t0, y0, t1, rtol=cfg.rel_tol,
+                        atol=cfg.abs_tol)
+        for _ in range(cfg.max_steps):
+            message = solver.step()
+            if solver.status == "failed":
+                raise escaped(float(solver.t), solver.y, f"; {message}")
+            if np.max(np.abs(solver.y[:watch])) >= cfg.escape_bound:
+                # the crossing on this step's interpolant, to the
+                # tolerances scipy uses for a terminal event
+                step = solver.dense_output()
+                t = brentq(lambda s: np.max(np.abs(step(s)[:watch]))
+                           - cfg.escape_bound, solver.t_old, solver.t,
+                           xtol=4 * _EPS, rtol=4 * _EPS)
+                raise escaped(float(t), step(t))
+            if dense_output:
+                ts.append(solver.t)
+                interpolants.append(solver.dense_output())
+            if solver.status == "finished":
+                break
+        else:
+            raise IntegrationFailure("step budget exhausted", float(solver.t))
+        y = solver.y
     finally:
-        for solver in solvers:
-            solver.__dict__.clear()
-    if sol.status == 0:
-        return sol
-    t = float(sol.t[-1])
-    y = sol.y[:, -1]
-    k = int(np.argmax(np.abs(y[:watch])))
-    note = "" if sol.status == 1 else f"; {sol.message}"
-    raise CharacteristicEscape(t, lane(k, t) + note, state=y, var=var)
+        # the solver refers to itself through its wrapped right-hand side;
+        # left alone it waits, stage vectors and all, for the cyclic
+        # garbage collector, and peak memory depends on when that runs
+        solver.__dict__.clear()
+    return OdeSolution(ts, interpolants) if dense_output else y
 
 
 def evolve(
@@ -237,14 +254,13 @@ def evolve(
         return (-nl.f_bar(u, q), -nl.f_bar_q(u, q) * eta)
 
     try:
-        sol = solve_characteristics(
+        y = solve_characteristics(
             rhs, (u0, u1), (float(q0), 1.0), cfg, 1,
             lambda k, _: f"evolution from (u, q) = ({u0:.6g}, {q0:.6g})")
     except CharacteristicEscape as esc:
         return EvolutionResult(float(esc.state[0]), float(esc.state[1]),
                                Status.ESCAPED_BOUND, esc.at)
-    return EvolutionResult(float(sol.y[0, -1]), float(sol.y[1, -1]),
-                           Status.COMPLETED)
+    return EvolutionResult(float(y[0]), float(y[1]), Status.COMPLETED)
 
 
 def evolve_batch(
@@ -274,13 +290,11 @@ def evolve_batch(
         return np.concatenate([-_eval_vec(nl.f_bar, u, q),
                                -_eval_vec(nl.f_bar_q, u, q) * eta])
 
-    sol = solve_characteristics(
+    y = solve_characteristics(
         rhs, (u0, u1), np.concatenate([qs, np.ones(m)]), cfg, m,
         lambda k, _: f"evolution to u={u1:.6g}: sample {k} at (u, q) = "
                      f"({u0:.6g}, {qs[k]:.6g})")
-    values = sol.y[:m, -1].reshape(q0.shape)
-    sens = sol.y[m:, -1].reshape(q0.shape)
-    return values, sens
+    return y[:m].reshape(q0.shape), y[m:].reshape(q0.shape)
 
 
 def compose_check(
@@ -341,7 +355,7 @@ def verify_equilibrium_first_integral(
     defect = 0.0
     q0 = 0.5 * p_init * p_init
     for x in xs[1:]:
-        u, p = sol.sol(x)
+        u, p = sol(x)
         res = evolve(nl, u_init, float(u), q0, cfg)
         if res.status is not Status.COMPLETED:
             raise CharacteristicEscape(res.u_at_escape, f"first integral at x={x:.4g}")

@@ -119,12 +119,12 @@ class LagrangianEvaluator:
             return np.concatenate([-_eval_vec(nl.f_bar, s, q),
                                    _eval_vec(nl.f_bar_q, s, q)])
 
-        sol = solve_characteristics(
+        y = solve_characteristics(
             rhs, (u, 0.0), np.concatenate([qs, np.zeros(m)]),
             self.charflow_cfg, m,
             lambda k, _: f"transport solve: sample {k} at (u, q) = "
                          f"({u:.6g}, {qs[k]:.6g})")
-        return -sol.y[m:, -1]
+        return -y[m:]
 
     # -- ingredients ------------------------------------------------------
 
@@ -151,12 +151,12 @@ class LagrangianEvaluator:
             return np.concatenate([-un * _eval_vec(nl.f_bar, un * s, q),
                                    un * _eval_vec(nl.f_bar_q, un * s, q)])
 
-        sol = solve_characteristics(
+        y = solve_characteristics(
             rhs, (1.0, 0.0), np.zeros(2 * m), self.charflow_cfg, m,
             lambda k, s: f"F quadrature: node {k} at u={un[k]:.6g}, "
                          f"stopped at u={un[k] * s:.6g}",
             var="s")
-        fq = -sol.y[m:, -1]
+        fq = -y[m:]
         f0 = _eval_vec(nl.f_bar, un, np.zeros(m))
         return float(np.dot(u * wfrac, f0 * np.exp(fq)))
 
@@ -218,17 +218,21 @@ class LagrangianEvaluator:
         nm = npts * m
         nq = nm + npts
         nl = self.nl
+        scale = np.concatenate([un, u_arr])
+        neg_scale = -scale
+        neg_un = neg_scale[:nm]
 
         def rhs(s, y):
-            qn = y[:nm]
-            qs = y[nm:nq]
-            eta = y[nq:nq + nm]
-            return np.concatenate([
-                -un * _eval_vec(nl.f_bar, un * s, qn),
-                -u_arr * _eval_vec(nl.f_bar, u_arr * s, qs),
-                -un * _eval_vec(nl.f_bar_q, un * s, qn) * eta,
-                u_arr * _eval_vec(nl.f_bar_q, u_arr * s, qs),
-            ])
+            # one f_bar and one f_bar_q call over the node and star lanes;
+            # a fresh array per call: the integrator keeps the derivative
+            q = y[:nq]
+            at = scale * s
+            fbq = _eval_vec(nl.f_bar_q, at, q)
+            out = np.empty(2 * nq)
+            np.multiply(neg_scale, _eval_vec(nl.f_bar, at, q), out=out[:nq])
+            np.multiply(neg_un * fbq[:nm], y[nq:nq + nm], out=out[nq:nq + nm])
+            np.multiply(u_arr, fbq[nm:], out=out[nq + nm:])
+            return out
 
         def sample(k, s):
             # node lanes run sample-major, then one star lane per sample
@@ -239,9 +243,8 @@ class LagrangianEvaluator:
 
         y0 = np.concatenate([q_nodes.ravel(), q_star, np.ones(nm),
                              np.zeros(npts)])
-        sol = solve_characteristics(rhs, (1.0, 0.0), y0, self.charflow_cfg,
-                                    nq, sample, var="s")
-        yf = sol.y[:, -1]
+        yf = solve_characteristics(rhs, (1.0, 0.0), y0, self.charflow_cfg,
+                                   nq, sample, var="s")
         psi_star = yf[nm:nq]
         eta = yf[nq:nq + nm].reshape(npts, m)
         fq_star = -yf[nq + nm:]

@@ -46,13 +46,13 @@ def _char_batch(nl: GeneralNonlinearity, x: float, us: np.ndarray,
         out[2 * m:] = nl.f_p(s, u, p)
         return out
 
-    sol = solve_characteristics(
+    y = solve_characteristics(
         rhs, (x, 0.0), np.concatenate([us, ps, np.zeros(m)]), cfg, 2 * m,
         lambda k, _: f"backward characteristic from x={x:.6g}: sample "
                      f"{k % m} at (u, p) = ({us[k % m]:.6g}, {ps[k % m]:.6g})",
         var="x")
     # accumulated integral runs from x down to 0; g is its negative
-    return -sol.y[2 * m:, -1]
+    return -y[2 * m:]
 
 
 def g_value(nl: GeneralNonlinearity, x: float, u: float, p: float,
@@ -124,14 +124,14 @@ class SeparatedEvaluator:
             np.multiply(xs, nl.f_p(pos, u, p), out=out[2 * m:])
             return out
 
-        sol = solve_characteristics(
+        y = solve_characteristics(
             rhs, (1.0, 0.0), np.concatenate([us, ps, np.zeros(m)]), cfg,
             2 * m,
             lambda k, s: f"batched backward characteristics: sample {k % m} "
                          f"at (x, u, p) = ({xs[k % m]:.6g}, {us[k % m]:.6g}, "
                          f"{ps[k % m]:.6g}), stopped at x={xs[k % m] * s:.6g}",
             var="s")
-        return -sol.y[2 * m:, -1]
+        return -y[2 * m:]
 
     def field_eval(self, fld: ScalarField):
         """L, L_pp and F over a whole gridded field in one fused solve.
@@ -245,8 +245,7 @@ def integrability_defect(nl: GeneralNonlinearity,
     z = np.array(periodic_orbit_seed, dtype=float)
 
     def residual(zz):
-        sol = _flow_map(nl, zz, cfg)
-        return sol.y[:2, -1] - zz
+        return _flow_map(nl, zz, cfg)[:2] - zz
 
     converged = False
     for _ in range(max_iter):
@@ -271,8 +270,7 @@ def integrability_defect(nl: GeneralNonlinearity,
             f"shooting failed to locate a 1-periodic characteristic orbit "
             f"in {max_iter} iterations (residual {np.max(np.abs(residual(z))):.3g})")
 
-    sol = _flow_map(nl, z, cfg, with_fp=True)
-    defect = float(sol.y[2, -1])
+    defect = float(_flow_map(nl, z, cfg, with_fp=True)[2])
     if return_orbit:
         return defect, (float(z[0]), float(z[1]))
     return defect

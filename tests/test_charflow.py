@@ -5,9 +5,9 @@ import inspect
 
 import numpy as np
 import pytest
-from scipy.integrate import RK45
+from scipy.integrate import OdeSolver
 
-from circlyap import lagrangian, matano
+from circlyap import charflow, lagrangian, matano
 from circlyap.charflow import (
     CharacteristicEscape,
     CharflowConfig,
@@ -216,7 +216,7 @@ class TestDriverPolicy:
     failure policy."""
 
     def test_single_solve_path(self):
-        for mod in (lagrangian, matano):
+        for mod in (charflow, lagrangian, matano):
             assert "solve_ivp" not in inspect.getsource(mod), mod.__name__
 
     @pytest.mark.parametrize("call", [
@@ -240,20 +240,26 @@ class TestDriverPolicy:
         with pytest.raises(IntegrationFailure, match="step budget exhausted"):
             call(CharflowConfig(max_steps=1))
 
-    @pytest.mark.parametrize("cfg", [CharflowConfig(),
-                                     CharflowConfig(max_steps=1)],
-                             ids=["completes", "fails"])
-    def test_solver_is_freed_when_its_solve_ends(self, cfg):
+    @pytest.mark.parametrize("nl, cfg", [
+        (mixed_nl(), CharflowConfig()),
+        (mixed_nl(), CharflowConfig(max_steps=1)),
+        # the first right-hand side, evaluated while the solver is built,
+        # is already non-finite
+        (NonlinearityO2(f_bar=lambda u, q: np.inf * q,
+                        f_bar_q=lambda u, q: 0.0 * q), CharflowConfig()),
+    ], ids=["completes", "fails", "fails_while_built"])
+    def test_solver_is_freed_when_its_solve_ends(self, nl, cfg):
         # without the cyclic collector, a solver left in a reference cycle
         # would still be alive after the solve
         gc.collect()
         gc.disable()
         try:
             try:
-                evolve_batch(mixed_nl(), 0.0, 1.0, np.array([0.1, 0.5]), cfg)
+                evolve_batch(nl, 0.0, 1.0, np.array([0.1, 0.5]), cfg)
             except IntegrationFailure:
                 pass
-            alive = [o for o in gc.get_objects() if isinstance(o, RK45)]
+            alive = [o for o in gc.get_objects()
+                     if isinstance(o, OdeSolver)]
         finally:
             gc.enable()
         assert alive == []
@@ -282,3 +288,5 @@ class TestDriverPolicy:
             matano.g_value(free, 1.0, -0.5, 0.9,
                            CharflowConfig(escape_bound=1.0))
         assert err.value.var == "x"
+        # located on the step's interpolant, not at the end of the step
+        assert err.value.at == pytest.approx(4 / 9, abs=1e-12)
