@@ -14,9 +14,12 @@ Negative q is allowed throughout; the flow is not stopped at q = 0.
 
 Every characteristic solve in the package, here and in
 :mod:`circlyap.lagrangian` and :mod:`circlyap.matano`, runs through one
-driver, :func:`solve_characteristics`. It steps scipy's 8th-order DOP853
-(Hairer, Norsett & Wanner, *Solving ODEs I*, II.10) in its own loop and
-owns the failure policy: a non-finite right-hand side or more than
+driver, :func:`solve_characteristics`. It runs scipy's 8th-order DOP853
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.10) stepped in its own
+loop: scipy's tableau, with scipy's first-step rule, error norm, step-size
+controller and interpolant repeated operation for operation, so its values
+equal scipy's bit for bit. It calls the right-hand side directly and owns
+the failure policy: a non-finite right-hand side or more than
 ``max_steps`` steps is an :class:`IntegrationFailure`; an escape past
 ``escape_bound``, located on the interpolant of the step that crossed it,
 or a step-size collapse is a :class:`CharacteristicEscape` that names the
@@ -26,11 +29,15 @@ lane.
 from __future__ import annotations
 
 import enum
+import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution
+from scipy.integrate import DenseOutput, OdeSolution
+from scipy.integrate._ivp import dop853_coefficients as _DOP
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
 
@@ -107,9 +114,11 @@ class NonlinearityO2:
 class CharflowConfig:
     """Settings of every characteristic solve.
 
-    ``rel_tol`` and ``abs_tol`` are DOP853's error tolerances; a watched
-    component beyond ``escape_bound`` is an escape; a solve that needs more
-    than ``max_steps`` accepted steps fails.
+    ``rel_tol`` and ``abs_tol`` are the error tolerances of scipy's DOP853
+    stepped in the driver's own loop (``rel_tol`` below 100 eps is raised
+    to it, with a warning, as scipy does); a watched component beyond
+    ``escape_bound`` is an escape; a solve that needs more than
+    ``max_steps`` accepted steps fails.
     """
 
     rel_tol: float = 1e-10
@@ -135,6 +144,16 @@ class EvolutionResult:
 DEFAULT_CONFIG = CharflowConfig()
 _EPS = np.finfo(float).eps
 
+# DOP853 as scipy tabulates it: stages 1..11 of a step (row, coefficients
+# on the earlier stages, abscissa), the interpolant's three extra stages,
+# and the step-size controller's constants
+_STAGES = [(s, _DOP.A[s, :s], _DOP.C[s]) for s in range(1, _DOP.N_STAGES)]
+_EXTRA_STAGES = [(s, _DOP.A[s, :s], _DOP.C[s])
+                 for s in range(_DOP.N_STAGES + 1, _DOP.N_STAGES_EXTENDED)]
+_ERROR_ORDER = 7
+_EXPONENT = -1 / (_ERROR_ORDER + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+
 
 def _eval_vec(fn, u, q):
     """Evaluate fn(u, q) over an array q (u a scalar or an array of q's
@@ -150,43 +169,114 @@ def _eval_vec(fn, u, q):
     return out
 
 
+def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
+    """DOP853's first step size (Hairer, Norsett & Wanner, II.4), as
+    scipy's ``select_initial_step`` computes it; one right-hand side."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = np.linalg.norm(y0 / scale) / y0.size ** 0.5
+    d1 = np.linalg.norm(f0 / scale) / y0.size ** 0.5
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * direction * f0
+    f1 = fun(t0 + h0 * direction, y1)
+    d2 = np.linalg.norm((f1 - f0) / scale) / y0.size ** 0.5 / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (_ERROR_ORDER + 1))
+    return min(100 * h0, h1, interval_length)
+
+
+def _squared_norm(x):
+    # np.linalg.norm(x) ** 2, computed as np.linalg.norm computes it
+    return np.sqrt(x.dot(x)) ** 2
+
+
+def _interpolant(fun, t_old, t, y_old, y, f, h, K):
+    """DOP853's 7th-order interpolant over the step from (t_old, y_old) to
+    (t, y) just taken with stages ``K``: three more stages, as scipy's
+    ``DOP853.dense_output`` computes them."""
+    for s, a, c in _EXTRA_STAGES:
+        K[s] = fun(t_old + c * h, y_old + np.dot(K[:s].T, a) * h)
+    F = np.empty((_DOP.INTERPOLATOR_POWER, y.size))
+    f_old = K[0]
+    delta_y = y - y_old
+    F[0] = delta_y
+    F[1] = h * f_old - delta_y
+    F[2] = 2 * delta_y - h * (f + f_old)
+    F[3:] = h * np.dot(_DOP.D, K)
+    return Dop853DenseOutput(t_old, t, y_old, F)
+
+
+class _Constant(DenseOutput):
+    """The interpolant of a solve that takes no step."""
+
+    def __init__(self, t_old, t, value):
+        super().__init__(t_old, t)
+        self.value = value
+
+    def _call_impl(self, t):
+        if t.ndim == 0:
+            return self.value
+        return np.repeat(self.value[:, None], t.size, axis=1)
+
+
 def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
                           lane, dense_output: bool = False, var: str = "u"):
     """Integrate a stack of characteristics over ``span``; the one driver
     of every characteristic solve.
 
     ``rhs(t, y)`` is the vectorised right-hand side of the stacked state
-    ``y``, whose independent variable is named ``var`` in messages. Its
-    first ``watch`` components are the characteristics proper and are held
-    to ``cfg.escape_bound``; the components after them (sensitivities,
-    accumulated exponents) are not. scipy's DOP853 runs at
-    ``cfg.rel_tol``/``cfg.abs_tol``, one ``step()`` at a time. Failure
-    policy:
+    ``y``, whose independent variable is named ``var`` in messages; it
+    returns a fresh array per call. Its first ``watch`` components are the
+    characteristics proper and are held to ``cfg.escape_bound``; the
+    components after them (sensitivities, accumulated exponents) are not.
 
+    It runs scipy's DOP853 stepped in its own loop at
+    ``cfg.rel_tol``/``cfg.abs_tol``: scipy's tableau, first-step rule,
+    error norm, step-size controller (with its ``min_step`` clamp and
+    100 eps floor on rel_tol) and interpolant, operation for operation, so
+    every value equals scipy's bit for bit. Failure policy:
+
+    * a non-finite initial state: ValueError;
     * a non-finite right-hand side, or a solve that needs more than
       ``cfg.max_steps`` steps: :class:`IntegrationFailure`;
     * a watched component beyond the escape bound, at the start or on the
       way, or a step size that collapses (finite-time blow-up):
       :class:`CharacteristicEscape`, whose context ``lane(k, t)`` names
       the lane of the watched component k of largest modulus at the
-      parameter value t where the solve stopped, followed by the solver's
-      message on a collapse. A crossing of the bound is located on the
-      interpolant of the step that made it.
+      parameter value t where the solve stopped, followed by the reason on
+      a collapse. A crossing of the bound is located on the interpolant of
+      the step that made it.
 
     Returns the final state, or with ``dense_output`` an
     :class:`~scipy.integrate.OdeSolution` over ``span`` built from the
     interpolant of every step.
     """
-    y0 = np.asarray(y0, dtype=float)
-    t0, t1 = float(span[0]), float(span[1])
-    start = np.abs(y0[:watch])
-    if np.max(start) > cfg.escape_bound:
-        k = int(np.argmax(start))
-        raise CharacteristicEscape(t0, lane(k, t0), state=y0, var=var)
+    y = np.asarray(y0, dtype=float)
+    t, t_bound = float(span[0]), float(span[1])
+    bound = cfg.escape_bound
+    if np.abs(y[:watch]).max(initial=0.0) > bound:
+        k = int(np.argmax(np.abs(y[:watch])))
+        raise CharacteristicEscape(t, lane(k, t), state=y, var=var)
+    if not np.isfinite(y).all():
+        raise ValueError("the initial state must be finite")
+    rtol, atol = cfg.rel_tol, cfg.abs_tol
+    if rtol < 100 * _EPS:
+        warnings.warn(f"rel_tol {rtol:g} is below DOP853's floor; using "
+                      f"{100 * _EPS:g}", stacklevel=2)
+        rtol = 100 * _EPS
+    ones = np.ones(y.size)
 
-    def checked(t, y):
-        dy = rhs(t, y)
-        if not np.isfinite(dy).all():
+    def fun(t, y):
+        dy = np.asarray(rhs(t, y), dtype=float)
+        # a finite sum (dy @ ones) rules out NaN and inf; an overflowing
+        # one is confirmed element by element
+        if not math.isfinite(dy @ ones) and not np.isfinite(dy).all():
             raise IntegrationFailure("non-finite right-hand side", float(t))
         return dy
 
@@ -194,39 +284,69 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
         k = int(np.argmax(np.abs(y[:watch])))
         return CharacteristicEscape(t, lane(k, t) + note, state=y, var=var)
 
-    # bound before __init__, which already evaluates the right-hand side,
-    # so that the finally block below also takes apart a solver whose
-    # construction failed
-    solver = DOP853.__new__(DOP853)
-    ts, interpolants = [t0], []
-    try:
-        solver.__init__(checked, t0, y0, t1, rtol=cfg.rel_tol,
-                        atol=cfg.abs_tol)
-        for _ in range(cfg.max_steps):
-            message = solver.step()
-            if solver.status == "failed":
-                raise escaped(float(solver.t), solver.y, f"; {message}")
-            if np.max(np.abs(solver.y[:watch])) >= cfg.escape_bound:
-                # the crossing on this step's interpolant, to the
-                # tolerances scipy uses for a terminal event
-                step = solver.dense_output()
-                t = brentq(lambda s: np.max(np.abs(step(s)[:watch]))
-                           - cfg.escape_bound, solver.t_old, solver.t,
-                           xtol=4 * _EPS, rtol=4 * _EPS)
-                raise escaped(float(t), step(t))
-            if dense_output:
-                ts.append(solver.t)
-                interpolants.append(solver.dense_output())
-            if solver.status == "finished":
+    f = fun(t, y)
+    if y.size == 0 or t == t_bound:
+        return (OdeSolution([t, t_bound], [_Constant(t, t_bound, y)])
+                if dense_output else y)
+    direction = np.sign(t_bound - t)
+    h_abs = _initial_step(fun, t, y, t_bound, f, direction, rtol, atol)
+    # stage k in row k; the rows after the 13th serve the interpolant
+    K_ext = np.empty((_DOP.N_STAGES_EXTENDED, y.size))
+    K = K_ext[:_DOP.N_STAGES + 1]
+    stages = [(s, K[:s].T, a, c) for s, a, c in _STAGES]
+    K_sol, K_err = K[:-1].T, K.T
+    ts, interpolants = [t], []
+    for _ in range(cfg.max_steps):
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise escaped(float(t), y, "; Required step size is less "
+                                           "than spacing between numbers.")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s, K_s, a, c in stages:
+                K[s] = fun(t + c * h, y + np.dot(K_s, a) * h)
+            y_new = y + h * np.dot(K_sol, _DOP.B)
+            f_new = fun(t + h, y_new)
+            K[-1] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = _squared_norm(np.dot(K_err, _DOP.E5) / scale)
+            err3 = _squared_norm(np.dot(K_err, _DOP.E3) / scale)
+            if err5 == 0 and err3 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * err5 / np.sqrt((err5 + 0.01 * err3)
+                                                    * y.size)
+            if error_norm < 1:
+                factor = (_MAX_FACTOR if error_norm == 0 else min(
+                    _MAX_FACTOR, _SAFETY * error_norm ** _EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
                 break
-        else:
-            raise IntegrationFailure("step budget exhausted", float(solver.t))
-        y = solver.y
-    finally:
-        # the solver refers to itself through its wrapped right-hand side;
-        # left alone it waits, stage vectors and all, for the cyclic
-        # garbage collector, and peak memory depends on when that runs
-        solver.__dict__.clear()
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _EXPONENT)
+            rejected = True
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        if np.abs(y[:watch]).max(initial=0.0) >= bound:
+            # the crossing on this step's interpolant, to the tolerances
+            # scipy uses for a terminal event
+            step = _interpolant(fun, t_old, t, y_old, y, f, h, K_ext)
+            t = brentq(lambda s: np.max(np.abs(step(s)[:watch])) - bound,
+                       t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+            raise escaped(float(t), step(t))
+        if dense_output:
+            ts.append(t)
+            interpolants.append(
+                _interpolant(fun, t_old, t, y_old, y, f, h, K_ext))
+        if direction * (t - t_bound) >= 0:
+            break
+    else:
+        raise IntegrationFailure("step budget exhausted", float(t))
     return OdeSolution(ts, interpolants) if dense_output else y
 
 

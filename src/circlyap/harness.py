@@ -596,12 +596,14 @@ def _write_outputs(out_dir: Path, cfg: ScenarioConfig, traj: TrajectoryRecord,
             if has_modes:
                 row += list(extras["ab_pde"][k])
             wr.writerow([f"{v:.12g}" if np.isfinite(v) else "" for v in row])
+    # the bytes csv.writer writes: numbers need no quoting, and rows end in
+    # its terminator
+    end = csv.excel.lineterminator
     for k, snap in enumerate(traj.snapshots):
+        rows = "".join(f"{xi:.12g},{ui:.17g}{end}" for xi, ui in
+                       zip(snap.grid().tolist(), snap.values.tolist()))
         with open(out_dir / f"snapshot_{k:04d}.csv", "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["x", "u"])
-            for xi, ui in zip(snap.grid(), snap.values):
-                wr.writerow([f"{xi:.12g}", f"{ui:.17g}"])
+            fh.write(f"x,u{end}{rows}")
     manifest = {
         "format_version": FORMAT_VERSION,
         "status": status,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -70,12 +71,21 @@ class QuadratureConfig:
             raise ValueError("panels must be >= 2")
 
 
+@lru_cache(maxsize=None)
+def _leggauss(panels: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per panel
+    count and shared, hence read-only."""
+    x, w = leggauss(panels)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def quad_nodes_weights(panels: int, a: float, b: float):
     """Gauss-Legendre nodes and weights for integrating over [a, b] (b may
     lie below a)."""
     if a == b:
         return np.empty(0), np.empty(0)
-    x, w = leggauss(panels)
+    x, w = _leggauss(panels)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -83,7 +93,7 @@ def quad_nodes_weights(panels: int, a: float, b: float):
 def _unit_rule(panels: int):
     """Gauss-Legendre nodes and weights on [0, 1]; scale nodes by an
     endpoint to cover [0, b] with weights scaled by the same factor."""
-    xg, wg = leggauss(panels)
+    xg, wg = _leggauss(panels)
     return 0.5 * (xg + 1.0), 0.5 * wg
 
 

@@ -2,10 +2,12 @@
 
 import gc
 import inspect
+import weakref
 
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolver
+from scipy.integrate import DOP853
+from scipy.optimize import brentq
 
 from circlyap import charflow, lagrangian, matano
 from circlyap.charflow import (
@@ -204,6 +206,126 @@ class TestConfigValidation:
             CharflowConfig(escape_bound=0.0)
 
 
+def _first_solve(monkeypatch, module, call):
+    """Arguments (rhs, span, y0, cfg, watch) of the first characteristic
+    solve that ``call`` makes through ``module``."""
+    seen = []
+    real = charflow.solve_characteristics
+
+    def spy(*args, **kwargs):
+        seen.append(args[:5])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "solve_characteristics", spy)
+    try:
+        call()
+    except CharacteristicEscape:
+        pass
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _van_der_pol(t, y):
+    return np.array([y[1], 5.0 * (1.0 - y[0] ** 2) * y[1] - y[0]])
+
+
+_BLOWUP = NonlinearityO2(f_bar=lambda u, q: -q * q,
+                         f_bar_q=lambda u, q: -2.0 * q, label="blowup")
+
+# each case returns (rhs, span, y0, cfg, watch) of one solve
+PORT_CASES = {
+    "evolve_batch": lambda mp: _first_solve(mp, charflow, lambda: evolve_batch(
+        mixed_nl(), -0.3, 1.1, np.linspace(-0.5, 2.0, 7))),
+    # stacked node, star, sensitivity and exponent lanes over s in [1, 0]
+    "backward_field_eval": lambda mp: _first_solve(
+        mp, lagrangian, lambda: lagrangian.LagrangianEvaluator(
+            mixed_nl()).field_eval(np.array([0.6, -0.9, 1.4]),
+                                   np.array([1.3, -0.4, 2.0]))),
+    "rejections": lambda mp: (_van_der_pol, (0.0, 6.0), np.array([2.0, 0.0]),
+                              CharflowConfig(), 2),
+    "empty": lambda mp: (lambda t, y: -y, (0.0, 1.0), np.empty(0),
+                         CharflowConfig(), 0),
+    # slow enough that the first-step rule's trial step, 0.01 |y|/|f|,
+    # exceeds the span and is clamped to it
+    "short_span": lambda mp: (lambda t, y: -1e-3 * (1.0 + t * t) * y,
+                              (0.0, 0.5), np.array([1.0, -3.0]),
+                              CharflowConfig(), 2),
+}
+
+
+def _by_hand(rhs, span, y0, cfg):
+    """scipy's DOP853 stepped by hand: accepted times, final state, step
+    interpolants, the number of rejected attempts, and whether every
+    right-hand side was evaluated inside the span."""
+    at = []
+
+    def logged(t, y):
+        at.append(t)
+        return rhs(t, y)
+
+    solver = DOP853(logged, span[0], y0, span[1], rtol=cfg.rel_tol,
+                    atol=cfg.abs_tol)
+    ts, steps, attempts = [solver.t], [], 0
+    while solver.status == "running":
+        nfev = solver.nfev
+        solver.step()
+        attempts += (solver.nfev - nfev) // 12
+        ts.append(solver.t)
+        steps.append(solver.dense_output())
+    assert solver.status == "finished"
+    inside = min(span) <= min(at) and max(at) <= max(span)
+    return np.array(ts), solver.y, steps, attempts - (len(ts) - 1), inside
+
+
+class TestDop853Port:
+    """The driver's DOP853 loop reproduces scipy's DOP853 bit for bit."""
+
+    @pytest.mark.parametrize("case", list(PORT_CASES))
+    def test_equals_scipy_bit_for_bit(self, case, monkeypatch):
+        rhs, span, y0, cfg, watch = PORT_CASES[case](monkeypatch)
+        ts, y, steps, rejected, inside = _by_hand(rhs, span, y0, cfg)
+        if case == "rejections":
+            assert rejected > 0
+        if not inside:
+            pytest.skip("this scipy's first-step rule evaluates the "
+                        "right-hand side beyond the span; the driver ports "
+                        "the rule that is clamped to the span")
+        lane = lambda k, t: ""
+        y_end = charflow.solve_characteristics(rhs, span, y0, cfg, watch,
+                                               lane)
+        assert np.array_equal(y_end, y)
+        sol = charflow.solve_characteristics(rhs, span, y0, cfg, watch,
+                                             lane, dense_output=True)
+        assert np.array_equal(sol.ts, ts)
+        for mine, theirs in zip(sol.interpolants, steps, strict=True):
+            at = np.linspace(theirs.t_old, theirs.t, 5)
+            assert np.array_equal(mine(at), theirs(at))
+            assert np.array_equal(mine(at[2]), theirs(at[2]))
+
+    def test_escape_located_as_scipy_locates_it(self, monkeypatch):
+        # dq/du = q^2 from q = 1 blows up at u = 1; the escape is the
+        # crossing of the bound on the interpolant of scipy's step
+        cfg = CharflowConfig(escape_bound=1e6)
+        rhs, span, y0, _, watch = _first_solve(
+            monkeypatch, charflow,
+            lambda: evolve_batch(_BLOWUP, 0.0, 10.0, np.array([0.1, 1.0]),
+                                 cfg))
+        solver = DOP853(rhs, span[0], y0, span[1], rtol=cfg.rel_tol,
+                        atol=cfg.abs_tol)
+        while np.max(np.abs(solver.y[:watch])) < cfg.escape_bound:
+            solver.step()
+        step = solver.dense_output()
+        eps = np.finfo(float).eps
+        at = brentq(lambda s: np.max(np.abs(step(s)[:watch]))
+                    - cfg.escape_bound, solver.t_old, solver.t,
+                    xtol=4 * eps, rtol=4 * eps)
+        with pytest.raises(CharacteristicEscape) as err:
+            charflow.solve_characteristics(rhs, span, y0, cfg, watch,
+                                           lambda k, t: "")
+        assert err.value.at == at
+        assert np.array_equal(err.value.state, step(at))
+
+
 def _linear_gen():
     return GeneralNonlinearity(
         f=lambda x, u, p: (2 * np.pi) ** 2 * u + 0.1 * p,
@@ -243,14 +365,22 @@ class TestDriverPolicy:
     @pytest.mark.parametrize("nl, cfg", [
         (mixed_nl(), CharflowConfig()),
         (mixed_nl(), CharflowConfig(max_steps=1)),
-        # the first right-hand side, evaluated while the solver is built,
-        # is already non-finite
+        # the first right-hand side, evaluated before the first step, is
+        # already non-finite
         (NonlinearityO2(f_bar=lambda u, q: np.inf * q,
                         f_bar_q=lambda u, q: 0.0 * q), CharflowConfig()),
     ], ids=["completes", "fails", "fails_while_built"])
-    def test_solver_is_freed_when_its_solve_ends(self, nl, cfg):
-        # without the cyclic collector, a solver left in a reference cycle
-        # would still be alive after the solve
+    def test_solve_keeps_nothing_alive(self, nl, cfg, monkeypatch):
+        # without the cyclic collector, anything left in a reference cycle
+        # with the right-hand side would keep it alive after the solve
+        refs = []
+        real = charflow.solve_characteristics
+
+        def spy(rhs, *args, **kwargs):
+            refs.append(weakref.ref(rhs))
+            return real(rhs, *args, **kwargs)
+
+        monkeypatch.setattr(charflow, "solve_characteristics", spy)
         gc.collect()
         gc.disable()
         try:
@@ -258,11 +388,10 @@ class TestDriverPolicy:
                 evolve_batch(nl, 0.0, 1.0, np.array([0.1, 0.5]), cfg)
             except IntegrationFailure:
                 pass
-            alive = [o for o in gc.get_objects()
-                     if isinstance(o, OdeSolver)]
+            alive = [r for r in refs if r() is not None]
         finally:
             gc.enable()
-        assert alive == []
+        assert len(refs) == 1 and alive == []
 
     def test_start_beyond_bound_escapes_at_once(self):
         # f_bar = 0 keeps every q constant: no crossing ever happens, yet

@@ -1,5 +1,6 @@
 """Tests for scenario plumbing, output emission and the command line."""
 
+import csv
 import json
 import math
 import os
@@ -234,6 +235,26 @@ class TestRunScenario:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b
+
+    def test_snapshot_bytes_equal_csv_writer(self, tmp_path):
+        # negative, tiny and subnormal values, and values that need all 17
+        # significant digits; the periodic grid 2 pi k / 9 needs 12
+        values = np.array([-1.0 / 3.0, 0.1 + 0.2, 5e-324, -2.5e-308,
+                           1e300, -0.0, 123456789.01234567, -7e-17, 2.0])
+        snap = ScalarField(values, 2 * np.pi, PERIODIC)
+        traj = harness.TrajectoryRecord(np.array([0.0]), [snap], [snap])
+        series = {k: [0.5] for k in ("V", "dissipation", "residual",
+                                     "convexity_min", "ut_inf")}
+        harness._write_outputs(tmp_path, tiny_config(tmp_path), traj, series,
+                               {}, "ok")
+        with open(tmp_path / "expected.csv", "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(["x", "u"])
+            for xi, ui in zip(snap.grid(), snap.values):
+                wr.writerow([f"{xi:.12g}", f"{ui:.17g}"])
+        expected = (tmp_path / "expected.csv").read_bytes()
+        assert (tmp_path / "snapshot_0000.csv").read_bytes() == expected
+        assert b"-0.33333333333333331\r\n" in expected
 
     def test_output_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CIRCLYAP_OUTPUT_ROOT", str(tmp_path / "root"))

@@ -23,6 +23,8 @@ from circlyap.lagrangian import (
     REDUCED,
     LagrangianEvaluator,
     QuadratureConfig,
+    _leggauss,
+    _unit_rule,
     effective_nonlinearity,
     quad_nodes_weights,
 )
@@ -71,6 +73,21 @@ class TestQuadRule:
     def test_empty_interval(self):
         nodes, w = quad_nodes_weights(4, 0.5, 0.5)
         assert nodes.size == 0 and w.size == 0
+
+    @pytest.mark.parametrize("rule", [
+        pytest.param(lambda: quad_nodes_weights(5, -0.5, 2.0), id="interval"),
+        pytest.param(lambda: _unit_rule(5), id="unit"),
+    ])
+    def test_rule_is_built_once_and_not_shared_mutably(self, rule):
+        first = [a.copy() for a in rule()]
+        for a in rule():
+            a[:] = np.nan
+        assert all(np.array_equal(a, b) for a, b in zip(rule(), first))
+        x, w = _leggauss(5)
+        assert _leggauss(5)[0] is x
+        assert not (x.flags.writeable or w.flags.writeable)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
 
     def test_nested_panels_accepted_and_ignored(self):
         # configs from before the single (p - s)-weighted rule still parse
