@@ -12,7 +12,6 @@ from .charflow import (
     EvolutionResult,
     IntegrationFailure,
     NonlinearityO2,
-    Status,
     compose_check,
     evolve,
     verify_equilibrium_first_integral,

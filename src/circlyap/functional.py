@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charflow import NonlinearityO2, _eval_vec
-from .lagrangian import REDUCED, LagrangianEvaluator
+from .lagrangian import LagrangianEvaluator
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
@@ -115,16 +115,12 @@ def quadrature_weights(field: ScalarField) -> np.ndarray:
 
 def _circle_values(ev: LagrangianEvaluator, field: ScalarField):
     """(u_x, L, L_pp) on the grid of a periodic field, from one
-    ``field_eval``; the double-integral form takes L point by point."""
+    ``field_eval`` in the evaluator's form."""
     if field.bc != PERIODIC:
         raise ValueError("the circle construction needs a periodic field")
-    u = field.values
     p = gradient(field).values
-    fe = ev.field_eval(u, p)
-    L_vals = fe["L"]
-    if ev.form != REDUCED:
-        L_vals = np.array([ev.L(ui, pi) for ui, pi in zip(u, p)])
-    return p, L_vals, fe["L_pp"]
+    fe = ev.field_eval(field.values, p)
+    return p, fe["L"], fe["L_pp"]
 
 
 def _check_velocity(field: ScalarField, u_t: ScalarField) -> None:

@@ -77,14 +77,6 @@ def chafee_infante_nl(lam: float) -> NonlinearityO2:
     )
 
 
-def linear_reaction_nl(slope: float = -1.0) -> NonlinearityO2:
-    return NonlinearityO2(
-        f_bar=lambda u, q: slope * u + 0.0 * np.asarray(q, dtype=float),
-        f_bar_q=lambda u, q: np.zeros_like(np.asarray(q, dtype=float)),
-        label=f"linear(slope={slope})",
-    )
-
-
 def gradient_quadratic_nl(b: float = 1.0, slope: float = -1.0) -> NonlinearityO2:
     """fbar(u, q) = slope * u + b * q, quadratic in the gradient."""
     return NonlinearityO2(

@@ -11,10 +11,13 @@ in two equivalent forms:
 
 where Psi is the characteristic evolution from :mod:`circlyap.charflow`.
 
-Fq(u, q) is obtained by co-integrating the scalar transport equation
-dg/du = fbar_q(u, q(u)) along a single characteristic through (u, q),
-normalized to g = 0 at u = 0. This is one integration pass per (u, q)
-instead of one characteristic solve per quadrature node.
+Every quantity comes from one characteristic solve, ``_lanes``: lanes
+through (u_k, q_k) run together down to u = 0 in a common rescaled
+parameter, each co-integrating either its sensitivity to q_k (for phi) or
+the transport equation dg/du = fbar_q(u, q(u)) (for Fq, normalized to
+g = 0 at u = 0). ``field_eval`` stacks the lanes of a whole batch of
+samples; a scalar ``L`` is ``field_eval`` of one sample, and ``F_q`` and
+``L_pp`` are one transport lane.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .charflow import (
     CharflowConfig,
     NonlinearityO2,
     _eval_vec,
-    evolve_batch,
     solve_characteristics,
 )
 
@@ -80,16 +82,6 @@ def _leggauss(panels: int):
     return x, w
 
 
-def quad_nodes_weights(panels: int, a: float, b: float):
-    """Gauss-Legendre nodes and weights for integrating over [a, b] (b may
-    lie below a)."""
-    if a == b:
-        return np.empty(0), np.empty(0)
-    x, w = _leggauss(panels)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
-
-
 def _unit_rule(panels: int):
     """Gauss-Legendre nodes and weights on [0, 1]; scale nodes by an
     endpoint to cover [0, b] with weights scaled by the same factor."""
@@ -115,154 +107,146 @@ class LagrangianEvaluator:
         if self.form not in (DOUBLE_INTEGRAL, REDUCED):
             raise ValueError(f"unknown Lagrangian form: {self.form!r}")
 
-    # -- characteristic solves -------------------------------------------
+    # -- the characteristic solve ----------------------------------------
 
-    def _transport_solve(self, u: float, qs: np.ndarray) -> np.ndarray:
-        """Integrate (q, g) from u down to 0; returns Fq = -g(0)."""
-        if u == 0.0:
-            return np.zeros_like(qs)
+    def _lanes(self, scale, q0, n_sens, lane):
+        """Characteristics of dq/du = -fbar(u, q) from (scale_k, q0_k) down
+        to u = 0, all lanes in one solve over the rescaled parameter
+        s in [1, 0] (u = scale_k * s).
+
+        The first ``n_sens`` lanes co-integrate the sensitivity eta of q to
+        q0 (eta = 1 at s = 1); the others co-integrate the transport
+        equation dg/du = fbar_q(u, q), normalized to g = 0 at u = 0. Every
+        q is watched; ``lane(k, s)`` names lane k in an escape. Returns
+        q at u = 0, eta, and Fq = -g(0) of the transport lanes.
+        """
+        nq = scale.size
         nl = self.nl
-        m = qs.size
+        neg_scale = -scale
+        neg_sens = neg_scale[:n_sens]
+        transport = scale[n_sens:]
 
         def rhs(s, y):
-            q = y[:m]
-            return np.concatenate([-_eval_vec(nl.f_bar, s, q),
-                                   _eval_vec(nl.f_bar_q, s, q)])
+            # one f_bar and one f_bar_q call over every lane; a fresh
+            # array per call: the integrator keeps the derivative
+            q = y[:nq]
+            at = scale * s
+            fbq = _eval_vec(nl.f_bar_q, at, q)
+            out = np.empty(2 * nq)
+            np.multiply(neg_scale, _eval_vec(nl.f_bar, at, q), out=out[:nq])
+            np.multiply(neg_sens * fbq[:n_sens], y[nq:nq + n_sens],
+                        out=out[nq:nq + n_sens])
+            np.multiply(transport, fbq[n_sens:], out=out[nq + n_sens:])
+            return out
 
-        y = solve_characteristics(
-            rhs, (u, 0.0), np.concatenate([qs, np.zeros(m)]),
-            self.charflow_cfg, m,
-            lambda k, _: f"transport solve: sample {k} at (u, q) = "
-                         f"({u:.6g}, {qs[k]:.6g})")
-        return -y[m:]
+        y0 = np.concatenate([q0, np.ones(n_sens), np.zeros(nq - n_sens)])
+        y = solve_characteristics(rhs, (1.0, 0.0), y0, self.charflow_cfg,
+                                  nq, lane, var="s")
+        return y[:nq], y[nq:nq + n_sens], -y[nq + n_sens:]
 
     # -- ingredients ------------------------------------------------------
 
     def F_q(self, u: float, q: float) -> float:
-        """Accumulated partial derivative exponent Fq(u, q)."""
-        return float(self._transport_solve(u, np.array([float(q)]))[0])
+        """Accumulated partial derivative exponent Fq(u, q), from one
+        transport lane; q may be negative."""
+        u, q = float(u), float(q)
+        _, _, fq = self._lanes(
+            np.array([u]), np.array([q]), 0,
+            lambda k, s: f"transport solve: sample 0 at (u, q) = "
+                         f"({u:.6g}, {q:.6g}), stopped at u={u * s:.6g}")
+        return float(fq[0])
 
     def F(self, u: float) -> float:
-        """F(u) by quadrature of fbar(u1, 0) * exp(Fq(u1, 0)) over [0, u].
-
-        The transport equations of all u-nodes u_k = u * frac_k run as one
-        solve: each span [u_k, 0] is rescaled to s in [1, 0], as in
-        ``field_eval``.
-        """
+        """F(u) by quadrature of fbar(u1, 0) * exp(Fq(u1, 0)) over [0, u],
+        with the transport lanes of all u-nodes u_k = u * frac_k in one
+        solve."""
         if u == 0.0:
             return 0.0
         frac, wfrac = _unit_rule(self.quad_cfg.panels)
         un = u * frac
-        m = un.size
-        nl = self.nl
-
-        def rhs(s, y):
-            q = y[:m]
-            return np.concatenate([-un * _eval_vec(nl.f_bar, un * s, q),
-                                   un * _eval_vec(nl.f_bar_q, un * s, q)])
-
-        y = solve_characteristics(
-            rhs, (1.0, 0.0), np.zeros(2 * m), self.charflow_cfg, m,
+        _, _, fq = self._lanes(
+            un, np.zeros(un.size), 0,
             lambda k, s: f"F quadrature: node {k} at u={un[k]:.6g}, "
-                         f"stopped at u={un[k] * s:.6g}",
-            var="s")
-        fq = -y[m:]
-        f0 = _eval_vec(nl.f_bar, un, np.zeros(m))
+                         f"stopped at u={un[k] * s:.6g}")
+        f0 = _eval_vec(self.nl.f_bar, un, np.zeros(un.size))
         return float(np.dot(u * wfrac, f0 * np.exp(fq)))
-
-    def phi(self, u: float, p: float) -> float:
-        """Antiderivative in p of the evolution sensitivity at q = p^2/2."""
-        nodes, w = quad_nodes_weights(self.quad_cfg.panels, 0.0, p)
-        if nodes.size == 0:
-            return 0.0
-        _, sens = evolve_batch(self.nl, u, 0.0, 0.5 * nodes**2,
-                               self.charflow_cfg)
-        return float(np.dot(w, sens))
 
     # -- Lagrange function ------------------------------------------------
 
     def L(self, u: float, p: float) -> float:
-        if self.form == REDUCED:
-            vals, _ = evolve_batch(self.nl, u, 0.0, np.array([0.5 * p * p]),
-                                   self.charflow_cfg)
-            return p * self.phi(u, p) - float(vals[0])
-        return self._L_double(u, p)
-
-    def _L_double(self, u: float, p: float) -> float:
-        """Double p-integral of exp(Fq) minus F(u), with Fq from the
-        transport solve, as one (p - s)-weighted integral over [0, p]."""
-        nodes, w = quad_nodes_weights(self.quad_cfg.panels, 0.0, p)
-        if nodes.size == 0:
-            return -self.F(u)
-        fq = self._transport_solve(u, 0.5 * nodes**2)
-        return float(np.dot(w * (p - nodes), np.exp(fq))) - self.F(u)
+        """L(u, p) in this evaluator's form: ``field_eval`` of one sample."""
+        return float(self.field_eval([u], [p])["L"][0])
 
     def L_pp(self, u: float, p: float) -> float:
         """Convexity weight exp(Fq(u, p^2/2)); strictly positive."""
         return math.exp(self.F_q(u, 0.5 * p * p))
 
     def field_eval(self, u_arr, p_arr):
-        """Reduced-form L and L_pp over paired sample arrays, in one solve.
+        """L, L_pp and F_q over paired sample arrays, in one solve, with
+        phi and Psi ("psi") in the reduced form or F in the double form.
 
-        Rescales every characteristic span [u_i, 0] to a common parameter
-        s in [1, 0] and integrates all quadrature-node characteristics,
-        their sensitivities and the transport exponents as one stacked
-        system. Its F_q carries the error of the stacked solve, so it may
-        differ in the last digits from a pointwise ``F_q`` query, which
-        makes its own transport solve.
+        Every characteristic span [u_i, 0] is rescaled to a common
+        parameter s in [1, 0] and the lanes of all samples run as one
+        stacked system: the quadrature nodes s_j = p_i * frac_j of the
+        p-integral, and one star lane through (u_i, p_i^2/2) whose
+        transport exponent gives F_q and L_pp. In the reduced form the node
+        lanes carry their sensitivities (phi) and the star lane gives Psi;
+        in the double-integral form the node lanes carry transport
+        exponents, and the transport lanes of the F-nodes u_i * frac_k
+        join them.
+
+        A scalar ``L`` is this evaluation of one sample. A sample inside a
+        larger batch shares the batch's step sizes, so its values may
+        differ from the one-sample evaluation in the last digits.
         """
         u_arr = np.asarray(u_arr, dtype=float)
         p_arr = np.asarray(p_arr, dtype=float)
         npts = u_arr.size
         frac, wfrac = _unit_rule(self.quad_cfg.panels)
         m = frac.size
+        nm = npts * m
 
         nodes = p_arr[:, None] * frac[None, :]          # (npts, m)
-        weights = p_arr[:, None] * wfrac[None, :]
-        q_nodes = 0.5 * nodes**2
         q_star = 0.5 * p_arr**2
-
-        # stacked state: node characteristics, star characteristics (the
-        # watched lanes), node sensitivities, star transport exponents
         un = np.repeat(u_arr, m)
-        nm = npts * m
-        nq = nm + npts
-        nl = self.nl
-        scale = np.concatenate([un, u_arr])
-        neg_scale = -scale
-        neg_un = neg_scale[:nm]
-
-        def rhs(s, y):
-            # one f_bar and one f_bar_q call over the node and star lanes;
-            # a fresh array per call: the integrator keeps the derivative
-            q = y[:nq]
-            at = scale * s
-            fbq = _eval_vec(nl.f_bar_q, at, q)
-            out = np.empty(2 * nq)
-            np.multiply(neg_scale, _eval_vec(nl.f_bar, at, q), out=out[:nq])
-            np.multiply(neg_un * fbq[:nm], y[nq:nq + nm], out=out[nq:nq + nm])
-            np.multiply(u_arr, fbq[nm:], out=out[nq + nm:])
-            return out
+        # lanes run sample-major: p-node lanes, in the double form the
+        # F-node lanes, then one star lane per sample
+        if self.form == REDUCED:
+            scale = np.concatenate([un, u_arr])
+            q0 = np.concatenate([(0.5 * nodes**2).ravel(), q_star])
+            n_sens = n_nodes = nm
+        else:
+            u_nodes = (u_arr[:, None] * frac[None, :]).ravel()
+            scale = np.concatenate([un, u_nodes, u_arr])
+            q0 = np.concatenate([(0.5 * nodes**2).ravel(), np.zeros(nm),
+                                 q_star])
+            n_sens, n_nodes = 0, 2 * nm
 
         def sample(k, s):
-            # node lanes run sample-major, then one star lane per sample
-            i = k // m if k < nm else k - nm
+            i = (k % nm) // m if k < n_nodes else k - n_nodes
             return (f"batched field evaluation: sample {i} at (u, p) = "
                     f"({u_arr[i]:.6g}, {p_arr[i]:.6g}), "
-                    f"stopped at u={u_arr[i] * s:.6g}")
+                    f"stopped at u={scale[k] * s:.6g}")
 
-        y0 = np.concatenate([q_nodes.ravel(), q_star, np.ones(nm),
-                             np.zeros(npts)])
-        yf = solve_characteristics(rhs, (1.0, 0.0), y0, self.charflow_cfg,
-                                   nq, sample, var="s")
-        psi_star = yf[nm:nq]
-        eta = yf[nq:nq + nm].reshape(npts, m)
-        fq_star = -yf[nq + nm:]
-        phi = np.sum(weights * eta, axis=1)
-        L_vals = p_arr * phi - psi_star
-        lpp = np.exp(fq_star)
-        return {"L": L_vals, "L_pp": lpp, "phi": phi, "psi": psi_star,
-                "F_q": fq_star}
+        q_end, eta, fq = self._lanes(scale, q0, n_sens, sample)
+        fq_star = fq[fq.size - npts:]
+        out = {"L_pp": np.exp(fq_star), "F_q": fq_star}
+        if self.form == REDUCED:
+            psi_star = q_end[nm:]
+            weights = p_arr[:, None] * wfrac[None, :]
+            phi = np.sum(weights * eta.reshape(npts, m), axis=1)
+            out.update(L=p_arr * phi - psi_star, phi=phi, psi=psi_star)
+        else:
+            # Cauchy's formula: weights w_j * (p - s_j) on the nodes s_j
+            wL = (p_arr * p_arr)[:, None] * (wfrac * (1.0 - frac))[None, :]
+            wF = u_arr[:, None] * wfrac[None, :]
+            f0 = _eval_vec(self.nl.f_bar, u_nodes, np.zeros(nm))
+            g_L = fq[:nm].reshape(npts, m)
+            g_F = fq[nm:2 * nm].reshape(npts, m)
+            F_vals = np.sum(wF * f0.reshape(npts, m) * np.exp(g_F), axis=1)
+            L_vals = np.sum(wL * np.exp(g_L), axis=1) - F_vals
+            out.update(L=L_vals, F=F_vals)
+        return out
 
 
 def effective_nonlinearity(f_bar: NonlinearityO2, a_bar: NonlinearityO2) -> NonlinearityO2:

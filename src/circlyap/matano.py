@@ -24,48 +24,16 @@ import numpy as np
 
 from .charflow import DEFAULT_CONFIG, CharflowConfig, solve_characteristics
 from .functional import DIRICHLET, ScalarField, gradient, quadrature_weights
-from .lagrangian import QuadratureConfig, _unit_rule, quad_nodes_weights
+from .lagrangian import QuadratureConfig, _unit_rule
 from .pde import GeneralNonlinearity, TrajectoryRecord
-
-
-def _char_batch(nl: GeneralNonlinearity, x: float, us: np.ndarray,
-                ps: np.ndarray, cfg: CharflowConfig) -> np.ndarray:
-    """g(x, u_k, p_k) for batched states, one backward solve to x = 0."""
-    us = np.asarray(us, dtype=float)
-    ps = np.asarray(ps, dtype=float)
-    m = us.size
-    if x == 0.0:
-        return np.zeros(m)
-
-    def rhs(s, y):
-        # a fresh array per call: the integrator keeps the derivative
-        u, p = y[:m], y[m:2 * m]
-        out = np.empty(3 * m)
-        out[:m] = p
-        np.negative(nl.f(s, u, p), out=out[m:2 * m])
-        out[2 * m:] = nl.f_p(s, u, p)
-        return out
-
-    y = solve_characteristics(
-        rhs, (x, 0.0), np.concatenate([us, ps, np.zeros(m)]), cfg, 2 * m,
-        lambda k, _: f"backward characteristic from x={x:.6g}: sample "
-                     f"{k % m} at (u, p) = ({us[k % m]:.6g}, {ps[k % m]:.6g})",
-        var="x")
-    # accumulated integral runs from x down to 0; g is its negative
-    return -y[2 * m:]
-
-
-def g_value(nl: GeneralNonlinearity, x: float, u: float, p: float,
-            cfg: CharflowConfig = DEFAULT_CONFIG) -> float:
-    """Convexity exponent g(x, u, p), normalized to vanish at x = 0."""
-    return float(_char_batch(nl, x, np.array([u]), np.array([p]), cfg)[0])
 
 
 class SeparatedEvaluator:
     """Evaluator of the separated-BC Lagrange function L(x, u, p).
 
-    Queries are independent: each makes its own backward solve and keeps
-    nothing, so a value depends only on its arguments.
+    Every query is one backward solve of ``g_batch``: ``L`` and ``F`` are
+    ``eval_samples`` of one sample, ``L_pp`` is one characteristic. A query
+    keeps nothing, so a value depends only on its arguments.
     """
 
     def __init__(self, nl: GeneralNonlinearity,
@@ -75,31 +43,14 @@ class SeparatedEvaluator:
         self.charflow_cfg = charflow_cfg
         self.quad_cfg = quad_cfg or QuadratureConfig()
 
-    def _integrals(self, x, u, p):
-        """(p-integral, F) at (x, u, p): the (p - s)-weighted integral of
-        exp g over [0, p] and the F-integral over [0, u], from one backward
-        solve over the p-nodes (u, s_j) and the F-nodes (u_k, 0)."""
-        qc = self.quad_cfg
-        s, ws = quad_nodes_weights(qc.panels, 0.0, p)
-        uk, wk = quad_nodes_weights(qc.panels, 0.0, u)
-        if s.size + uk.size == 0:
-            return 0.0, 0.0
-        zeros = np.zeros_like(uk)
-        g = _char_batch(self.nl, x, np.concatenate([np.full(s.size, u), uk]),
-                        np.concatenate([s, zeros]), self.charflow_cfg)
-        f0 = np.asarray(self.nl.f(x, uk, zeros), dtype=float)
-        return (float(np.dot(ws * (p - s), np.exp(g[:s.size]))),
-                float(np.dot(wk, f0 * np.exp(g[s.size:]))))
-
     def F(self, x, u) -> float:
-        return self._integrals(x, u, 0.0)[1]
+        return float(self.eval_samples([x], [u], [0.0])["F"][0])
 
     def L(self, x, u, p) -> float:
-        double, F = self._integrals(x, u, p)
-        return double - F
+        return float(self.eval_samples([x], [u], [p])["L"][0])
 
     def L_pp(self, x, u, p) -> float:
-        return float(np.exp(g_value(self.nl, x, u, p, self.charflow_cfg)))
+        return float(np.exp(self.g_batch([x], [u], [p])[0]))
 
     def g_batch(self, xs, us, ps) -> np.ndarray:
         """g at paired samples with varying x, in a single backward solve.
@@ -133,16 +84,17 @@ class SeparatedEvaluator:
             var="s")
         return -y[2 * m:]
 
-    def field_eval(self, fld: ScalarField):
-        """L, L_pp and F over a whole gridded field in one fused solve.
+    def eval_samples(self, xs, us, ps):
+        """L, L_pp and F at paired samples (x_i, u_i, p_i), in one fused
+        solve.
 
         Builds every node of the (p - s)-weighted p-integral and of the
-        F-integral for all grid points, evaluates g on the full batch, and
+        F-integral for all samples, evaluates g on the full batch, and
         assembles the Lagrange function values.
         """
-        x = fld.grid()
-        u = fld.values
-        p = gradient(fld).values
+        x = np.asarray(xs, dtype=float).ravel()
+        u = np.asarray(us, dtype=float).ravel()
+        p = np.asarray(ps, dtype=float).ravel()
         n = x.size
         frac, wfrac = _unit_rule(self.quad_cfg.panels)
         m = frac.size
@@ -167,6 +119,18 @@ class SeparatedEvaluator:
         F_vals = np.sum(wF * f0 * np.exp(g_F), axis=1)
         L_vals = np.sum(wL * np.exp(g_L), axis=1) - F_vals
         return {"L": L_vals, "L_pp": np.exp(g_star), "F": F_vals}
+
+    def field_eval(self, fld: ScalarField):
+        """L, L_pp and F over a whole gridded field: ``eval_samples`` at
+        its grid points and finite-difference slopes."""
+        return self.eval_samples(fld.grid(), fld.values, gradient(fld).values)
+
+
+def g_value(nl: GeneralNonlinearity, x: float, u: float, p: float,
+            cfg: CharflowConfig = DEFAULT_CONFIG) -> float:
+    """Convexity exponent g(x, u, p), normalized to vanish at x = 0:
+    ``g_batch`` of one sample."""
+    return float(SeparatedEvaluator(nl, cfg).g_batch([x], [u], [p])[0])
 
 
 def L_separated(nl: GeneralNonlinearity, x: float, u: float, p: float,

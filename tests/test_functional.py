@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from circlyap import lagrangian
 from circlyap.charflow import NonlinearityO2
 from circlyap.functional import (
     DIRICHLET,
@@ -147,14 +148,30 @@ class TestEvaluateV:
         assert evaluate_V(ev, smooth_field(64)).convexity_min > 0.0
 
     def test_double_integral_form_matches_reduced(self):
-        # the double-integral form takes L point by point, each with its
-        # own F(u)
+        # the double-integral form stacks its node, F and star lanes in
+        # one field_eval; the reduced form uses sensitivity lanes instead
         fld = smooth_field(64)
         rep = evaluate_V(LagrangianEvaluator(mixed_nl(), form=DOUBLE_INTEGRAL),
                          fld)
         ref = evaluate_V(LagrangianEvaluator(mixed_nl(), form=REDUCED), fld)
         assert abs(rep.V - ref.V) <= 1e-8
         assert rep.convexity_min > 0.0
+
+    @pytest.mark.parametrize("form", [REDUCED, DOUBLE_INTEGRAL])
+    def test_one_characteristic_solve_per_field(self, form, monkeypatch):
+        calls = []
+        real = lagrangian.solve_characteristics
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lagrangian, "solve_characteristics", counted)
+        ev = LagrangianEvaluator(mixed_nl(), form=form)
+        for n in (32, 64):
+            calls.clear()
+            evaluate_V(ev, smooth_field(n))
+            assert len(calls) == 1
 
 
 class TestDissipationRate:

@@ -484,7 +484,7 @@ class TestLyapunovSeries:
             return wrapper
 
         monkeypatch.setattr(LagrangianEvaluator, "field_eval", counted)
-        for name in ("L", "L_pp", "F_q", "F", "phi"):
+        for name in ("L", "L_pp", "F_q", "F"):
             monkeypatch.setattr(LagrangianEvaluator, name, scalar(name))
         assert not hasattr(LagrangianEvaluator, "L_pp_field")
         traj, extras = run_scenario(tiny_config(tmp_path), write=False)

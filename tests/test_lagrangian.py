@@ -26,7 +26,6 @@ from circlyap.lagrangian import (
     _leggauss,
     _unit_rule,
     effective_nonlinearity,
-    quad_nodes_weights,
 )
 
 
@@ -60,22 +59,30 @@ def cubic_primitive(lam):
     return lambda u: lam * (u * u / 2.0 - u**4 / 4.0)
 
 
+def scaled_rule(panels, b):
+    """The unit rule stretched to [0, b], as every caller uses it."""
+    frac, wfrac = _unit_rule(panels)
+    return b * frac, b * wfrac
+
+
 class TestQuadRule:
     def test_gauss_exact_on_high_degree(self):
-        nodes, w = quad_nodes_weights(8, -1.0, 3.0)
-        exact = (3.0**8 - (-1.0) ** 8) / 8.0
-        assert np.dot(w, nodes**7) == pytest.approx(exact, rel=1e-12)
+        nodes, w = scaled_rule(8, 3.0)
+        assert np.dot(w, nodes**15) == pytest.approx(3.0**16 / 16.0,
+                                                     rel=1e-12)
 
     def test_reversed_interval_flips_sign(self):
-        nodes, w = quad_nodes_weights(4, 1.0, 0.0)
+        # a negative endpoint (p < 0, u < 0) integrates over [b, 0] with
+        # the sign of the oriented integral
+        nodes, w = scaled_rule(4, -1.0)
         assert np.dot(w, np.ones_like(nodes)) == pytest.approx(-1.0, abs=1e-12)
+        assert np.dot(w, nodes) == pytest.approx(0.5, abs=1e-12)
 
     def test_empty_interval(self):
-        nodes, w = quad_nodes_weights(4, 0.5, 0.5)
-        assert nodes.size == 0 and w.size == 0
+        nodes, w = scaled_rule(4, 0.0)
+        assert not nodes.any() and not w.any()
 
     @pytest.mark.parametrize("rule", [
-        pytest.param(lambda: quad_nodes_weights(5, -0.5, 2.0), id="interval"),
         pytest.param(lambda: _unit_rule(5), id="unit"),
     ])
     def test_rule_is_built_once_and_not_shared_mutably(self, rule):
@@ -188,7 +195,7 @@ class TestF:
         qc = QuadratureConfig(rule=GAUSS_LEGENDRE, panels=panels)
         ev = LagrangianEvaluator(nl, quad_cfg=qc)
         for u in [-1.3, -0.6, 0.2, 0.7, 1.0, 1.4]:
-            nodes, w = quad_nodes_weights(panels, 0.0, u)
+            nodes, w = scaled_rule(panels, u)
             ref = sum(wi * nl.f_bar(ui, 0.0) * math.exp(ev.F_q(ui, 0.0))
                       for ui, wi in zip(nodes, w))
             got = ev.F(u)
@@ -212,20 +219,24 @@ class TestF:
         assert stop == pytest.approx(u_k - math.pi / 2, abs=1e-3)
 
 
+def phi(ev, u, p):
+    return ev.field_eval([u], [p])["phi"][0]
+
+
 class TestPhi:
     def test_gradient_independent_gives_p(self):
         ev = LagrangianEvaluator(cubic_nl(2.0))
         for u, p in [(0.5, 1.0), (-1.0, -2.0), (0.0, 0.7)]:
-            assert ev.phi(u, p) == pytest.approx(p, abs=1e-8)
+            assert phi(ev, u, p) == pytest.approx(p, abs=1e-8)
 
     def test_zero_at_p_zero(self):
         ev = LagrangianEvaluator(mixed_nl())
-        assert ev.phi(0.8, 0.0) == 0.0
+        assert phi(ev, 0.8, 0.0) == 0.0
 
     def test_linear_closed_form(self):
         ev = LagrangianEvaluator(linear_nl(1.0))
         for u, p in [(0.5, 1.0), (-0.7, 2.0), (1.1, -1.5)]:
-            assert ev.phi(u, p) == pytest.approx(p * np.exp(u), abs=1e-8)
+            assert phi(ev, u, p) == pytest.approx(p * np.exp(u), abs=1e-8)
 
 
 class TestL:
@@ -321,6 +332,30 @@ class TestFieldEval:
             assert fe["L"][i] == pytest.approx(fresh.L(u[i], p[i]), abs=1e-8)
             assert fe["L_pp"][i] == pytest.approx(fresh.L_pp(u[i], p[i]),
                                                   abs=1e-8)
+
+    @pytest.mark.parametrize("form", [REDUCED, DOUBLE_INTEGRAL])
+    def test_scalar_L_is_a_batch_of_one(self, form):
+        ev = LagrangianEvaluator(q_dependent_nl(), form=form)
+        for u, p in [(0.6, 1.3), (-0.9, 2.0), (0.2, -0.5), (0.4, 0.0)]:
+            assert ev.L(u, p) == ev.field_eval([u], [p])["L"][0]
+
+    def test_double_form_matches_pointwise(self):
+        # the double form's batch: node transport lanes, F lanes and star
+        # lanes of 24 samples in one solve, against one-sample evaluations
+        rng = np.random.default_rng(4)
+        nl = q_dependent_nl()
+        ev = LagrangianEvaluator(nl, form=DOUBLE_INTEGRAL)
+        u = rng.uniform(-1.0, 1.0, 24)
+        p = rng.uniform(-2.0, 2.0, 24)
+        fe = ev.field_eval(u, p)
+        reduced = LagrangianEvaluator(nl).field_eval(u, p)
+        for i in range(u.size):
+            assert fe["L"][i] == pytest.approx(ev.L(u[i], p[i]), abs=1e-10)
+            assert fe["F"][i] == pytest.approx(ev.F(u[i]), abs=1e-10)
+            assert fe["L_pp"][i] == pytest.approx(ev.L_pp(u[i], p[i]),
+                                                  abs=1e-10)
+        # the reduced form, from other lanes, agrees to quadrature error
+        np.testing.assert_allclose(fe["L"], reduced["L"], rtol=0, atol=1e-8)
 
     def test_non_finite_f_bar_q_raises_where_it_occurs(self):
         nl = NonlinearityO2(

@@ -145,6 +145,16 @@ class TestLSeparated:
 
 
 class TestFieldEval:
+    def test_scalar_queries_are_batches_of_one(self):
+        gen = cubic_drift_gen_p_dependent()
+        ev = SeparatedEvaluator(gen, quad_cfg=QuadratureConfig(panels=8))
+        for x, u, p in [(0.4, 0.3, 0.8), (0.7, -0.2, -1.0), (0.9, 0.1, 0.0)]:
+            fe = ev.eval_samples([x], [u], [p])
+            assert ev.L(x, u, p) == fe["L"][0]
+            assert ev.F(x, u) == ev.eval_samples([x], [u], [0.0])["F"][0]
+            assert ev.L_pp(x, u, p) == np.exp(ev.g_batch([x], [u], [p])[0])
+            assert g_value(gen, x, u, p) == ev.g_batch([x], [u], [p])[0]
+
     def test_matches_pointwise(self):
         gen = cubic_drift_gen()
         qc = QuadratureConfig(panels=16)
@@ -243,7 +253,7 @@ class TestGBatchEscape:
             SeparatedEvaluator(gen).field_eval(fld)
         # the scalar path, from the slope at the right end
         with pytest.raises(CharacteristicEscape,
-                           match=r"from x=1: sample 0 at \(u, p\) = \(0, -1.42\)"):
+                           match=r"sample 0 at \(x, u, p\) = \(1, 0, -1.42\)"):
             g_value(gen, 1.0, 0.0, -1.42)
 
 
