@@ -14,11 +14,14 @@ Negative q is allowed throughout; the flow is not stopped at q = 0.
 
 Every characteristic solve in the package, here and in
 :mod:`circlyap.lagrangian` and :mod:`circlyap.matano`, runs through one
-driver, :func:`solve_characteristics`. It runs scipy's 8th-order DOP853
-(Hairer, Norsett & Wanner, *Solving ODEs I*, II.10) stepped in its own
-loop: scipy's tableau, with scipy's first-step rule, error norm, step-size
-controller and interpolant repeated operation for operation, so its values
-equal scipy's bit for bit wherever scipy's error norm is not NaN. It calls the right-hand side directly and owns
+driver, :func:`solve_characteristics`. It runs the 8th-order DOP853
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.10) in its own loop, over
+scipy's tableau vendored as :mod:`circlyap._dop853`, with scipy's
+first-step rule, error norm, step-size controller and interpolant repeated
+operation for operation, so its values equal scipy's bit for bit wherever
+scipy's error norm is not NaN. It needs numpy only: scipy is imported
+where it is used, ``OdeSolution`` for dense output and ``brentq`` to
+locate an escape. It calls the right-hand side directly and owns
 the failure policy: a non-finite right-hand side or more than
 ``max_steps`` steps is an :class:`IntegrationFailure`; an escape past
 ``escape_bound``, located on the interpolant of the step that crossed it,
@@ -30,14 +33,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import DenseOutput, OdeSolution
-from scipy.integrate._ivp import dop853_coefficients as _DOP
-from scipy.integrate._ivp.rk import Dop853DenseOutput
-from scipy.optimize import brentq
+
+from . import _dop853 as _DOP
 
 
 class IntegrationFailure(RuntimeError):
@@ -136,9 +137,9 @@ class EvolutionResult:
 DEFAULT_CONFIG = CharflowConfig()
 _EPS = np.finfo(float).eps
 
-# DOP853 as scipy tabulates it: stages 1..11 of a step (row, coefficients
-# on the earlier stages, abscissa), the interpolant's three extra stages,
-# and the step-size controller's constants
+# DOP853 as scipy tabulates it (vendored in _dop853): stages 1..11 of a
+# step (row, coefficients on the earlier stages, abscissa), the
+# interpolant's three extra stages, and the step-size controller's constants
 _STAGES = [(s, _DOP.A[s, :s], _DOP.C[s]) for s in range(1, _DOP.N_STAGES)]
 _EXTRA_STAGES = [(s, _DOP.A[s, :s], _DOP.C[s])
                  for s in range(_DOP.N_STAGES + 1, _DOP.N_STAGES_EXTENDED)]
@@ -201,17 +202,46 @@ def _interpolant(fun, t_old, t, y_old, y, f, h, K):
     F[1] = h * f_old - delta_y
     F[2] = 2 * delta_y - h * (f + f_old)
     F[3:] = h * np.dot(_DOP.D, K)
-    return Dop853DenseOutput(t_old, t, y_old, F)
+    return _Step(t_old, t, y_old, F)
 
 
-class _Constant(DenseOutput):
+class _Step:
+    """The interpolant of one step at a scalar ``t`` (a state) or a 1-D
+    array of them (states in columns), evaluated as scipy's
+    ``Dop853DenseOutput`` evaluates it, operation for operation."""
+
+    def __init__(self, t_old, t, y_old, F):
+        self.t_old = t_old
+        self.h = t - t_old
+        self.F = F
+        self.y_old = y_old
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        x = (t - self.t_old) / self.h
+        if t.ndim == 0:
+            y = np.zeros_like(self.y_old)
+        else:
+            x = x[:, None]
+            y = np.zeros((len(x), len(self.y_old)), dtype=self.y_old.dtype)
+        for i, f in enumerate(reversed(self.F)):
+            y += f
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += self.y_old
+        return y.T
+
+
+class _Constant:
     """The interpolant of a solve that takes no step."""
 
-    def __init__(self, t_old, t, value):
-        super().__init__(t_old, t)
+    def __init__(self, value):
         self.value = value
 
-    def _call_impl(self, t):
+    def __call__(self, t):
+        t = np.asarray(t)
         if t.ndim == 0:
             return self.value
         return np.repeat(self.value[:, None], t.size, axis=1)
@@ -228,9 +258,9 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
     characteristics proper and are held to ``cfg.escape_bound``; the
     components after them (sensitivities, accumulated exponents) are not.
 
-    It runs scipy's DOP853 stepped in its own loop at
-    ``cfg.rel_tol``/``cfg.abs_tol``: scipy's tableau, first-step rule,
-    error norm, step-size controller (with its ``min_step`` clamp and
+    It runs DOP853 in its own loop at ``cfg.rel_tol``/``cfg.abs_tol``:
+    scipy's tableau (vendored in :mod:`circlyap._dop853`), first-step
+    rule, error norm, step-size controller (with its ``min_step`` clamp and
     100 eps floor on rel_tol) and interpolant, operation for operation, so
     every value equals scipy's bit for bit. The one departure: an error
     estimate whose 5th-order part is 0 has norm 0, where scipy's formula
@@ -249,7 +279,8 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
 
     Returns the final state, or with ``dense_output`` an
     :class:`~scipy.integrate.OdeSolution` over ``span`` built from the
-    interpolant of every step.
+    interpolant of every step. scipy is imported only there, and for
+    ``brentq`` when an escape is located.
     """
     y = np.asarray(y0, dtype=float)
     t, t_bound = float(span[0]), float(span[1])
@@ -278,10 +309,11 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
         k = int(np.argmax(np.abs(y[:watch])))
         return CharacteristicEscape(t, lane(k, t) + note, state=y, var=var)
 
+    if dense_output:
+        from scipy.integrate import OdeSolution
     f = fun(t, y)
     if y.size == 0 or t == t_bound:
-        return (OdeSolution([t, t_bound], [_Constant(t, t_bound, y)])
-                if dense_output else y)
+        return OdeSolution([t, t_bound], [_Constant(y)]) if dense_output else y
     direction = np.sign(t_bound - t)
     h_abs = _initial_step(fun, t, y, t_bound, f, direction, rtol, atol)
     # stage k in row k; the rows after the 13th serve the interpolant
@@ -332,6 +364,7 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
         if np.abs(y[:watch]).max(initial=0.0) >= bound:
             # the crossing on this step's interpolant, to the tolerances
             # scipy uses for a terminal event
+            from scipy.optimize import brentq
             step = _interpolant(fun, t_old, t, y_old, y, f, h, K_ext)
             t = brentq(lambda s: np.max(np.abs(step(s)[:watch])) - bound,
                        t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)

@@ -163,12 +163,18 @@ def dissipation_rate(
 
     ``weight_a`` supplies the quasilinear weight 1/abar(u, u_x^2/2); omit it
     in the semilinear case. The return value is always <= 0. L_pp comes
-    from one ``field_eval`` of the whole grid.
+    from one solve of the transport lanes through (u_i, u_x,i^2/2), one
+    lane per grid point, as the scalar ``L_pp`` computes it; unlike
+    ``field_report`` it integrates no p-node lanes, so the two agree to
+    integration error rather than bit for bit.
     """
     _check_velocity(field, u_t)
-    p = gradient(field).values
-    lpp = ev.field_eval(field.values, p)["L_pp"]
-    return _dissipation(field, p, lpp, u_t, weight_a)
+    u, p = field.values, gradient(field).values
+    _, _, fq = ev._lanes(
+        u, 0.5 * p * p, 0,
+        lambda k, s: f"dissipation rate: grid point {k} at (u, p) = "
+                     f"({u[k]:.6g}, {p[k]:.6g}), stopped at u={u[k] * s:.6g}")
+    return _dissipation(field, p, np.exp(fq), u_t, weight_a)
 
 
 def field_report(

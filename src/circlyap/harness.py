@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .charflow import (
     DEFAULT_CONFIG,
@@ -180,6 +179,8 @@ def planar_orbit(pf: PlanarField, a0: float, b0: float,
     The period is detected as the first return to the section a = a0 with
     the velocity direction of the start point.
     """
+    from scipy.integrate import solve_ivp
+
     g0 = pf.g(a0, b0)
     direction = 1.0 if g0 > 0 else -1.0
 
@@ -214,6 +215,7 @@ def equilibrium_profile(lam: float, ell: float, n: int,
     """
     if lam <= (2 * np.pi / ell) ** 2:
         raise ValueError("no nonconstant profile: lam must exceed (2*pi/ell)^2")
+    from scipy.integrate import solve_ivp
 
     def half_period(A):
         def rhs(x, y):

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.fft as sfft
 
 from .functional import (
     DIRICHLET,
@@ -242,7 +241,10 @@ def _diagonalised_second_difference(n: int, h: float, bc: str):
     them, or the Dirichlet interior. The eigenvalues are
     -4 sin^2(theta_k / 2) / h^2 for the real FFT (theta_k = 2 pi k / n),
     DST-I (theta_k = pi k / (n - 1), k = 1 .. n - 2) and DCT-I
-    (theta_k = pi k / (n - 1), k = 0 .. n - 1)."""
+    (theta_k = pi k / (n - 1), k = 0 .. n - 1). ``scipy.fft`` is imported
+    here, its one user, once per ETDRK4 solve."""
+    import scipy.fft as sfft
+
     if bc == PERIODIC:
         half = np.pi * np.arange(n // 2 + 1) / n
         fwd, inv = sfft.rfft, (lambda v: sfft.irfft(v, n))

@@ -324,6 +324,28 @@ class TestDop853Port:
         assert np.array_equal(err.value.state, step(at))
 
 
+class TestVendoredTableau:
+    def test_equals_scipys_bit_for_bit(self):
+        # the driver reads circlyap._dop853, a verbatim copy of scipy's
+        # private module; TestDop853Port pins the loop over it
+        theirs = pytest.importorskip(
+            "scipy.integrate._ivp.dop853_coefficients",
+            reason="this scipy keeps its DOP853 tableau elsewhere")
+        from circlyap import _dop853 as ours
+
+        names = [n for n in vars(theirs) if n.isupper()]
+        assert names == [n for n in vars(ours) if n.isupper()]
+        assert {"A", "B", "C", "D", "E3", "E5", "N_STAGES"} <= set(names)
+        for name in names:
+            mine, ref = getattr(ours, name), getattr(theirs, name)
+            assert type(mine) is type(ref), name
+            if isinstance(ref, np.ndarray):
+                assert mine.dtype == ref.dtype and mine.shape == ref.shape
+                assert mine.tobytes() == ref.tobytes(), name
+            else:
+                assert mine == ref, name
+
+
 class TestVanishingErrorEstimate:
     def test_underflowing_estimate_accepts_the_step(self):
         # at u of order 1e-158 the lanes barely move: the 5th-order error

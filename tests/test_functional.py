@@ -42,6 +42,12 @@ def mixed_nl():
                           label="mixed")
 
 
+def q_dependent_nl():
+    return NonlinearityO2(
+        f_bar=lambda u, q: 2.0 * u * (1.0 - u * u) + q * u + 0.2 * q * q,
+        f_bar_q=lambda u, q: u + 0.4 * q, label="q-dependent")
+
+
 def smooth_field(n, ell=1.0, bc=PERIODIC):
     if bc == PERIODIC:
         x = np.arange(n) * (ell / n)
@@ -213,6 +219,34 @@ class TestDissipationRate:
         with pytest.raises(ValueError):
             dissipation_rate(ev, smooth_field(64), smooth_field(32))
 
+    @pytest.mark.parametrize("form", [REDUCED, DOUBLE_INTEGRAL])
+    def test_one_transport_lane_per_grid_point(self, form, monkeypatch):
+        # L_pp needs only the star lanes: one solve of field.n transport
+        # lanes, none of field_eval's p-node (or F-node) lanes
+        calls = []
+        real = lagrangian.solve_characteristics
+
+        def counted(rhs, span, y0, cfg, watch, *args, **kwargs):
+            calls.append((np.size(y0), watch))
+            return real(rhs, span, y0, cfg, watch, *args, **kwargs)
+
+        monkeypatch.setattr(lagrangian, "solve_characteristics", counted)
+        fld = smooth_field(64)
+        ut = fld.like(0.3 * np.cos(2 * np.pi * fld.grid()))
+        dissipation_rate(LagrangianEvaluator(q_dependent_nl(), form=form),
+                         fld, ut)
+        assert calls == [(2 * fld.n, fld.n)]
+
+    @pytest.mark.parametrize("form", [REDUCED, DOUBLE_INTEGRAL])
+    def test_matches_field_report(self, form):
+        # different lane sets take different steps, so f_bar_q's q
+        # dependence makes the two differ in the last digits only
+        ev = LagrangianEvaluator(q_dependent_nl(), form=form)
+        fld = smooth_field(64)
+        ut = fld.like(0.3 * np.cos(2 * np.pi * fld.grid()))
+        assert dissipation_rate(ev, fld, ut) == pytest.approx(
+            field_report(ev, fld, ut).dissipation, rel=1e-12, abs=0.0)
+
 
 class TestFieldReport:
     """One field_eval per snapshot gives V, the dissipation and min L_pp;
@@ -231,20 +265,20 @@ class TestFieldReport:
     def test_dissipation_independent_of_cache_state(self):
         # f_bar_q depends on q, so F_q from different solves differs in
         # its last digits
-        nl = NonlinearityO2(
-            f_bar=lambda u, q: 2.0 * u * (1.0 - u * u) + q * u + 0.2 * q * q,
-            f_bar_q=lambda u, q: u + 0.4 * q, label="q-dependent")
+        nl = q_dependent_nl()
         fld = smooth_field(64)
         ut = fld.like(0.3 * np.cos(2 * np.pi * fld.grid()))
-        fresh = dissipation_rate(LagrangianEvaluator(nl), fld, ut)
+        fresh_rate = dissipation_rate(LagrangianEvaluator(nl), fld, ut)
+        fresh_report = field_report(LagrangianEvaluator(nl), fld, ut)
         # an unrelated batch that holds the same samples among others
         # computes their F_q in another solve first
         ev = LagrangianEvaluator(nl)
         u, p = fld.values, gradient(fld).values
         ev.field_eval(np.concatenate([np.linspace(-1.0, 1.0, 40), u]),
                       np.concatenate([np.linspace(2.0, -2.0, 40), p]))
-        assert dissipation_rate(ev, fld, ut) == fresh
-        assert field_report(ev, fld, ut).dissipation == fresh
+        assert dissipation_rate(ev, fld, ut) == fresh_rate
+        assert field_report(ev, fld, ut).dissipation == \
+            fresh_report.dissipation
 
     def test_quasilinear_weight_matches_pointwise_loop(self):
         a_bar = NonlinearityO2(f_bar=lambda u, q: 2.0 + 0.1 * q + 0.3 * u * u,
