@@ -19,9 +19,10 @@ driver, :func:`solve_characteristics`. It runs the 8th-order DOP853
 scipy's tableau vendored as :mod:`circlyap._dop853`, with scipy's
 first-step rule, error norm, step-size controller and interpolant repeated
 operation for operation, so its values equal scipy's bit for bit wherever
-scipy's error norm is not NaN. It needs numpy only: scipy is imported
-where it is used, ``OdeSolution`` for dense output and ``brentq`` to
-locate an escape. It calls the right-hand side directly and owns
+scipy's error norm is not NaN. It needs numpy only: scipy's ``brentq``
+is imported to locate an escape, and nowhere else. It returns the final
+state only; a caller that needs the solution at several points solves
+them as lanes. It calls the right-hand side directly and owns
 the failure policy: a non-finite right-hand side or more than
 ``max_steps`` steps is an :class:`IntegrationFailure`; an escape past
 ``escape_bound``, located on the interpolant of the step that crossed it,
@@ -206,8 +207,7 @@ def _interpolant(fun, t_old, t, y_old, y, f, h, K):
 
 
 class _Step:
-    """The interpolant of one step at a scalar ``t`` (a state) or a 1-D
-    array of them (states in columns), evaluated as scipy's
+    """The interpolant of one step at a scalar ``t``, evaluated as scipy's
     ``Dop853DenseOutput`` evaluates it, operation for operation."""
 
     def __init__(self, t_old, t, y_old, F):
@@ -217,13 +217,8 @@ class _Step:
         self.y_old = y_old
 
     def __call__(self, t):
-        t = np.asarray(t)
         x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            y = np.zeros_like(self.y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)), dtype=self.y_old.dtype)
+        y = np.zeros_like(self.y_old)
         for i, f in enumerate(reversed(self.F)):
             y += f
             if i % 2 == 0:
@@ -231,24 +226,11 @@ class _Step:
             else:
                 y *= 1 - x
         y += self.y_old
-        return y.T
-
-
-class _Constant:
-    """The interpolant of a solve that takes no step."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __call__(self, t):
-        t = np.asarray(t)
-        if t.ndim == 0:
-            return self.value
-        return np.repeat(self.value[:, None], t.size, axis=1)
+        return y
 
 
 def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
-                          lane, dense_output: bool = False, var: str = "u"):
+                          lane, var: str = "u"):
     """Integrate a stack of characteristics over ``span``; the one driver
     of every characteristic solve.
 
@@ -277,10 +259,8 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
       a collapse. A crossing of the bound is located on the interpolant of
       the step that made it.
 
-    Returns the final state, or with ``dense_output`` an
-    :class:`~scipy.integrate.OdeSolution` over ``span`` built from the
-    interpolant of every step. scipy is imported only there, and for
-    ``brentq`` when an escape is located.
+    Returns the final state. scipy is imported only for ``brentq``, when
+    an escape is located.
     """
     y = np.asarray(y0, dtype=float)
     t, t_bound = float(span[0]), float(span[1])
@@ -309,11 +289,9 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
         k = int(np.argmax(np.abs(y[:watch])))
         return CharacteristicEscape(t, lane(k, t) + note, state=y, var=var)
 
-    if dense_output:
-        from scipy.integrate import OdeSolution
     f = fun(t, y)
     if y.size == 0 or t == t_bound:
-        return OdeSolution([t, t_bound], [_Constant(y)]) if dense_output else y
+        return y
     direction = np.sign(t_bound - t)
     h_abs = _initial_step(fun, t, y, t_bound, f, direction, rtol, atol)
     # stage k in row k; the rows after the 13th serve the interpolant
@@ -321,7 +299,6 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
     K = K_ext[:_DOP.N_STAGES + 1]
     stages = [(s, K[:s].T, a, c) for s, a, c in _STAGES]
     K_sol, K_err = K[:-1].T, K.T
-    ts, interpolants = [t], []
     for _ in range(cfg.max_steps):
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -369,15 +346,11 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
             t = brentq(lambda s: np.max(np.abs(step(s)[:watch])) - bound,
                        t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
             raise escaped(float(t), step(t))
-        if dense_output:
-            ts.append(t)
-            interpolants.append(
-                _interpolant(fun, t_old, t, y_old, y, f, h, K_ext))
         if direction * (t - t_bound) >= 0:
             break
     else:
         raise IntegrationFailure("step budget exhausted", float(t))
-    return OdeSolution(ts, interpolants) if dense_output else y
+    return y
 
 
 def evolve(
@@ -473,29 +446,35 @@ def verify_equilibrium_first_integral(
     """First-integral defect of the characteristic flow along an equilibrium.
 
     Integrates the stationary profile ODE u'' = -fbar(u, u'^2/2) from
-    (u_init, p_init) over [0, x_span] and compares q(x) = u'(x)^2/2 against
-    the characteristic evolution started from q = p_init^2/2 at u_init.
-    Returns the maximum absolute mismatch over the trajectory; a small value
-    confirms that the evolution is a first integral of the equilibrium ODE.
+    (u_init, p_init) to each of ``n_check - 1`` equally spaced abscissae
+    x_k in (0, x_span], in one solve of lanes x = x_k * s over s in [0, 1],
+    and compares q(x_k) = u'(x_k)^2/2 against the characteristic evolution
+    started from q = p_init^2/2 at u_init. Returns the maximum absolute
+    mismatch; a small value confirms that the evolution is a first
+    integral of the equilibrium ODE.
     """
     if p_init == 0:
         raise ValueError("p_init must be nonzero (positivity domain of q)")
+    xs = np.linspace(0.0, x_span, n_check)[1:]
+    m = xs.size
 
-    def rhs(x, y):
-        u, p = y
-        return (p, -nl.f_bar(u, 0.5 * p * p))
+    def rhs(s, y):
+        u, p = y[:m], y[m:]
+        return np.concatenate([xs * p, -xs * _eval_vec(nl.f_bar, u,
+                                                        0.5 * p * p)])
 
-    sol = solve_characteristics(
-        rhs, (0.0, x_span), (float(u_init), float(p_init)), cfg, 2,
-        lambda k, _: f"equilibrium from (u, p) = "
-                     f"({u_init:.6g}, {p_init:.6g})",
-        dense_output=True, var="x")
+    y = solve_characteristics(
+        rhs, (0.0, 1.0),
+        np.concatenate([np.full(m, float(u_init)), np.full(m, float(p_init))]),
+        cfg, 2 * m,
+        lambda k, s: f"equilibrium from (u, p) = ({u_init:.6g}, "
+                     f"{p_init:.6g}) to x={xs[k % m]:.6g}, stopped at "
+                     f"x={xs[k % m] * s:.6g}",
+        var="s")
 
-    xs = np.linspace(0.0, x_span, n_check)
     defect = 0.0
     q0 = 0.5 * p_init * p_init
-    for x in xs[1:]:
-        u, p = sol(x)
+    for u, p in zip(y[:m], y[m:]):
         res = evolve(nl, u_init, float(u), q0, cfg)
         defect = max(defect, abs(0.5 * p * p - res.value))
     return defect

@@ -4,11 +4,18 @@ Evaluates V(u) = integral of L(u, u_x) and the dissipation integral on
 uniformly gridded fields. Periodic fields use the rectangle rule, which is
 spectrally accurate for smooth periodic integrands; interval fields use the
 trapezoid rule.
+
+Both constructions, the O(2) Lagrangian on the circle and the separated-BC
+one of :mod:`circlyap.matano`, turn their grid values into a
+:class:`FunctionalReport` through ``snapshot_report``, and check the decay
+identity dV/dt = -int L_pp u_t^2 dx along a trajectory through
+``decay_residual``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +73,9 @@ class ScalarField:
                            self.domain_length, self.bc)
 
 
-@dataclass
-class FunctionalReport:
+class FunctionalReport(NamedTuple):
+    """V, the signed dissipation integral and min L_pp of one snapshot."""
+
     V: float
     dissipation: float
     convexity_min: float
@@ -128,7 +136,7 @@ def _check_velocity(field: ScalarField, u_t: ScalarField) -> None:
         raise ValueError("field and u_t must share grid and boundary condition")
 
 
-def _dissipation(field: ScalarField, p: np.ndarray, lpp: np.ndarray,
+def _dissipation(field: ScalarField, p: np.ndarray | None, lpp: np.ndarray,
                  u_t: ScalarField, weight_a: NonlinearityO2 | None) -> float:
     w = lpp
     if weight_a is not None:
@@ -137,6 +145,35 @@ def _dissipation(field: ScalarField, p: np.ndarray, lpp: np.ndarray,
             raise ValueError("diffusion coefficient must be positive on the grid")
         w = (1.0 / av) * lpp
     return -float(np.dot(quadrature_weights(field), w * u_t.values**2))
+
+
+def snapshot_report(
+    field: ScalarField,
+    u_t: ScalarField,
+    L_vals: np.ndarray,
+    lpp: np.ndarray,
+    p: np.ndarray | None = None,
+    weight_a: NonlinearityO2 | None = None,
+) -> FunctionalReport:
+    """The report of one snapshot from its grid values of L and L_pp: V,
+    the dissipation -int w * L_pp * u_t^2 dx and min L_pp; the one report
+    assembly of both constructions. The weight w is 1, or with
+    ``weight_a`` and the grid slope ``p`` it is 1/abar(u, p^2/2)."""
+    _check_velocity(field, u_t)
+    return FunctionalReport(
+        V=float(np.dot(quadrature_weights(field), L_vals)),
+        dissipation=_dissipation(field, p, lpp, u_t, weight_a),
+        convexity_min=float(np.min(lpp)),
+    )
+
+
+def decay_residual(times: np.ndarray, V: np.ndarray,
+                   D: np.ndarray) -> np.ndarray:
+    """|centred dV/dt - D| at each save of a series, NaN at the first and
+    last, where no centred difference exists."""
+    res = np.full(len(times), np.nan)
+    res[1:-1] = np.abs((V[2:] - V[:-2]) / (times[2:] - times[:-2]) - D[1:-1])
+    return res
 
 
 def evaluate_V(ev: LagrangianEvaluator, field: ScalarField) -> FunctionalReport:
@@ -185,10 +222,5 @@ def field_report(
 ) -> FunctionalReport:
     """V, dissipation (as in ``dissipation_rate``) and min L_pp of one
     periodic snapshot with velocity ``u_t``, from a single ``field_eval``."""
-    _check_velocity(field, u_t)
     p, L_vals, lpp = _circle_values(ev, field)
-    return FunctionalReport(
-        V=float(np.dot(quadrature_weights(field), L_vals)),
-        dissipation=_dissipation(field, p, lpp, u_t, weight_a),
-        convexity_min=float(np.min(lpp)),
-    )
+    return snapshot_report(field, u_t, L_vals, lpp, p, weight_a)

@@ -2,10 +2,13 @@
 
 Each scenario integrates a PDE, attaches functional reports at the save
 points (with the construction appropriate to the scenario), and emits a CSV
-time series, per-save snapshot files and a JSON run manifest. The planar
-embedding scenario realizes a prescribed reflection-symmetric planar vector
-field inside the first Fourier modes and checks the resulting time-periodic
-PDE orbit against direct planar integration.
+time series, per-save snapshot files and a JSON run manifest. A scenario
+names its report, ``functional.field_report`` on the circle or
+``matano.field_report`` under separated boundary conditions, and one
+series function turns the reports of either construction into the series.
+The planar embedding scenario realizes a prescribed reflection-symmetric
+planar vector field inside the first Fourier modes and checks the resulting
+time-periodic PDE orbit against direct planar integration.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -31,8 +35,8 @@ from .functional import (
     DIRICHLET,
     PERIODIC,
     ScalarField,
+    decay_residual,
     field_report,
-    gradient,
 )
 from .lagrangian import (
     LagrangianEvaluator,
@@ -380,54 +384,32 @@ def shift_match(u_ref: np.ndarray, u: np.ndarray, ell: float):
     return theta, mismatch
 
 
-def _per_save(report, traj: TrajectoryRecord) -> list:
-    """``report(snapshot, u_t)`` at every save. A characteristic escape or
-    integration failure is re-raised as it is, with "at save k, t=..."
-    added to its message."""
-    out = []
-    for k, (t, snap, ut) in enumerate(zip(traj.times, traj.snapshots,
-                                          traj.u_t_snapshots)):
-        try:
-            out.append(report(snap, ut))
-        except (CharacteristicEscape, IntegrationFailure) as exc:
-            exc.args = (f"{exc} at save {k}, t={t:.6g}",)
-            raise
-    return out
-
-
-def _series(traj: TrajectoryRecord, rows) -> dict:
-    """The series of a trajectory from one (V, dissipation, min L_pp) row
-    per save, with the centered decay residual |dV/dt - D| at interior
-    saves."""
+def _lyapunov_series(traj: TrajectoryRecord, report) -> dict:
+    """V, dissipation, min L_pp and the centred decay residual at every
+    save, from ``report(snapshot, u_t)``; rows of NaN where ``report`` is
+    None. A characteristic escape or integration failure is re-raised as it
+    is, with "at save k, t=..." added to its message."""
     ts = traj.times
+    if report is None:
+        rows = np.full((len(ts), 3), np.nan)
+    else:
+        rows = []
+        for k, (t, snap, ut) in enumerate(zip(ts, traj.snapshots,
+                                              traj.u_t_snapshots)):
+            try:
+                rows.append(report(snap, ut))
+            except (CharacteristicEscape, IntegrationFailure) as exc:
+                exc.args = (f"{exc} at save {k}, t={t:.6g}",)
+                raise
     V, D, convexity_min = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
-    res = np.full_like(V, np.nan)
-    for k in range(1, len(ts) - 1):
-        res[k] = abs((V[k + 1] - V[k - 1]) / (ts[k + 1] - ts[k - 1]) - D[k])
     return {
         "V": V,
         "dissipation": D,
-        "residual": res,
+        "residual": decay_residual(ts, V, D),
         "convexity_min": convexity_min,
         "ut_inf": np.array([np.max(np.abs(ut.values))
                             for ut in traj.u_t_snapshots]),
     }
-
-
-def _lyapunov_series(traj: TrajectoryRecord, ev: LagrangianEvaluator,
-                     weight_a: NonlinearityO2 | None = None) -> dict:
-    """V, dissipation and centered decay residual along a trajectory."""
-    reports = _per_save(lambda snap, ut: field_report(ev, snap, ut, weight_a),
-                        traj)
-    traj.reports = reports
-    return _series(traj, [(r.V, r.dissipation, r.convexity_min)
-                          for r in reports])
-
-
-def _matano_series(traj: TrajectoryRecord, ev: matano.SeparatedEvaluator) -> dict:
-    """The same series for the separated-BC Lagrange function."""
-    return _series(traj, _per_save(
-        lambda snap, ut: matano.field_report(ev, snap, ut), traj))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +417,14 @@ def _matano_series(traj: TrajectoryRecord, ev: matano.SeparatedEvaluator) -> dic
 
 def _build_scenario(cfg: ScenarioConfig):
     """Returns (general nonlinearity, diffusion coeff, initial field,
-    series builder, extras builder, solver config)."""
+    report, extras builder, solver config).
+
+    ``report(snapshot, u_t)`` gives the snapshot's ``FunctionalReport``
+    under the scenario's construction, or is None where no Lyapunov
+    functional applies; the extras builder maps a trajectory to its
+    scenario-specific monitors, or is None. Evaluators are built here,
+    once per run.
+    """
     p = cfg.params
     ell = float(p.get("ell", 1.0))
     n = cfg.solver.n
@@ -445,9 +434,8 @@ def _build_scenario(cfg: ScenarioConfig):
         nl = chafee_infante_nl(lam)
         u0 = make_initial(cfg.initial, n, ell, PERIODIC)
         ev = LagrangianEvaluator(nl, cfg.charflow, cfg.quadrature)
-        return general_from_o2(nl), None, u0, \
-            (lambda traj: _lyapunov_series(traj, ev)), (lambda traj: {}), \
-            cfg.solver
+        return general_from_o2(nl), None, u0, partial(field_report, ev), \
+            None, cfg.solver
 
     if cfg.scenario == "gradient_quadratic":
         b = float(p.get("b", 1.0))
@@ -455,9 +443,8 @@ def _build_scenario(cfg: ScenarioConfig):
         nl = gradient_quadratic_nl(b, slope)
         u0 = make_initial(cfg.initial, n, ell, PERIODIC)
         ev = LagrangianEvaluator(nl, cfg.charflow, cfg.quadrature)
-        return general_from_o2(nl), None, u0, \
-            (lambda traj: _lyapunov_series(traj, ev)), (lambda traj: {}), \
-            cfg.solver
+        return general_from_o2(nl), None, u0, partial(field_report, ev), \
+            None, cfg.solver
 
     if cfg.scenario == "qlinear":
         lam = float(p.get("lam", 15.0))
@@ -468,8 +455,7 @@ def _build_scenario(cfg: ScenarioConfig):
         u0 = make_initial(cfg.initial, n, ell, PERIODIC)
         ev = LagrangianEvaluator(eff, cfg.charflow, cfg.quadrature)
         return general_from_o2(nl), a_const, u0, \
-            (lambda traj: _lyapunov_series(traj, ev, weight_a=a_bar)), \
-            (lambda traj: {}), cfg.solver
+            partial(field_report, ev, weight_a=a_bar), None, cfg.solver
 
     if cfg.scenario in ("frozen_wave", "rotating_wave"):
         lam = float(p.get("lam", 50.0))
@@ -498,11 +484,11 @@ def _build_scenario(cfg: ScenarioConfig):
             return out
 
         if cfg.scenario == "frozen_wave":
-            return general_from_o2(nl), None, u0, \
-                (lambda traj: _lyapunov_series(traj, ev)), extras, cfg.solver
+            return general_from_o2(nl), None, u0, partial(field_report, ev), \
+                extras, cfg.solver
         # the drift term breaks the reflection symmetry: no Lyapunov series
-        return general_from_o2(nl, drift=drift), None, u0, \
-            (lambda traj: _empty_series(traj)), extras, cfg.solver
+        return general_from_o2(nl, drift=drift), None, u0, None, extras, \
+            cfg.solver
 
     if cfg.scenario == "planar_embedding":
         pf = center_planar_field()
@@ -543,8 +529,7 @@ def _build_scenario(cfg: ScenarioConfig):
                                        / np.max(np.abs(u_start))),
             }
 
-        return gen, None, u0, (lambda traj: _empty_series(traj)), extras, \
-            cfg.solver
+        return gen, None, u0, None, extras, cfg.solver
 
     if cfg.scenario == "matano_separated":
         lam = float(p.get("lam", 5.0))
@@ -556,14 +541,10 @@ def _build_scenario(cfg: ScenarioConfig):
         )
         u0 = make_initial(cfg.initial, n, ell, DIRICHLET)
         ev = matano.SeparatedEvaluator(gen, cfg.charflow, cfg.quadrature)
-        return gen, None, u0, (lambda traj: _matano_series(traj, ev)), \
-            (lambda traj: {}), cfg.solver
+        return gen, None, u0, partial(matano.field_report, ev), None, \
+            cfg.solver
 
     raise ValueError(f"unknown scenario {cfg.scenario!r}")
-
-
-def _empty_series(traj: TrajectoryRecord) -> dict:
-    return _series(traj, np.full((len(traj.times), 3), np.nan))
 
 
 def _resolve_output_dir(cfg: ScenarioConfig) -> Path:
@@ -640,7 +621,7 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True):
     still emitted together with a machine-readable error record
     (``error.json``) that says what failed, where and when.
     """
-    gen, a_coeff, u0, series_fn, extras_fn, solver_cfg = _build_scenario(cfg)
+    gen, a_coeff, u0, report, extras_fn, solver_cfg = _build_scenario(cfg)
     burn_in = float(cfg.params.get("burn_in", 0.0))
     traj = None
     if burn_in > 0.0:
@@ -650,7 +631,7 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True):
         pre = integrate(gen, a_coeff, u0, pre_cfg)
         if pre.blew_up:
             # nothing left to monitor
-            traj, series_fn, extras_fn = pre, _empty_series, lambda _: {}
+            traj, report, extras_fn = pre, None, None
         else:
             u0 = pre.snapshots[-1]
     if traj is None:
@@ -658,11 +639,11 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True):
     status = "blowup" if traj.blew_up else "ok"
     error = traj.message
     try:
-        series = series_fn(traj)
-        extras = extras_fn(traj)
+        series = _lyapunov_series(traj, report)
+        extras = extras_fn(traj) if extras_fn else {}
     except (CharacteristicEscape, IntegrationFailure) as exc:
         status, error = "construction_failure", str(exc)
-        series = _empty_series(traj)
+        series = _lyapunov_series(traj, None)
         extras = {}
     extras = dict(extras)
     extras["status"] = status

@@ -10,7 +10,9 @@ minus F(x, u); by Cauchy's formula for repeated integrals,
     int_0^p int_0^p1 exp g(x, u, p2) dp2 dp1 = int_0^p (p - s) exp g(x, u, s) ds,
 
 so it takes one backward characteristic per node of a single quadrature
-rule over [0, p].
+rule over [0, p]. A snapshot's V, dissipation and min L_pp, and the decay
+residual of a trajectory, are assembled by :mod:`circlyap.functional`, as
+for the circle construction.
 
 Under periodic boundary conditions the same recipe demands that the
 accumulated f_p vanish around every 1-periodic characteristic orbit; the
@@ -23,7 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .charflow import DEFAULT_CONFIG, CharflowConfig, solve_characteristics
-from .functional import DIRICHLET, ScalarField, gradient, quadrature_weights
+from .functional import (DIRICHLET, FunctionalReport, ScalarField,
+                         decay_residual, gradient, snapshot_report)
 from .lagrangian import QuadratureConfig, _unit_rule
 from .pde import GeneralNonlinearity, TrajectoryRecord
 
@@ -141,13 +144,11 @@ def L_separated(nl: GeneralNonlinearity, x: float, u: float, p: float,
 
 
 def field_report(ev: SeparatedEvaluator, fld: ScalarField,
-                 u_t: ScalarField):
-    """(V, dissipation, min L_pp) of one snapshot from a single fused solve."""
+                 u_t: ScalarField) -> FunctionalReport:
+    """V, dissipation and min L_pp of one snapshot from a single fused
+    solve, assembled as the circle construction assembles its own."""
     fe = ev.field_eval(fld)
-    w = quadrature_weights(fld)
-    V = float(np.dot(w, fe["L"]))
-    diss = -float(np.dot(w, fe["L_pp"] * u_t.values**2))
-    return V, diss, float(np.min(fe["L_pp"]))
+    return snapshot_report(fld, u_t, fe["L"], fe["L_pp"])
 
 
 def decay_identity_residual(nl: GeneralNonlinearity, trajectory: TrajectoryRecord,
@@ -156,22 +157,16 @@ def decay_identity_residual(nl: GeneralNonlinearity, trajectory: TrajectoryRecor
     """Centered-difference check of dV/dt against the dissipation integral.
 
     Expects a Dirichlet trajectory. Returns one residual per interior save
-    point; the residuals shrink at second order under grid and save-density
-    refinement.
+    point, as ``functional.decay_residual`` computes it; the residuals
+    shrink at second order under grid and save-density refinement.
     """
     if trajectory.snapshots[0].bc != DIRICHLET:
         raise ValueError("decay identity check expects a Dirichlet trajectory")
     ev = SeparatedEvaluator(nl, charflow_cfg, quad_cfg)
-    ts = trajectory.times
-    VD = [field_report(ev, s, ut) for s, ut in
-          zip(trajectory.snapshots, trajectory.u_t_snapshots)]
-    Vs = np.array([v for v, _, _ in VD])
-    Ds = np.array([d for _, d, _ in VD])
-    res = []
-    for k in range(1, len(ts) - 1):
-        dVdt = (Vs[k + 1] - Vs[k - 1]) / (ts[k + 1] - ts[k - 1])
-        res.append(abs(dVdt - Ds[k]))
-    return np.array(res)
+    V, D, _ = np.array([field_report(ev, s, ut) for s, ut in
+                        zip(trajectory.snapshots,
+                            trajectory.u_t_snapshots)]).T
+    return decay_residual(trajectory.times, V, D)[1:-1]
 
 
 def _flow_map(nl: GeneralNonlinearity, z: np.ndarray,

@@ -21,9 +21,10 @@ Second-order central stencils in space. In time, one of two schemes:
 
 Each solve builds one semi-discrete operator on plain arrays, with the grid,
 2h, h^2 and the derivative buffers fixed; the RK4 stages, the ETDRK4
-reaction terms, the saved u_t snapshots and the public ``rhs`` all
-evaluate it, so the stencils exist once. The operator pins Dirichlet ends
-and names the grid index of a non-finite right-hand side or reaction term.
+reaction terms and the saved u_t snapshots all evaluate it, and the public
+``rhs`` builds one per call, so the stencils exist once. The operator pins
+Dirichlet ends and names the grid index of a non-finite right-hand side or
+reaction term.
 A run stops with a blow-up record, which keeps the snapshots saved so far
 and says what happened and when, if max|u| exceeds 1e6, the state turns
 non-finite or the right-hand side does.
@@ -42,7 +43,6 @@ from .functional import (
     DIRICHLET,
     NEUMANN,
     PERIODIC,
-    FunctionalReport,
     ScalarField,
     central_difference,
 )
@@ -112,7 +112,6 @@ class TrajectoryRecord:
     times: np.ndarray
     snapshots: list
     u_t_snapshots: list
-    reports: list | None = None
     blew_up: bool = False
     blowup_time: float | None = None
     message: str | None = None
@@ -311,7 +310,7 @@ def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
         """Save the state and its u_t, or say why u_t cannot be saved."""
         fld = make(uv.copy())
         try:
-            u_t = rhs(nl, a, fld)
+            u_t = make(op(fld.values))
         except FloatingPointError as exc:
             return f"{exc} at t={t:.6g}"
         times.append(t)

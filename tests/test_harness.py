@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from circlyap import cli, harness
+from circlyap import cli, harness, matano
 from circlyap.charflow import CharacteristicEscape, CharflowConfig, IntegrationFailure
 from circlyap.functional import DIRICHLET, NEUMANN, PERIODIC, ScalarField
 from circlyap.harness import (
@@ -26,7 +26,7 @@ from circlyap.harness import (
     run_scenario,
     shift_match,
 )
-from circlyap.lagrangian import LagrangianEvaluator
+from circlyap.lagrangian import LagrangianEvaluator, QuadratureConfig
 from circlyap.pde import GeneralNonlinearity, SolverConfig, integrate
 
 
@@ -456,11 +456,11 @@ class TestFailuresNameTheSave:
             params={"lam": 5.0, "eps": 0.5},
             solver=SolverConfig(n=32, t_end=0.004, save_every=5),
             charflow=CharflowConfig(max_steps=1))
-        gen, _, u0, series_fn, *_ = harness._build_scenario(cfg)
+        gen, _, u0, report, *_ = harness._build_scenario(cfg)
         traj = integrate(gen, None, u0, cfg.solver)
         with pytest.raises(IntegrationFailure,
                            match=r"step budget exhausted.* at save 0, t=0$"):
-            series_fn(traj)
+            harness._lyapunov_series(traj, report)
         _, extras = run_scenario(cfg)
         assert extras["status"] == "construction_failure"
         assert extras["error"].endswith("at save 0, t=0")
@@ -490,6 +490,23 @@ class TestLyapunovSeries:
         traj, extras = run_scenario(tiny_config(tmp_path), write=False)
         assert extras["status"] == "ok"
         assert calls == {"field_eval": len(traj.times), "scalar": 0}
+
+    def test_separated_residual_is_the_decay_identity_residual(self, tmp_path):
+        # one residual function for both constructions: the series column
+        # and the separated-BC check agree bit for bit
+        cfg = tiny_config(
+            tmp_path, scenario="matano_separated",
+            params={"lam": 5.0, "eps": 0.5},
+            solver=SolverConfig(n=32, t_end=0.008, save_every=5),
+            quadrature=QuadratureConfig(panels=8))
+        traj, extras = run_scenario(cfg, write=False)
+        assert extras["status"] == "ok" and len(traj.times) >= 4
+        gen, *_ = harness._build_scenario(cfg)
+        ref = matano.decay_identity_residual(gen, traj, cfg.charflow,
+                                             cfg.quadrature)
+        res = extras["residual"]
+        assert np.isnan(res[0]) and np.isnan(res[-1])
+        assert np.array_equal(res[1:-1], ref)
 
 
 class TestCli:

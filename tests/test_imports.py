@@ -26,7 +26,7 @@ seen["scipy_after_import"] = sorted(
 import numpy as np
 from circlyap import (GeneralNonlinearity, LagrangianEvaluator,
                       NonlinearityO2, ScalarField, SolverConfig, evolve,
-                      integrate)
+                      integrate, verify_equilibrium_first_integral)
 from circlyap.matano import SeparatedEvaluator
 
 nl = NonlinearityO2(f_bar=lambda u, q: 2.0 * u * (1.0 - u * u) + q * u,
@@ -38,6 +38,8 @@ gen = GeneralNonlinearity(
     x_periodic=False)
 SeparatedEvaluator(gen).L(0.4, 0.3, 1.0)
 evolve(nl, 0.0, 1.0, 0.5)
+verify_equilibrium_first_integral(nl, 0.1, 0.5, 1.0)
+loaded("scalar_queries_and_first_integral")
 cubic = GeneralNonlinearity(f=lambda x, u, p: u * (1.0 - u * u),
                             f_p=lambda x, u, p: 0.0 * p)
 n = 32
@@ -57,5 +59,6 @@ def test_scipy_loads_only_where_it_is_used():
                          capture_output=True, text=True, check=True)
     seen = json.loads(out.stdout.splitlines()[-1])
     assert seen == {"scipy_after_import": [],
+                    "scalar_queries_and_first_integral": [],
                     "scalar_queries_and_rk4": [],
                     "etdrk4": ["scipy.fft"]}

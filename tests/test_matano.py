@@ -12,7 +12,13 @@ from circlyap.charflow import (
     IntegrationFailure,
     NonlinearityO2,
 )
-from circlyap.functional import DIRICHLET, ScalarField, gradient, quadrature_weights
+from circlyap.functional import (
+    DIRICHLET,
+    FunctionalReport,
+    ScalarField,
+    gradient,
+    quadrature_weights,
+)
 from circlyap.lagrangian import (
     GAUSS_LEGENDRE,
     LagrangianEvaluator,
@@ -348,6 +354,17 @@ class TestDecayIdentity:
         assert diss == pytest.approx(-float(np.dot(w, lpp * ut.values**2)),
                                      abs=1e-12)
         assert cmin > 0.0
+
+    def test_field_report_is_a_functional_report(self):
+        # the report the circle construction returns, fields and all
+        ev = SeparatedEvaluator(cubic_drift_gen(),
+                                quad_cfg=QuadratureConfig(panels=8))
+        fld = dirichlet_field(32)
+        ut = ScalarField(0.1 * np.sin(np.pi * fld.grid()), 1.0, DIRICHLET)
+        rep = field_report(ev, fld, ut)
+        assert isinstance(rep, FunctionalReport)
+        assert (rep.V, rep.dissipation, rep.convexity_min) == tuple(rep)
+        assert rep.dissipation < 0.0 < rep.convexity_min
 
 
 class TestIntegrabilityDefect:
