@@ -12,6 +12,10 @@ equation d(eta)/du = -fbar_q(u, q) * eta, eta(u0) = 1).
 
 Negative q is allowed throughout; the flow is not stopped at q = 0.
 
+fbar and fbar_q are numpy callables that broadcast, as every nonlinearity
+of the package is: a solve calls each once per right-hand side over all its
+lanes, and a result of u alone, or a constant, broadcasts into place.
+
 Every characteristic solve in the package, here and in
 :mod:`circlyap.lagrangian` and :mod:`circlyap.matano`, runs through one
 driver, :func:`solve_characteristics`. It runs the 8th-order DOP853
@@ -74,36 +78,48 @@ class CharacteristicEscape(RuntimeError):
         self.state = state
 
 
+def check_partial(fn, partial, name: str, samples: dict,
+                  rel_tol: float = 1e-5) -> None:
+    """Verify ``partial`` against a central difference of ``fn`` in its
+    last argument over the grid of all combinations of ``samples``
+    (argument name -> values, in order), in one call of each; raises
+    ValueError at the first sample whose relative mismatch exceeds
+    ``rel_tol``, the one consistency check of every nonlinearity type."""
+    grid = np.meshgrid(*map(np.atleast_1d, samples.values()), indexing="ij")
+    *head, v = grid
+    h = 1e-6 * np.maximum(1.0, np.abs(v))
+    fd = (fn(*head, v + h) - fn(*head, v - h)) / (2 * h)
+    an = partial(*grid)
+    bad = np.abs(fd - an) > rel_tol * np.maximum(np.maximum(1.0, np.abs(an)),
+                                                 np.abs(fd))
+    if bad.any():
+        i = int(np.argmax(bad))
+        at = [g.flat[i] for g in grid]
+        where = ", ".join(f"{k}={x}" for k, x in zip(samples, at))
+        raise ValueError(
+            f"{name} inconsistent at ({where}): analytic "
+            f"{partial(*at):.8g} vs finite difference {fd.flat[i]:.8g}")
+
+
 @dataclass(frozen=True)
 class NonlinearityO2:
     """Reflection-symmetric nonlinearity fbar(u, q) with q = p^2/2.
 
     ``f_bar_q`` is the partial derivative of ``f_bar`` in its second
-    argument. Callables should accept numpy arrays in ``u`` and ``q``;
-    scalar-only callables are called once per sample, at a cost.
+    argument. Both are numpy callables that broadcast over arrays in u
+    and q, as :class:`circlyap.pde.GeneralNonlinearity`'s do; a result of
+    u alone, or a constant, serves as well as one shaped like q.
     """
 
-    f_bar: Callable[[float, float], float]
-    f_bar_q: Callable[[float, float], float]
+    f_bar: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    f_bar_q: Callable[[np.ndarray, np.ndarray], np.ndarray]
     label: str = ""
 
     def check_consistency(self, u_samples, q_samples, rel_tol: float = 1e-5) -> None:
-        """Verify f_bar_q against a central difference of f_bar.
-
-        Raises ValueError at the first sample where the relative mismatch
-        exceeds ``rel_tol``.
-        """
-        for u in np.atleast_1d(u_samples):
-            for q in np.atleast_1d(q_samples):
-                h = 1e-6 * max(1.0, abs(q))
-                fd = (self.f_bar(u, q + h) - self.f_bar(u, q - h)) / (2 * h)
-                an = self.f_bar_q(u, q)
-                scale = max(1.0, abs(an), abs(fd))
-                if abs(fd - an) > rel_tol * scale:
-                    raise ValueError(
-                        f"f_bar_q inconsistent at (u={u}, q={q}): "
-                        f"analytic {an:.8g} vs finite difference {fd:.8g}"
-                    )
+        """Verify f_bar_q against a central difference of f_bar; raises
+        ValueError at the first sample where they disagree."""
+        check_partial(self.f_bar, self.f_bar_q, "f_bar_q",
+                      {"u": u_samples, "q": q_samples}, rel_tol)
 
 
 @dataclass(frozen=True)
@@ -147,20 +163,6 @@ _EXTRA_STAGES = [(s, _DOP.A[s, :s], _DOP.C[s])
 _ERROR_ORDER = 7
 _EXPONENT = -1 / (_ERROR_ORDER + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
-
-
-def _eval_vec(fn, u, q):
-    """Evaluate fn(u, q) over an array q (u a scalar or an array of q's
-    shape), calling a scalar-only fn once per broadcast (u, q) pair."""
-    try:
-        out = np.asarray(fn(u, q), dtype=float)
-    except (TypeError, ValueError):
-        uq = np.broadcast_arrays(u, q)
-        out = np.array([fn(a, b) for a, b in zip(uq[0].ravel(), uq[1].ravel())],
-                       dtype=float).reshape(uq[1].shape)
-    if out.shape != np.shape(q):
-        out = np.broadcast_to(out, np.shape(q)).copy()
-    return out
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
@@ -248,7 +250,7 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
     estimate whose 5th-order part is 0 has norm 0, where scipy's formula
     can give 0/0. Failure policy:
 
-    * a non-finite initial state: ValueError;
+    * a non-finite span or initial state: ValueError;
     * a non-finite right-hand side, or a solve that needs more than
       ``cfg.max_steps`` steps: :class:`IntegrationFailure`;
     * a watched component beyond the escape bound, at the start or on the
@@ -264,6 +266,8 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
     """
     y = np.asarray(y0, dtype=float)
     t, t_bound = float(span[0]), float(span[1])
+    if not (math.isfinite(t) and math.isfinite(t_bound)):
+        raise ValueError("the span must be finite")
     bound = cfg.escape_bound
     if np.abs(y[:watch]).max(initial=0.0) > bound:
         k = int(np.argmax(np.abs(y[:watch])))
@@ -404,10 +408,10 @@ def evolve_batch(
     qs = q0.ravel()
 
     def rhs(u, y):
-        q = y[:m]
-        eta = y[m:]
-        return np.concatenate([-_eval_vec(nl.f_bar, u, q),
-                               -_eval_vec(nl.f_bar_q, u, q) * eta])
+        out = np.empty(2 * m)
+        out[:m] = nl.f_bar(u, y[:m])
+        np.multiply(nl.f_bar_q(u, y[:m]), y[m:], out=out[m:])
+        return np.negative(out, out=out)
 
     y = solve_characteristics(
         rhs, (u0, u1), np.concatenate([qs, np.ones(m)]), cfg, m,
@@ -460,8 +464,7 @@ def verify_equilibrium_first_integral(
 
     def rhs(s, y):
         u, p = y[:m], y[m:]
-        return np.concatenate([xs * p, -xs * _eval_vec(nl.f_bar, u,
-                                                        0.5 * p * p)])
+        return np.concatenate([xs * p, -xs * nl.f_bar(u, 0.5 * p * p)])
 
     y = solve_characteristics(
         rhs, (0.0, 1.0),

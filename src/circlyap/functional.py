@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .charflow import NonlinearityO2, _eval_vec
+from .charflow import NonlinearityO2
 from .lagrangian import LagrangianEvaluator
 
 PERIODIC = "periodic"
@@ -140,7 +140,7 @@ def _dissipation(field: ScalarField, p: np.ndarray | None, lpp: np.ndarray,
                  u_t: ScalarField, weight_a: NonlinearityO2 | None) -> float:
     w = lpp
     if weight_a is not None:
-        av = _eval_vec(weight_a.f_bar, field.values, 0.5 * p * p)
+        av = weight_a.f_bar(field.values, 0.5 * p * p)
         if np.any(av <= 0):
             raise ValueError("diffusion coefficient must be positive on the grid")
         w = (1.0 / av) * lpp

@@ -33,7 +33,6 @@ from .charflow import (
     DEFAULT_CONFIG,
     CharflowConfig,
     NonlinearityO2,
-    _eval_vec,
     solve_characteristics,
 )
 
@@ -123,20 +122,18 @@ class LagrangianEvaluator:
         nq = scale.size
         nl = self.nl
         neg_scale = -scale
-        neg_sens = neg_scale[:n_sens]
-        transport = scale[n_sens:]
+        # d(eta)/ds = -scale * fbar_q * eta, dg/ds = scale * fbar_q
+        signed = np.concatenate([neg_scale[:n_sens], scale[n_sens:]])
 
         def rhs(s, y):
             # one f_bar and one f_bar_q call over every lane; a fresh
             # array per call: the integrator keeps the derivative
             q = y[:nq]
             at = scale * s
-            fbq = _eval_vec(nl.f_bar_q, at, q)
             out = np.empty(2 * nq)
-            np.multiply(neg_scale, _eval_vec(nl.f_bar, at, q), out=out[:nq])
-            np.multiply(neg_sens * fbq[:n_sens], y[nq:nq + n_sens],
-                        out=out[nq:nq + n_sens])
-            np.multiply(transport, fbq[n_sens:], out=out[nq + n_sens:])
+            np.multiply(neg_scale, nl.f_bar(at, q), out=out[:nq])
+            np.multiply(signed, nl.f_bar_q(at, q), out=out[nq:])
+            out[nq:nq + n_sens] *= y[nq:nq + n_sens]
             return out
 
         y0 = np.concatenate([q0, np.ones(n_sens), np.zeros(nq - n_sens)])
@@ -168,7 +165,7 @@ class LagrangianEvaluator:
             un, np.zeros(un.size), 0,
             lambda k, s: f"F quadrature: node {k} at u={un[k]:.6g}, "
                          f"stopped at u={un[k] * s:.6g}")
-        f0 = _eval_vec(self.nl.f_bar, un, np.zeros(un.size))
+        f0 = self.nl.f_bar(un, np.zeros(un.size))
         return float(np.dot(u * wfrac, f0 * np.exp(fq)))
 
     # -- Lagrange function ------------------------------------------------
@@ -216,8 +213,8 @@ class LagrangianEvaluator:
             q0 = np.concatenate([(0.5 * nodes**2).ravel(), q_star])
             n_sens = n_nodes = nm
         else:
-            u_nodes = (u_arr[:, None] * frac[None, :]).ravel()
-            scale = np.concatenate([un, u_nodes, u_arr])
+            u_nodes = u_arr[:, None] * frac[None, :]    # (npts, m)
+            scale = np.concatenate([un, u_nodes.ravel(), u_arr])
             q0 = np.concatenate([(0.5 * nodes**2).ravel(), np.zeros(nm),
                                  q_star])
             n_sens, n_nodes = 0, 2 * nm
@@ -240,10 +237,10 @@ class LagrangianEvaluator:
             # Cauchy's formula: weights w_j * (p - s_j) on the nodes s_j
             wL = (p_arr * p_arr)[:, None] * (wfrac * (1.0 - frac))[None, :]
             wF = u_arr[:, None] * wfrac[None, :]
-            f0 = _eval_vec(self.nl.f_bar, u_nodes, np.zeros(nm))
+            f0 = self.nl.f_bar(u_nodes, np.zeros((npts, m)))
             g_L = fq[:nm].reshape(npts, m)
             g_F = fq[nm:2 * nm].reshape(npts, m)
-            F_vals = np.sum(wF * f0.reshape(npts, m) * np.exp(g_F), axis=1)
+            F_vals = np.sum(wF * f0 * np.exp(g_F), axis=1)
             L_vals = np.sum(wL * np.exp(g_L), axis=1) - F_vals
             out.update(L=L_vals, F=F_vals)
         return out

@@ -117,8 +117,7 @@ class SeparatedEvaluator:
         g_F = g_all[n * m:2 * n * m].reshape(n, m)
         g_star = g_all[2 * n * m:]
 
-        f0 = np.asarray(self.nl.f(xm, u_nodes.ravel(),
-                                  np.zeros(n * m)), dtype=float).reshape(n, m)
+        f0 = self.nl.f(xm.reshape(n, m), u_nodes, np.zeros((n, m)))
         F_vals = np.sum(wF * f0 * np.exp(g_F), axis=1)
         L_vals = np.sum(wL * np.exp(g_L), axis=1) - F_vals
         return {"L": L_vals, "L_pp": np.exp(g_star), "F": F_vals}

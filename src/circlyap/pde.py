@@ -39,6 +39,7 @@ from typing import Callable
 
 import numpy as np
 
+from .charflow import check_partial
 from .functional import (
     DIRICHLET,
     NEUMANN,
@@ -70,17 +71,9 @@ class GeneralNonlinearity:
 
     def check_consistency(self, x_samples, u_samples, p_samples,
                           rel_tol: float = 1e-5) -> None:
-        for x in np.atleast_1d(x_samples):
-            for u in np.atleast_1d(u_samples):
-                for p in np.atleast_1d(p_samples):
-                    h = 1e-6 * max(1.0, abs(p))
-                    fd = (self.f(x, u, p + h) - self.f(x, u, p - h)) / (2 * h)
-                    an = self.f_p(x, u, p)
-                    scale = max(1.0, abs(an), abs(fd))
-                    if abs(fd - an) > rel_tol * scale:
-                        raise ValueError(
-                            f"f_p inconsistent at (x={x}, u={u}, p={p}): "
-                            f"analytic {an:.8g} vs finite difference {fd:.8g}")
+        check_partial(self.f, self.f_p, "f_p",
+                      {"x": x_samples, "u": u_samples, "p": p_samples},
+                      rel_tol)
 
 
 @dataclass
@@ -98,6 +91,8 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
+        if self.save_every < 1:
+            raise ValueError("save_every must be >= 1")
         if self.scheme not in (RK4, ETDRK4):
             why = ("was retired; use 'etdrk4' with an explicit dt (constant "
                    "diffusion coefficient)" if self.scheme == "imex"

@@ -164,6 +164,13 @@ class TestBatch:
                            match=r"sample 1 at \(u, q\) = \(0, 1\)"):
             evolve_batch(nl, 0.0, 10.0, np.array([0.1, 1.0]), cfg)
 
+    @pytest.mark.parametrize("u1", [np.inf, -np.inf, np.nan])
+    def test_non_finite_span_rejected(self, u1):
+        # rejected before the first step, as evolve rejects it, instead of
+        # stepping towards an endpoint it never reaches
+        with pytest.raises(ValueError, match="span must be finite"):
+            evolve_batch(mixed_nl(), 0.0, u1, np.array([0.1, 0.5]))
+
 
 class TestEquilibriumFirstIntegral:
     def test_harmonic_profile(self):

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from circlyap import lagrangian
-from circlyap.charflow import NonlinearityO2
+from circlyap.charflow import (
+    NonlinearityO2,
+    evolve_batch,
+    verify_equilibrium_first_integral,
+)
 from circlyap.functional import (
     DIRICHLET,
     NEUMANN,
@@ -301,3 +305,61 @@ class TestFieldReport:
         fld = smooth_field(64, bc=NEUMANN)
         with pytest.raises(ValueError):
             field_report(LagrangianEvaluator(mixed_nl()), fld, fld)
+
+
+def _full(fn):
+    """The twin of ``fn`` whose result has q's shape."""
+    return lambda u, q: np.full_like(q, fn(u, q))
+
+
+# nonlinearities whose results only broadcast against q: Python floats,
+# f_bar of u alone, f_bar_q a Python float, f_bar_q of u alone
+_LEAN = {
+    "constant": (lambda u, q: 1.5, lambda u, q: 0.0),
+    "f_bar_of_u": (lambda u, q: 2.0 * np.sin(u) - 0.5 * u,
+                   lambda u, q: 0.0),
+    "f_bar_q_float": (lambda u, q: 0.5 * q - u, lambda u, q: 0.5),
+    "f_bar_q_of_u": (lambda u, q: 2.0 * np.sin(u) + q * np.cos(u),
+                     lambda u, q: np.cos(u)),
+}
+
+
+class TestBroadcastingContract:
+    """A nonlinearity whose f_bar or f_bar_q only broadcasts against q
+    gives every quantity bit for bit as its twin shaped like q."""
+
+    @pytest.mark.parametrize("case", sorted(_LEAN))
+    def test_matches_full_twin(self, case):
+        f, f_q = _LEAN[case]
+        lean = NonlinearityO2(f, f_q, label=case)
+        full = NonlinearityO2(_full(f), _full(f_q), label=case)
+        lean.check_consistency([-0.5, 0.7], [0.0, 1.0])
+        # the quasilinear weight is a constant: a Python float
+        a_lean = NonlinearityO2(lambda u, q: 2.0, lambda u, q: 0.0)
+        a_full = NonlinearityO2(_full(a_lean.f_bar), _full(a_lean.f_bar_q))
+
+        q0 = np.array([-0.4, 0.0, 0.3, 1.1])
+        for got, want in zip(evolve_batch(lean, 0.8, -0.3, q0),
+                             evolve_batch(full, 0.8, -0.3, q0)):
+            np.testing.assert_array_equal(got, want)
+        assert verify_equilibrium_first_integral(lean, 0.1, 0.5, 1.0,
+                                                 n_check=6) == \
+            verify_equilibrium_first_integral(full, 0.1, 0.5, 1.0, n_check=6)
+
+        u = np.array([0.7, -0.4, 1.1, 0.0])
+        p = np.array([0.3, -1.2, 0.8, 0.5])
+        for form in (REDUCED, DOUBLE_INTEGRAL):
+            got = LagrangianEvaluator(lean, form=form).field_eval(u, p)
+            want = LagrangianEvaluator(full, form=form).field_eval(u, p)
+            assert got.keys() == want.keys()
+            for key in got:
+                np.testing.assert_array_equal(got[key], want[key])
+
+        ev_lean, ev_full = LagrangianEvaluator(lean), LagrangianEvaluator(full)
+        assert ev_lean.F(0.9) == ev_full.F(0.9)
+        assert ev_lean.F_q(-0.6, 0.8) == ev_full.F_q(-0.6, 0.8)
+
+        fld = smooth_field(32)
+        ut = fld.like(0.3 * np.cos(2 * np.pi * fld.grid()))
+        assert field_report(ev_lean, fld, ut, weight_a=a_lean) == \
+            field_report(ev_full, fld, ut, weight_a=a_full)

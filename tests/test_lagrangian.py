@@ -411,19 +411,6 @@ class TestFieldEval:
                                    rtol=1e-8)
         np.testing.assert_allclose(fe["L_pp"], np.exp(u), rtol=1e-8)
 
-    def test_scalar_callables_match_vectorised(self):
-        vec = NonlinearityO2(f_bar=lambda u, q: 2.0 * np.sin(u) + q * np.cos(u),
-                             f_bar_q=lambda u, q: np.cos(u) + 0.0 * q)
-        scalar = NonlinearityO2(
-            f_bar=lambda u, q: 2.0 * math.sin(u) + q * math.cos(u),
-            f_bar_q=lambda u, q: math.cos(u))
-        u = np.array([0.7, -0.4, 1.1, 0.0])
-        p = np.array([0.3, -1.2, 0.8, 0.5])
-        want = LagrangianEvaluator(vec).field_eval(u, p)
-        got = LagrangianEvaluator(scalar).field_eval(u, p)
-        for key in ("L", "L_pp"):
-            np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12)
-
 
 def _queries(ev, u, p):
     """F, F_q, L_pp and L at one point."""

@@ -293,6 +293,12 @@ class TestIntegrate:
         final = traj.snapshots[-1].values
         assert abs(final[0]) <= 1e-14 and abs(final[-1]) <= 1e-14
 
+    @pytest.mark.parametrize("save_every", [0, -3])
+    def test_save_interval_below_one_rejected(self, save_every):
+        # 0 would divide by zero mid-run; -3 would keep only two saves
+        with pytest.raises(ValueError, match="save_every"):
+            SolverConfig(n=32, t_end=0.01, save_every=save_every)
+
 
 class TestETDRK4:
     @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET, NEUMANN])
