@@ -17,7 +17,7 @@ import argparse
 
 import numpy as np
 
-from circlyap.functional import evaluate_V
+from circlyap.functional import field_report
 from circlyap.harness import ScenarioConfig, chafee_infante_nl, run_scenario
 from circlyap.lagrangian import LagrangianEvaluator
 from circlyap.pde import SolverConfig
@@ -58,7 +58,7 @@ def main():
 
     # sanity: the functional agrees with a fresh evaluation of the
     # final snapshot
-    check = evaluate_V(ev, traj.snapshots[-1]).V
+    check = field_report(ev, traj.snapshots[-1], traj.u_t_snapshots[-1]).V
     print(f"recomputed V at final time: {check:.8f}")
 
 

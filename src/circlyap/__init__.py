@@ -30,8 +30,6 @@ from .functional import (
     PERIODIC,
     FunctionalReport,
     ScalarField,
-    dissipation_rate,
-    evaluate_V,
     field_report,
     gradient,
 )

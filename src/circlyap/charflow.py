@@ -400,9 +400,11 @@ def evolve_batch(
     complete.
     """
     q0 = np.asarray(q0, dtype=float)
-    if q0.size == 0:
-        return q0.copy(), np.ones_like(q0)
-    if u0 == u1:
+    if not (math.isfinite(u0) and math.isfinite(u1)):
+        raise ValueError("the span must be finite")
+    if not np.isfinite(q0).all():
+        raise ValueError("the initial state must be finite")
+    if q0.size == 0 or u0 == u1:
         return q0.copy(), np.ones_like(q0)
     m = q0.size
     qs = q0.ravel()

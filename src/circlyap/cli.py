@@ -1,7 +1,10 @@
 """Command-line front end for scenario runs and quick self-checks.
 
-Exit codes: 0 on success, 2 if the PDE run blew up, 3 if a Lyapunov
-construction failed (characteristic escape or integration breakdown).
+Exit codes: 0 on success, 1 if a ``check`` failed, 2 if the PDE run blew
+up, 3 if a Lyapunov construction failed (characteristic escape or
+integration breakdown), 4 if a config does not parse or validate (for
+``sweep``, every job's config is validated before any job starts); the
+reason is one line on stderr.
 """
 
 from __future__ import annotations
@@ -23,17 +26,24 @@ from .pde import SolverConfig, integrate
 EXIT_OK = 0
 EXIT_BLOWUP = 2
 EXIT_CONSTRUCTION_FAILURE = 3
+EXIT_BAD_CONFIG = 4
+
+# what reading, parsing and validating a config raises
+_CONFIG_ERRORS = (ValueError, TypeError, KeyError, OSError)
 
 _STATUS_CODES = {"ok": EXIT_OK, "blowup": EXIT_BLOWUP,
                  "construction_failure": EXIT_CONSTRUCTION_FAILURE}
 
 
 def _set_path(tree: dict, dotted: str, value):
-    keys = dotted.split(".")
+    *keys, leaf = dotted.split(".")
     node = tree
-    for k in keys[:-1]:
+    for k in keys:
         node = node[k]
-    leaf = keys[-1]
+        if not isinstance(node, dict):
+            raise KeyError(f"{dotted}: {k!r} is not a section of the config")
+    if not keys and leaf not in tree:
+        raise KeyError(f"{dotted}: no such key in the config")
     old = node.get(leaf)
     if isinstance(old, bool):
         node[leaf] = value.lower() in ("1", "true", "yes")
@@ -54,8 +64,17 @@ def _run_one(cfg_dict: dict) -> str:
     return extras["status"]
 
 
+def _bad_config(path, exc: Exception) -> int:
+    print(f"circlyap: bad config {path}: {type(exc).__name__}: {exc}",
+          file=sys.stderr)
+    return EXIT_BAD_CONFIG
+
+
 def cmd_run(args) -> int:
-    cfg = harness.parse_config(args.config)
+    try:
+        cfg = harness.parse_config(args.config)
+    except _CONFIG_ERRORS as exc:
+        return _bad_config(args.config, exc)
     _, extras = harness.run_scenario(cfg)
     print(f"{cfg.scenario}: {extras['status']}"
           + (f" -> {extras.get('output_dir', '')}" if "output_dir" in extras else ""))
@@ -65,15 +84,19 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    base = harness.parse_config(args.config).to_dict()
     values = args.values.split(",")
     jobs = []
-    for v in values:
-        d = copy.deepcopy(base)
-        _set_path(d, args.param, v)
-        out = d.get("output_path") or f"runs/{d['scenario']}"
-        d["output_path"] = f"{out}_{args.param.split('.')[-1]}={v}"
-        jobs.append(d)
+    try:
+        base = harness.parse_config(args.config).to_dict()
+        for v in values:
+            d = copy.deepcopy(base)
+            _set_path(d, args.param, v)
+            out = d.get("output_path") or f"runs/{d['scenario']}"
+            d["output_path"] = f"{out}_{args.param.split('.')[-1]}={v}"
+            harness.ScenarioConfig.from_dict(d)
+            jobs.append(d)
+    except _CONFIG_ERRORS as exc:
+        return _bad_config(args.config, exc)
     worst = EXIT_OK
     with ProcessPoolExecutor(max_workers=args.workers) as pool:
         for v, status in zip(values, pool.map(_run_one, jobs)):

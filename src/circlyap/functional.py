@@ -5,10 +5,10 @@ uniformly gridded fields. Periodic fields use the rectangle rule, which is
 spectrally accurate for smooth periodic integrands; interval fields use the
 trapezoid rule.
 
-Both constructions, the O(2) Lagrangian on the circle and the separated-BC
-one of :mod:`circlyap.matano`, turn their grid values into a
-:class:`FunctionalReport` through ``snapshot_report``, and check the decay
-identity dV/dt = -int L_pp u_t^2 dx along a trajectory through
+Both constructions, the O(2) Lagrangian on the circle (``field_report``)
+and the separated-BC one (``matano.field_report``), turn their grid values
+into a :class:`FunctionalReport` through ``snapshot_report``, and check the
+decay identity dV/dt = -int L_pp u_t^2 dx along a trajectory through
 ``decay_residual``.
 """
 
@@ -121,32 +121,6 @@ def quadrature_weights(field: ScalarField) -> np.ndarray:
     return w
 
 
-def _circle_values(ev: LagrangianEvaluator, field: ScalarField):
-    """(u_x, L, L_pp) on the grid of a periodic field, from one
-    ``field_eval`` in the evaluator's form."""
-    if field.bc != PERIODIC:
-        raise ValueError("the circle construction needs a periodic field")
-    p = gradient(field).values
-    fe = ev.field_eval(field.values, p)
-    return p, fe["L"], fe["L_pp"]
-
-
-def _check_velocity(field: ScalarField, u_t: ScalarField) -> None:
-    if field.n != u_t.n or field.bc != u_t.bc:
-        raise ValueError("field and u_t must share grid and boundary condition")
-
-
-def _dissipation(field: ScalarField, p: np.ndarray | None, lpp: np.ndarray,
-                 u_t: ScalarField, weight_a: NonlinearityO2 | None) -> float:
-    w = lpp
-    if weight_a is not None:
-        av = weight_a.f_bar(field.values, 0.5 * p * p)
-        if np.any(av <= 0):
-            raise ValueError("diffusion coefficient must be positive on the grid")
-        w = (1.0 / av) * lpp
-    return -float(np.dot(quadrature_weights(field), w * u_t.values**2))
-
-
 def snapshot_report(
     field: ScalarField,
     u_t: ScalarField,
@@ -159,10 +133,18 @@ def snapshot_report(
     the dissipation -int w * L_pp * u_t^2 dx and min L_pp; the one report
     assembly of both constructions. The weight w is 1, or with
     ``weight_a`` and the grid slope ``p`` it is 1/abar(u, p^2/2)."""
-    _check_velocity(field, u_t)
+    if field.n != u_t.n or field.bc != u_t.bc:
+        raise ValueError("field and u_t must share grid and boundary condition")
+    w = quadrature_weights(field)
+    weighted = lpp
+    if weight_a is not None:
+        av = weight_a.f_bar(field.values, 0.5 * p * p)
+        if np.any(av <= 0):
+            raise ValueError("diffusion coefficient must be positive on the grid")
+        weighted = (1.0 / av) * lpp
     return FunctionalReport(
-        V=float(np.dot(quadrature_weights(field), L_vals)),
-        dissipation=_dissipation(field, p, lpp, u_t, weight_a),
+        V=float(np.dot(w, L_vals)),
+        dissipation=-float(np.dot(w, weighted * u_t.values**2)),
         convexity_min=float(np.min(lpp)),
     )
 
@@ -176,51 +158,18 @@ def decay_residual(times: np.ndarray, V: np.ndarray,
     return res
 
 
-def evaluate_V(ev: LagrangianEvaluator, field: ScalarField) -> FunctionalReport:
-    """Lyapunov functional of a periodic field under the O(2) construction.
-
-    The dissipation slot of the report is left at zero; ``field_report``
-    fills it from the same evaluation.
-    """
-    _, L_vals, lpp = _circle_values(ev, field)
-    return FunctionalReport(
-        V=float(np.dot(quadrature_weights(field), L_vals)),
-        dissipation=0.0,
-        convexity_min=float(np.min(lpp)),
-    )
-
-
-def dissipation_rate(
-    ev: LagrangianEvaluator,
-    field: ScalarField,
-    u_t: ScalarField,
-    weight_a: NonlinearityO2 | None = None,
-) -> float:
-    """Signed dissipation integral -int w * L_pp(u, u_x) * u_t^2 dx.
-
-    ``weight_a`` supplies the quasilinear weight 1/abar(u, u_x^2/2); omit it
-    in the semilinear case. The return value is always <= 0. L_pp comes
-    from one solve of the transport lanes through (u_i, u_x,i^2/2), one
-    lane per grid point, as the scalar ``L_pp`` computes it; unlike
-    ``field_report`` it integrates no p-node lanes, so the two agree to
-    integration error rather than bit for bit.
-    """
-    _check_velocity(field, u_t)
-    u, p = field.values, gradient(field).values
-    _, _, fq = ev._lanes(
-        u, 0.5 * p * p, 0,
-        lambda k, s: f"dissipation rate: grid point {k} at (u, p) = "
-                     f"({u[k]:.6g}, {p[k]:.6g}), stopped at u={u[k] * s:.6g}")
-    return _dissipation(field, p, np.exp(fq), u_t, weight_a)
-
-
 def field_report(
     ev: LagrangianEvaluator,
     field: ScalarField,
     u_t: ScalarField,
     weight_a: NonlinearityO2 | None = None,
 ) -> FunctionalReport:
-    """V, dissipation (as in ``dissipation_rate``) and min L_pp of one
-    periodic snapshot with velocity ``u_t``, from a single ``field_eval``."""
-    p, L_vals, lpp = _circle_values(ev, field)
-    return snapshot_report(field, u_t, L_vals, lpp, p, weight_a)
+    """V, the dissipation (weighted as in ``snapshot_report``) and min L_pp
+    of one periodic snapshot with velocity ``u_t``, from a single
+    ``field_eval`` in the evaluator's form; the circle construction's one
+    entry point. Pass a zero ``u_t`` when only V is wanted."""
+    if field.bc != PERIODIC:
+        raise ValueError("the circle construction needs a periodic field")
+    p = gradient(field).values
+    fe = ev.field_eval(field.values, p)
+    return snapshot_report(field, u_t, fe["L"], fe["L_pp"], p, weight_a)

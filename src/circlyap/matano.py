@@ -34,9 +34,12 @@ from .pde import GeneralNonlinearity, TrajectoryRecord
 class SeparatedEvaluator:
     """Evaluator of the separated-BC Lagrange function L(x, u, p).
 
-    Every query is one backward solve of ``g_batch``: ``L`` and ``F`` are
-    ``eval_samples`` of one sample, ``L_pp`` is one characteristic. A query
-    keeps nothing, so a value depends only on its arguments.
+    Every query is one backward solve of ``g_batch``, whose value at a
+    sample is the convexity exponent g(x, u, p), normalized to vanish at
+    x = 0. ``eval_samples`` assembles L, L_pp and F of paired samples on
+    it; the scalar ``L`` is ``eval_samples`` of one sample and ``L_pp`` is
+    one characteristic. A query keeps nothing, so a value depends only on
+    its arguments.
     """
 
     def __init__(self, nl: GeneralNonlinearity,
@@ -45,9 +48,6 @@ class SeparatedEvaluator:
         self.nl = nl
         self.charflow_cfg = charflow_cfg
         self.quad_cfg = quad_cfg or QuadratureConfig()
-
-    def F(self, x, u) -> float:
-        return float(self.eval_samples([x], [u], [0.0])["F"][0])
 
     def L(self, x, u, p) -> float:
         return float(self.eval_samples([x], [u], [p])["L"][0])
@@ -126,20 +126,6 @@ class SeparatedEvaluator:
         """L, L_pp and F over a whole gridded field: ``eval_samples`` at
         its grid points and finite-difference slopes."""
         return self.eval_samples(fld.grid(), fld.values, gradient(fld).values)
-
-
-def g_value(nl: GeneralNonlinearity, x: float, u: float, p: float,
-            cfg: CharflowConfig = DEFAULT_CONFIG) -> float:
-    """Convexity exponent g(x, u, p), normalized to vanish at x = 0:
-    ``g_batch`` of one sample."""
-    return float(SeparatedEvaluator(nl, cfg).g_batch([x], [u], [p])[0])
-
-
-def L_separated(nl: GeneralNonlinearity, x: float, u: float, p: float,
-                charflow_cfg: CharflowConfig = DEFAULT_CONFIG,
-                quad_cfg: QuadratureConfig | None = None) -> float:
-    """One-shot evaluation of the separated-BC Lagrange function."""
-    return SeparatedEvaluator(nl, charflow_cfg, quad_cfg).L(x, u, p)
 
 
 def field_report(ev: SeparatedEvaluator, fld: ScalarField,

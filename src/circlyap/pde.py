@@ -200,11 +200,6 @@ class _SemiDiscrete:
         return self._finite(out, "right-hand side")
 
 
-def laplacian(field: ScalarField) -> np.ndarray:
-    return second_difference(field.values, field.dx**2, field.bc,
-                             np.empty(field.n))
-
-
 def rhs(nl: GeneralNonlinearity, a, field: ScalarField) -> ScalarField:
     """Semi-discrete right-hand side a * u_xx + f(x, u, u_x)."""
     op = _SemiDiscrete(nl, a, field.grid(), field.dx, field.bc)

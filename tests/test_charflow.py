@@ -171,6 +171,20 @@ class TestBatch:
         with pytest.raises(ValueError, match="span must be finite"):
             evolve_batch(mixed_nl(), 0.0, u1, np.array([0.1, 0.5]))
 
+    @pytest.mark.parametrize("u0, u1, q0, message", [
+        (np.inf, np.inf, [0.3], "span must be finite"),
+        (-np.inf, -np.inf, [0.3], "span must be finite"),
+        (0.0, np.inf, [], "span must be finite"),
+        (0.5, 0.5, [np.nan, 0.2], "initial state must be finite"),
+        (0.5, 0.5, [np.inf], "initial state must be finite"),
+    ])
+    def test_non_finite_input_rejected_without_a_solve(self, u0, u1, q0,
+                                                       message):
+        # an empty span or an empty batch needs no solve, but its input is
+        # checked as the driver checks it, and as evolve rejects it
+        with pytest.raises(ValueError, match=message):
+            evolve_batch(mixed_nl(), u0, u1, np.array(q0))
+
 
 class TestEquilibriumFirstIntegral:
     def test_harmonic_profile(self):
@@ -461,9 +475,9 @@ class TestDriverPolicy:
             f=lambda x, u, p: 0.0 * np.asarray(u, dtype=float),
             f_p=lambda x, u, p: 0.0 * np.asarray(p, dtype=float),
             x_periodic=False)
+        ev = matano.SeparatedEvaluator(free, CharflowConfig(escape_bound=1.0))
         with pytest.raises(CharacteristicEscape, match=r"at s=0\.444") as err:
-            matano.g_value(free, 1.0, -0.5, 0.9,
-                           CharflowConfig(escape_bound=1.0))
+            ev.g_batch([1.0], [-0.5], [0.9])
         assert err.value.var == "s"
         # located on the step's interpolant, not at the end of the step
         assert err.value.at == pytest.approx(4 / 9, abs=1e-12)

@@ -14,8 +14,6 @@ from circlyap.functional import (
     NEUMANN,
     PERIODIC,
     ScalarField,
-    dissipation_rate,
-    evaluate_V,
     field_report,
     gradient,
     quadrature_weights,
@@ -59,6 +57,11 @@ def smooth_field(n, ell=1.0, bc=PERIODIC):
         x = np.linspace(0.0, ell, n)
     return ScalarField(0.4 * np.sin(2 * np.pi * x / ell)
                        + 0.1 * np.sin(4 * np.pi * x / ell), ell, bc)
+
+
+def V_report(ev, fld):
+    """The report of a snapshot at rest: V and min L_pp, dissipation 0."""
+    return field_report(ev, fld, fld.like(np.zeros(fld.n)))
 
 
 class TestScalarField:
@@ -108,12 +111,12 @@ class TestEvaluateV:
         ev = LagrangianEvaluator(harmonic_nl())
         c, ell = 0.7, 1.0
         fld = ScalarField(np.full(64, c), ell)
-        rep = evaluate_V(ev, fld)
+        rep = V_report(ev, fld)
         assert rep.V == pytest.approx(ell * c * c / 2.0, abs=1e-8)
 
     def test_zero_field_gives_zero(self):
         ev = LagrangianEvaluator(mixed_nl())
-        rep = evaluate_V(ev, ScalarField(np.zeros(64), 1.0))
+        rep = V_report(ev, ScalarField(np.zeros(64), 1.0))
         assert rep.V == pytest.approx(0.0, abs=1e-10)
 
     def test_classical_energy(self):
@@ -125,45 +128,45 @@ class TestEvaluateV:
         F = lam * (fld.values**2 / 2.0 - fld.values**4 / 4.0)
         w = quadrature_weights(fld)
         expected = float(np.dot(w, 0.5 * p * p - F))
-        assert evaluate_V(ev, fld).V == pytest.approx(expected, abs=1e-8)
+        assert V_report(ev, fld).V == pytest.approx(expected, abs=1e-8)
 
     def test_requires_periodic(self):
         ev = LagrangianEvaluator(mixed_nl())
         with pytest.raises(ValueError):
-            evaluate_V(ev, smooth_field(64, bc=NEUMANN))
+            V_report(ev, smooth_field(64, bc=NEUMANN))
 
     def test_translation_invariance(self):
         ev = LagrangianEvaluator(mixed_nl())
         fld = smooth_field(64)
-        V0 = evaluate_V(ev, fld).V
+        V0 = V_report(ev, fld).V
         rolled = fld.like(np.roll(fld.values, 17))
-        assert evaluate_V(ev, rolled).V == pytest.approx(V0, abs=1e-12)
+        assert V_report(ev, rolled).V == pytest.approx(V0, abs=1e-12)
 
     def test_reflection_invariance(self):
         ev = LagrangianEvaluator(mixed_nl())
         fld = smooth_field(64)
-        V0 = evaluate_V(ev, fld).V
+        V0 = V_report(ev, fld).V
         reflected = fld.like(fld.values[::-1].copy())
-        assert evaluate_V(ev, reflected).V == pytest.approx(V0, abs=1e-12)
+        assert V_report(ev, reflected).V == pytest.approx(V0, abs=1e-12)
 
     def test_resolution_convergence_is_second_order(self):
         ev = LagrangianEvaluator(mixed_nl())
-        Vs = {n: evaluate_V(ev, smooth_field(n)).V for n in (32, 64, 128)}
+        Vs = {n: V_report(ev, smooth_field(n)).V for n in (32, 64, 128)}
         e1 = abs(Vs[32] - Vs[64])
         e2 = abs(Vs[64] - Vs[128])
         assert e2 <= e1 / 3.0  # about 4x per doubling
 
     def test_convexity_min_positive(self):
         ev = LagrangianEvaluator(mixed_nl())
-        assert evaluate_V(ev, smooth_field(64)).convexity_min > 0.0
+        assert V_report(ev, smooth_field(64)).convexity_min > 0.0
 
     def test_double_integral_form_matches_reduced(self):
         # the double-integral form stacks its node, F and star lanes in
         # one field_eval; the reduced form uses sensitivity lanes instead
         fld = smooth_field(64)
-        rep = evaluate_V(LagrangianEvaluator(mixed_nl(), form=DOUBLE_INTEGRAL),
-                         fld)
-        ref = evaluate_V(LagrangianEvaluator(mixed_nl(), form=REDUCED), fld)
+        rep = V_report(LagrangianEvaluator(mixed_nl(), form=DOUBLE_INTEGRAL),
+                       fld)
+        ref = V_report(LagrangianEvaluator(mixed_nl(), form=REDUCED), fld)
         assert abs(rep.V - ref.V) <= 1e-8
         assert rep.convexity_min > 0.0
 
@@ -180,8 +183,12 @@ class TestEvaluateV:
         ev = LagrangianEvaluator(mixed_nl(), form=form)
         for n in (32, 64):
             calls.clear()
-            evaluate_V(ev, smooth_field(n))
+            V_report(ev, smooth_field(n))
             assert len(calls) == 1
+
+
+def dissipation(ev, fld, ut, weight_a=None):
+    return field_report(ev, fld, ut, weight_a=weight_a).dissipation
 
 
 class TestDissipationRate:
@@ -189,7 +196,7 @@ class TestDissipationRate:
         ev = LagrangianEvaluator(mixed_nl())
         fld = smooth_field(64)
         zero = fld.like(np.zeros(64))
-        assert dissipation_rate(ev, fld, zero) == 0.0
+        assert dissipation(ev, fld, zero) == 0.0
 
     def test_classical_case_is_minus_norm(self):
         ev = LagrangianEvaluator(cubic_nl())
@@ -197,8 +204,7 @@ class TestDissipationRate:
         ut = fld.like(0.3 * np.cos(2 * np.pi * fld.grid()))
         w = quadrature_weights(fld)
         expected = -float(np.dot(w, ut.values**2))
-        assert dissipation_rate(ev, fld, ut) == pytest.approx(expected,
-                                                              abs=1e-8)
+        assert dissipation(ev, fld, ut) == pytest.approx(expected, abs=1e-8)
 
     def test_always_nonpositive(self):
         rng = np.random.default_rng(9)
@@ -206,7 +212,7 @@ class TestDissipationRate:
         fld = smooth_field(64)
         for _ in range(5):
             ut = fld.like(rng.standard_normal(64))
-            assert dissipation_rate(ev, fld, ut) <= 0.0
+            assert dissipation(ev, fld, ut) <= 0.0
 
     def test_quasilinear_weight(self):
         ev = LagrangianEvaluator(cubic_nl())
@@ -214,42 +220,14 @@ class TestDissipationRate:
         ut = fld.like(np.ones(64))
         two = NonlinearityO2(f_bar=lambda u, q: 2.0 + 0.0 * q,
                              f_bar_q=lambda u, q: 0.0 * q, label="two")
-        plain = dissipation_rate(ev, fld, ut)
-        weighted = dissipation_rate(ev, fld, ut, weight_a=two)
+        plain = dissipation(ev, fld, ut)
+        weighted = dissipation(ev, fld, ut, weight_a=two)
         assert weighted == pytest.approx(plain / 2.0, abs=1e-10)
 
     def test_mismatched_grids_rejected(self):
         ev = LagrangianEvaluator(cubic_nl())
         with pytest.raises(ValueError):
-            dissipation_rate(ev, smooth_field(64), smooth_field(32))
-
-    @pytest.mark.parametrize("form", [REDUCED, DOUBLE_INTEGRAL])
-    def test_one_transport_lane_per_grid_point(self, form, monkeypatch):
-        # L_pp needs only the star lanes: one solve of field.n transport
-        # lanes, none of field_eval's p-node (or F-node) lanes
-        calls = []
-        real = lagrangian.solve_characteristics
-
-        def counted(rhs, span, y0, cfg, watch, *args, **kwargs):
-            calls.append((np.size(y0), watch))
-            return real(rhs, span, y0, cfg, watch, *args, **kwargs)
-
-        monkeypatch.setattr(lagrangian, "solve_characteristics", counted)
-        fld = smooth_field(64)
-        ut = fld.like(0.3 * np.cos(2 * np.pi * fld.grid()))
-        dissipation_rate(LagrangianEvaluator(q_dependent_nl(), form=form),
-                         fld, ut)
-        assert calls == [(2 * fld.n, fld.n)]
-
-    @pytest.mark.parametrize("form", [REDUCED, DOUBLE_INTEGRAL])
-    def test_matches_field_report(self, form):
-        # different lane sets take different steps, so f_bar_q's q
-        # dependence makes the two differ in the last digits only
-        ev = LagrangianEvaluator(q_dependent_nl(), form=form)
-        fld = smooth_field(64)
-        ut = fld.like(0.3 * np.cos(2 * np.pi * fld.grid()))
-        assert dissipation_rate(ev, fld, ut) == pytest.approx(
-            field_report(ev, fld, ut).dissipation, rel=1e-12, abs=0.0)
+            dissipation(ev, smooth_field(64), smooth_field(32))
 
 
 class TestFieldReport:
@@ -260,11 +238,13 @@ class TestFieldReport:
         fld = smooth_field(64)
         ut = fld.like(0.3 * np.cos(2 * np.pi * fld.grid()))
         rep = field_report(LagrangianEvaluator(mixed_nl()), fld, ut)
-        alone = evaluate_V(LagrangianEvaluator(mixed_nl()), fld)
-        assert rep.V == alone.V
-        assert rep.convexity_min == alone.convexity_min
-        assert dissipation_rate(LagrangianEvaluator(mixed_nl()), fld, ut) \
-            == rep.dissipation
+        fe = LagrangianEvaluator(mixed_nl()).field_eval(
+            fld.values, gradient(fld).values)
+        w = quadrature_weights(fld)
+        assert rep.V == float(np.dot(w, fe["L"]))
+        assert rep.convexity_min == float(np.min(fe["L_pp"]))
+        assert rep.dissipation == \
+            -float(np.dot(w, fe["L_pp"] * ut.values**2))
 
     def test_dissipation_independent_of_cache_state(self):
         # f_bar_q depends on q, so F_q from different solves differs in
@@ -272,7 +252,6 @@ class TestFieldReport:
         nl = q_dependent_nl()
         fld = smooth_field(64)
         ut = fld.like(0.3 * np.cos(2 * np.pi * fld.grid()))
-        fresh_rate = dissipation_rate(LagrangianEvaluator(nl), fld, ut)
         fresh_report = field_report(LagrangianEvaluator(nl), fld, ut)
         # an unrelated batch that holds the same samples among others
         # computes their F_q in another solve first
@@ -280,7 +259,6 @@ class TestFieldReport:
         u, p = fld.values, gradient(fld).values
         ev.field_eval(np.concatenate([np.linspace(-1.0, 1.0, 40), u]),
                       np.concatenate([np.linspace(2.0, -2.0, 40), p]))
-        assert dissipation_rate(ev, fld, ut) == fresh_rate
         assert field_report(ev, fld, ut).dissipation == \
             fresh_report.dissipation
 
@@ -296,8 +274,6 @@ class TestFieldReport:
         lpp = ev.field_eval(u, p)["L_pp"]
         ref = -float(np.dot(quadrature_weights(fld), (1.0 / av) * lpp
                             * ut.values**2))
-        assert dissipation_rate(ev, fld, ut, weight_a=a_bar) == \
-            pytest.approx(ref, rel=1e-14)
         assert field_report(ev, fld, ut, weight_a=a_bar).dissipation == \
             pytest.approx(ref, rel=1e-14)
 

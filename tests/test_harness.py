@@ -558,3 +558,53 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "sweep_lam=2.0" / "series.csv").exists()
         assert (tmp_path / "sweep_lam=5.0" / "series.csv").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["solver"].update(save_every=0),
+        lambda d: d["solver"].update(n=4),
+        lambda d: d["solver"].update(nosuch=1),
+        lambda d: d.pop("scenario"),
+        lambda d: d.update(scenario="nosuch"),
+    ], ids=["save_every_0", "n_4", "unknown_solver_key", "no_scenario",
+            "unknown_scenario"])
+    def test_run_exit_four_on_invalid_config(self, tmp_path, capsys, edit):
+        cfg = tiny_config(tmp_path).to_dict()
+        edit(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == cli.EXIT_BAD_CONFIG == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"circlyap: bad config {path}: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [None, "{not json"],
+                             ids=["missing", "malformed"])
+    def test_run_exit_four_on_unreadable_config(self, tmp_path, capsys,
+                                                text):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        assert cli.main(["run", str(path)]) == 4
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("param, values", [
+        ("nosuch.lam", "2.0"),
+        ("nosuch", "2.0"),
+        ("scenario.lam", "2.0"),
+        ("solver.nosuch", "2.0"),
+        ("solver.save_every", "10,0"),
+    ])
+    def test_sweep_exit_four_before_any_job(self, tmp_path, capsys,
+                                            monkeypatch, param, values):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a job started before validation ended")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        path = tmp_path / "cfg.json"
+        emit_config(tiny_config(tmp_path), path)
+        code = cli.main(["sweep", str(path), "--param", param,
+                         "--values", values])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -26,10 +26,8 @@ from circlyap.lagrangian import (
 )
 from circlyap.matano import (
     SeparatedEvaluator,
-    L_separated,
     decay_identity_residual,
     field_report,
-    g_value,
     integrability_defect,
 )
 from circlyap.pde import GeneralNonlinearity, SolverConfig, integrate
@@ -56,16 +54,17 @@ def cubic_drift_gen_p_dependent():
 
 def nested_reference_L(gen, x, u, p, k=12):
     """The double p-integral of exp g minus F, as nested k-point
-    Gauss-Legendre sums of scalar g_value calls."""
+    Gauss-Legendre sums of one-sample g_batch calls."""
     xg, wg = leggauss(k)
+    ev = SeparatedEvaluator(gen)
 
     def rule(b):
         return 0.5 * b * (xg + 1.0), 0.5 * b * wg
 
-    double = sum(w1 * sum(w2 * np.exp(g_value(gen, x, u, p2))
+    double = sum(w1 * sum(w2 * np.exp(ev.g_batch([x], [u], [p2])[0])
                           for p2, w2 in zip(*rule(p1)))
                  for p1, w1 in zip(*rule(p)))
-    F = sum(w * gen.f(x, u1, 0.0) * np.exp(g_value(gen, x, u1, 0.0))
+    F = sum(w * gen.f(x, u1, 0.0) * np.exp(ev.g_batch([x], [u1], [0.0])[0])
             for u1, w in zip(*rule(u)))
     return double - F
 
@@ -91,20 +90,22 @@ def dirichlet_field(n, amplitude=0.3):
 
 class TestGValue:
     def test_zero_without_advection(self):
-        gen = cubic_gen()
+        ev = SeparatedEvaluator(cubic_gen())
         for x, u, p in [(0.3, 0.5, 1.0), (0.9, -0.2, -0.5)]:
-            assert g_value(gen, x, u, p) == pytest.approx(0.0, abs=1e-10)
+            assert ev.g_batch([x], [u], [p])[0] == pytest.approx(0.0,
+                                                                abs=1e-10)
 
     def test_constant_drift_closed_form(self):
         # f_p constant eps accumulates to eps * x along any characteristic
-        gen = cubic_drift_gen(lam=5.0, eps=0.5)
+        ev = SeparatedEvaluator(cubic_drift_gen(lam=5.0, eps=0.5))
         for x, u, p in [(0.4, 0.2, 0.5), (1.0, -0.3, 1.0), (0.7, 0.0, 0.0)]:
-            assert g_value(gen, x, u, p) == pytest.approx(0.5 * x, abs=1e-8)
+            assert ev.g_batch([x], [u], [p])[0] == pytest.approx(0.5 * x,
+                                                                abs=1e-8)
 
     def test_vanishes_at_x_zero(self):
-        gen = cubic_drift_gen()
+        ev = SeparatedEvaluator(cubic_drift_gen())
         for u, p in [(0.5, 1.0), (-0.4, -0.8)]:
-            assert g_value(gen, 0.0, u, p) == 0.0
+            assert ev.g_batch([0.0], [u], [p])[0] == 0.0
 
 
 class TestLSeparated:
@@ -112,7 +113,7 @@ class TestLSeparated:
         lam = 3.0
         F = cubic_primitive(lam)
         for x, u, p in [(0.3, 0.5, 1.0), (0.8, -0.4, 0.5)]:
-            val = L_separated(cubic_gen(lam), x, u, p)
+            val = SeparatedEvaluator(cubic_gen(lam)).L(x, u, p)
             assert val == pytest.approx(0.5 * p * p - F(u), abs=1e-6)
 
     def test_drift_closed_form(self):
@@ -121,7 +122,8 @@ class TestLSeparated:
         gen = cubic_drift_gen(lam, eps)
         ev = SeparatedEvaluator(gen)
         for x, u, p in [(0.4, 0.3, 1.0), (0.9, -0.2, -1.5)]:
-            expected = 0.5 * p * p * np.exp(eps * x) - ev.F(x, u)
+            F = ev.eval_samples([x], [u], [0.0])["F"][0]
+            expected = 0.5 * p * p * np.exp(eps * x) - F
             assert ev.L(x, u, p) == pytest.approx(expected, abs=1e-6)
 
     def test_convexity_weight_positive(self):
@@ -157,9 +159,7 @@ class TestFieldEval:
         for x, u, p in [(0.4, 0.3, 0.8), (0.7, -0.2, -1.0), (0.9, 0.1, 0.0)]:
             fe = ev.eval_samples([x], [u], [p])
             assert ev.L(x, u, p) == fe["L"][0]
-            assert ev.F(x, u) == ev.eval_samples([x], [u], [0.0])["F"][0]
             assert ev.L_pp(x, u, p) == np.exp(ev.g_batch([x], [u], [p])[0])
-            assert g_value(gen, x, u, p) == ev.g_batch([x], [u], [p])[0]
 
     def test_matches_pointwise(self):
         gen = cubic_drift_gen()
@@ -185,7 +185,8 @@ def _queries(ev, x, u, p):
     before it reaches x = 0; the escape is then the answer at that point.
     """
     try:
-        return ev.F(x, u), ev.L(x, u, p), ev.L_pp(x, u, p)
+        return (ev.eval_samples([x], [u], [0.0])["F"][0], ev.L(x, u, p),
+                ev.L_pp(x, u, p))
     except CharacteristicEscape as exc:
         return type(exc), str(exc)
 
@@ -257,10 +258,10 @@ class TestGBatchEscape:
         with pytest.raises(CharacteristicEscape,
                            match=r"sample \d+ at \(x, u, p\) = \(1, "):
             SeparatedEvaluator(gen).field_eval(fld)
-        # the scalar path, from the slope at the right end
+        # a batch of one, from the slope at the right end
         with pytest.raises(CharacteristicEscape,
                            match=r"sample 0 at \(x, u, p\) = \(1, 0, -1.42\)"):
-            g_value(gen, 1.0, 0.0, -1.42)
+            SeparatedEvaluator(gen).g_batch([1.0], [0.0], [-1.42])
 
 
 class TestConsistencyWithCircleConstruction:
