@@ -17,8 +17,9 @@ of the package is: a solve calls each once per right-hand side over all its
 lanes, and a result of u alone, or a constant, broadcasts into place.
 
 Every characteristic solve in the package, here and in
-:mod:`circlyap.lagrangian` and :mod:`circlyap.matano`, runs through one
-driver, :func:`solve_characteristics`. It runs the 8th-order DOP853
+:mod:`circlyap.lagrangian`, :mod:`circlyap.matano` and
+:mod:`circlyap.harness`, runs through one driver,
+:func:`solve_characteristics`. It runs the 8th-order DOP853
 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.10) in its own loop, over
 scipy's tableau vendored as :mod:`circlyap._dop853`, with scipy's
 first-step rule, error norm, step-size controller and interpolant repeated
@@ -32,6 +33,10 @@ the failure policy: a non-finite right-hand side or more than
 ``escape_bound``, located on the interpolant of the step that crossed it,
 or a step-size collapse is a :class:`CharacteristicEscape` that names the
 lane.
+
+Every solve of the profile flow u' = p, p' = -f (the separated-BC exponent,
+the periodic shooting, the equilibria, the first-integral check) runs
+lanes of :func:`solve_profile_flow` over it.
 """
 
 from __future__ import annotations
@@ -441,6 +446,43 @@ def compose_check(
     return leg2.value, direct.value
 
 
+def solve_profile_flow(f, xs, u0, p0, span, cfg: CharflowConfig, label: str,
+                       f_p=None) -> np.ndarray:
+    """Lanes of the profile flow du/dx = p, dp/dx = -f(x, u, p), with the
+    exponent dg/dx = f_p from g = 0 when ``f_p`` is given, in one solve.
+
+    Lane k runs along x = xs[k] * s over ``span`` of s from (u0, p0), which
+    broadcast to the lanes; u and p are watched, and an escape names
+    ``label`` and the lane. Returns the final rows u, p[, g].
+    """
+    xs = np.asarray(xs, dtype=float).ravel()
+    m = xs.size
+    neg_xs = -xs
+    y0 = np.zeros((2 if f_p is None else 3, m))
+    y0[0], y0[1] = np.ravel(u0), np.ravel(p0)
+
+    def rhs(s, y):
+        # a fresh array per call: the integrator keeps the derivative
+        u, p = y[:m], y[m:2 * m]
+        pos = xs * s
+        out = np.empty(y.size)
+        np.multiply(xs, p, out=out[:m])
+        np.multiply(neg_xs, f(pos, u, p), out=out[m:2 * m])
+        if f_p is not None:
+            np.multiply(xs, f_p(pos, u, p), out=out[2 * m:])
+        return out
+
+    def lane(k, s):
+        k %= m
+        return (f"{label}: sample {k} at (x, u, p) = ({xs[k] * span[0]:.6g}, "
+                f"{y0[0, k]:.6g}, {y0[1, k]:.6g}), stopped at "
+                f"x={xs[k] * s:.6g}")
+
+    y = solve_characteristics(rhs, span, y0.ravel(), cfg, 2 * m, lane,
+                              var="s")
+    return y.reshape(y0.shape)
+
+
 def verify_equilibrium_first_integral(
     nl: NonlinearityO2,
     u_init: float,
@@ -453,8 +495,8 @@ def verify_equilibrium_first_integral(
 
     Integrates the stationary profile ODE u'' = -fbar(u, u'^2/2) from
     (u_init, p_init) to each of ``n_check - 1`` equally spaced abscissae
-    x_k in (0, x_span], in one solve of lanes x = x_k * s over s in [0, 1],
-    and compares q(x_k) = u'(x_k)^2/2 against the characteristic evolution
+    x_k in (0, x_span], as lanes of one :func:`solve_profile_flow`, and
+    compares q(x_k) = u'(x_k)^2/2 against the characteristic evolution
     started from q = p_init^2/2 at u_init. Returns the maximum absolute
     mismatch; a small value confirms that the evolution is a first
     integral of the equilibrium ODE.
@@ -462,24 +504,9 @@ def verify_equilibrium_first_integral(
     if p_init == 0:
         raise ValueError("p_init must be nonzero (positivity domain of q)")
     xs = np.linspace(0.0, x_span, n_check)[1:]
-    m = xs.size
-
-    def rhs(s, y):
-        u, p = y[:m], y[m:]
-        return np.concatenate([xs * p, -xs * nl.f_bar(u, 0.5 * p * p)])
-
-    y = solve_characteristics(
-        rhs, (0.0, 1.0),
-        np.concatenate([np.full(m, float(u_init)), np.full(m, float(p_init))]),
-        cfg, 2 * m,
-        lambda k, s: f"equilibrium from (u, p) = ({u_init:.6g}, "
-                     f"{p_init:.6g}) to x={xs[k % m]:.6g}, stopped at "
-                     f"x={xs[k % m] * s:.6g}",
-        var="s")
-
-    defect = 0.0
+    us, ps = solve_profile_flow(lambda x, u, p: nl.f_bar(u, 0.5 * p * p),
+                                xs, u_init, p_init, (0.0, 1.0), cfg,
+                                "equilibrium")
     q0 = 0.5 * p_init * p_init
-    for u, p in zip(y[:m], y[m:]):
-        res = evolve(nl, u_init, float(u), q0, cfg)
-        defect = max(defect, abs(0.5 * p * p - res.value))
-    return defect
+    qs = [evolve(nl, u_init, float(u), q0, cfg).value for u in us]
+    return float(np.max(np.abs(0.5 * ps * ps - qs), initial=0.0))

@@ -3,8 +3,9 @@
 Exit codes: 0 on success, 1 if a ``check`` failed, 2 if the PDE run blew
 up, 3 if a Lyapunov construction failed (characteristic escape or
 integration breakdown), 4 if a config does not parse or validate (for
-``sweep``, every job's config is validated before any job starts); the
-reason is one line on stderr.
+``sweep``, every job's config is validated before any job starts) or its
+scenario cannot be built (a sweep job reports ``bad_config``); the reason
+is one line on stderr.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ EXIT_BAD_CONFIG = 4
 _CONFIG_ERRORS = (ValueError, TypeError, KeyError, OSError)
 
 _STATUS_CODES = {"ok": EXIT_OK, "blowup": EXIT_BLOWUP,
-                 "construction_failure": EXIT_CONSTRUCTION_FAILURE}
+                 "construction_failure": EXIT_CONSTRUCTION_FAILURE,
+                 "bad_config": EXIT_BAD_CONFIG}
 
 
 def _set_path(tree: dict, dotted: str, value):
@@ -58,10 +60,14 @@ def _set_path(tree: dict, dotted: str, value):
             node[leaf] = value
 
 
-def _run_one(cfg_dict: dict) -> str:
+def _run_one(cfg_dict: dict) -> tuple[str, str]:
+    """A sweep job's status, and why its scenario could not be built."""
     cfg = harness.ScenarioConfig.from_dict(cfg_dict)
-    _, extras = harness.run_scenario(cfg)
-    return extras["status"]
+    try:
+        _, extras = harness.run_scenario(cfg)
+    except harness.ConfigError as exc:
+        return "bad_config", str(exc)
+    return extras["status"], ""
 
 
 def _bad_config(path, exc: Exception) -> int:
@@ -75,7 +81,10 @@ def cmd_run(args) -> int:
         cfg = harness.parse_config(args.config)
     except _CONFIG_ERRORS as exc:
         return _bad_config(args.config, exc)
-    _, extras = harness.run_scenario(cfg)
+    try:
+        _, extras = harness.run_scenario(cfg)
+    except harness.ConfigError as exc:
+        return _bad_config(args.config, exc)
     print(f"{cfg.scenario}: {extras['status']}"
           + (f" -> {extras.get('output_dir', '')}" if "output_dir" in extras else ""))
     if extras["status"] != "ok" and "error" in extras:
@@ -99,8 +108,11 @@ def cmd_sweep(args) -> int:
         return _bad_config(args.config, exc)
     worst = EXIT_OK
     with ProcessPoolExecutor(max_workers=args.workers) as pool:
-        for v, status in zip(values, pool.map(_run_one, jobs)):
+        for v, (status, reason) in zip(values, pool.map(_run_one, jobs)):
             print(f"{args.param}={v}: {status}")
+            if reason:
+                print(f"circlyap: bad config {args.config} at "
+                      f"{args.param}={v}: {reason}", file=sys.stderr)
             worst = max(worst, _STATUS_CODES[status])
     return worst
 

@@ -25,11 +25,11 @@ from typing import Callable
 import numpy as np
 
 from .charflow import (
-    DEFAULT_CONFIG,
     CharacteristicEscape,
     CharflowConfig,
     IntegrationFailure,
     NonlinearityO2,
+    solve_profile_flow,
 )
 from .functional import (
     DIRICHLET,
@@ -208,53 +208,47 @@ def planar_orbit(pf: PlanarField, a0: float, b0: float,
 # ---------------------------------------------------------------------------
 # equilibrium profiles on the circle
 
-def equilibrium_profile(lam: float, ell: float, n: int,
-                        tol: float = 1e-12) -> np.ndarray:
-    """Nonconstant stationary profile of u'' + lam*u*(1-u^2) = 0 with
-    period ``ell``, sampled on the periodic grid of n points.
+_PROFILE_CFG = CharflowConfig(rel_tol=1e-12, abs_tol=1e-14)
 
-    Exists for lam > (2*pi/ell)^2; found by bisection on the amplitude of
-    the conservative profile equation (the half period grows monotonically
-    with amplitude).
+
+def equilibrium_profile(lam: float, ell: float, n: int) -> np.ndarray:
+    """One-lap stationary profile of u'' + lam*u*(1-u^2) = 0 with period
+    ``ell``, from its maximum (A, 0), sampled on the periodic grid of n
+    points; it exists for lam > (2*pi/ell)^2.
+
+    Each solve runs 64 amplitudes to x = ell/2 as lanes of
+    :func:`circlyap.charflow.solve_profile_flow`; the bracket becomes the
+    largest one that has turned back (p(ell/2) > 0) and its upper
+    neighbour, down to 1e-12. A profile of more than one lap, as where
+    1 - A nears rounding (lam * ell^2 of several thousand), is a
+    RuntimeError.
     """
     if lam <= (2 * np.pi / ell) ** 2:
         raise ValueError("no nonconstant profile: lam must exceed (2*pi/ell)^2")
-    from scipy.integrate import solve_ivp
-
-    def half_period(A):
-        def rhs(x, y):
-            return [y[1], -lam * y[0] * (1.0 - y[0] ** 2)]
-
-        def turning(x, y):
-            return y[1]
-
-        turning.terminal = True
-        turning.direction = 1.0
-        sol = solve_ivp(rhs, (0.0, 10.0 * ell), (A, 0.0), method="RK45",
-                        rtol=1e-12, atol=1e-14, events=turning)
-        if sol.t_events[0].size == 0:
-            return np.inf
-        return float(sol.t_events[0][0])
-
-    lo, hi = 1e-6, 1.0 - 1e-9
-    target = 0.5 * ell
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if half_period(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
+    f = general_from_o2(chafee_infante_nl(lam)).f
+    label = f"lam={lam:g} equilibrium profile"
+    # 64 lanes between the ends, first spread evenly in -log(1 - A), in
+    # which the half period grows about linearly, so that one lane's lies
+    # in (ell/4, ell/2)
+    grid = -np.expm1(-np.linspace(0.0, 36.0, 66))
+    while True:
+        _, p = solve_profile_flow(f, np.full(64, 0.5 * ell), grid[1:-1], 0.0,
+                                  (0.0, 1.0), _PROFILE_CFG, label)
+        # grid[0] is 0 or turned on an earlier solve
+        turned = np.flatnonzero(p > 0)
+        j = turned[-1] + 1 if turned.size else 0
+        lo, hi = grid[j], grid[j + 1]
+        if hi - lo < 1e-12:
             break
-    A = 0.5 * (lo + hi)
-
-    def rhs(x, y):
-        return [y[1], -lam * y[0] * (1.0 - y[0] ** 2)]
-
-    sol = solve_ivp(rhs, (0.0, ell), (A, 0.0), method="RK45",
-                    rtol=1e-12, atol=1e-14, dense_output=True)
-    xs = np.arange(n) * (ell / n)
-    return sol.sol(xs)[0]
+        grid = np.linspace(lo, hi, 66)
+    # even about x = 0 and ell-periodic, so u(ell - x) = u(x)
+    half = solve_profile_flow(f, np.arange(n // 2 + 1) * (ell / n),
+                              0.5 * (lo + hi), 0.0, (0.0, 1.0),
+                              _PROFILE_CFG, label)[0]
+    # a one-lap profile changes sign at most once on [0, ell/2]
+    if np.count_nonzero(np.diff(half > 0)) > 1:
+        raise RuntimeError(f"the lam={lam:g} profile found is not one-lap")
+    return np.concatenate([half, half[(n - 1) // 2:0:-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -613,15 +607,23 @@ def burn_in_config(solver_cfg: SolverConfig, burn_in: float, a_coeff,
                    t_end=burn_in, save_every=10**9)
 
 
+class ConfigError(ValueError):
+    """A config that parses, for a scenario that cannot be built."""
+
+
 def run_scenario(cfg: ScenarioConfig, write: bool = True):
     """Integrate a scenario and attach its monitors.
 
     Returns (trajectory, extras). ``extras['status']`` is one of "ok",
     "blowup" or "construction_failure"; on failure the partial series is
     still emitted together with a machine-readable error record
-    (``error.json``) that says what failed, where and when.
+    (``error.json``) that says what failed, where and when. A scenario
+    that cannot be built raises :class:`ConfigError`.
     """
-    gen, a_coeff, u0, report, extras_fn, solver_cfg = _build_scenario(cfg)
+    try:
+        gen, a_coeff, u0, report, extras_fn, solver_cfg = _build_scenario(cfg)
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"scenario {cfg.scenario!r}: {exc}") from exc
     burn_in = float(cfg.params.get("burn_in", 0.0))
     traj = None
     if burn_in > 0.0:

@@ -16,15 +16,17 @@ for the circle construction.
 
 Under periodic boundary conditions the same recipe demands that the
 accumulated f_p vanish around every 1-periodic characteristic orbit; the
-``integrability_defect`` routine locates such an orbit by single shooting
-and reports that integral. A nonzero value certifies the obstruction.
+``integrability_defect`` routine locates such an orbit by Newton shooting
+on the period-1 return map and reports that integral. A nonzero value
+certifies the obstruction. Both run their characteristics as lanes of
+:func:`circlyap.charflow.solve_profile_flow`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .charflow import DEFAULT_CONFIG, CharflowConfig, solve_characteristics
+from .charflow import DEFAULT_CONFIG, CharflowConfig, solve_profile_flow
 from .functional import (DIRICHLET, FunctionalReport, ScalarField,
                          decay_residual, gradient, snapshot_report)
 from .lagrangian import QuadratureConfig, _unit_rule
@@ -61,31 +63,10 @@ class SeparatedEvaluator:
         Each span [x_k, 0] is rescaled to a common parameter s in [1, 0],
         so characteristics from every sample advance together.
         """
-        xs = np.asarray(xs, dtype=float).ravel()
-        us = np.asarray(us, dtype=float).ravel()
-        ps = np.asarray(ps, dtype=float).ravel()
-        m = xs.size
-        nl, cfg = self.nl, self.charflow_cfg
-        neg_xs = -xs
-
-        def rhs(s, y):
-            # a fresh array per call: the integrator keeps the derivative
-            u, p = y[:m], y[m:2 * m]
-            pos = xs * s
-            out = np.empty(3 * m)
-            np.multiply(xs, p, out=out[:m])
-            np.multiply(neg_xs, nl.f(pos, u, p), out=out[m:2 * m])
-            np.multiply(xs, nl.f_p(pos, u, p), out=out[2 * m:])
-            return out
-
-        y = solve_characteristics(
-            rhs, (1.0, 0.0), np.concatenate([us, ps, np.zeros(m)]), cfg,
-            2 * m,
-            lambda k, s: f"batched backward characteristics: sample {k % m} "
-                         f"at (x, u, p) = ({xs[k % m]:.6g}, {us[k % m]:.6g}, "
-                         f"{ps[k % m]:.6g}), stopped at x={xs[k % m] * s:.6g}",
-            var="s")
-        return -y[2 * m:]
+        return -solve_profile_flow(self.nl.f, xs, us, ps, (1.0, 0.0),
+                                   self.charflow_cfg,
+                                   "batched backward characteristics",
+                                   f_p=self.nl.f_p)[2]
 
     def eval_samples(self, xs, us, ps):
         """L, L_pp and F at paired samples (x_i, u_i, p_i), in one fused
@@ -154,24 +135,6 @@ def decay_identity_residual(nl: GeneralNonlinearity, trajectory: TrajectoryRecor
     return decay_residual(trajectory.times, V, D)[1:-1]
 
 
-def _flow_map(nl: GeneralNonlinearity, z: np.ndarray,
-              cfg: CharflowConfig, with_fp: bool = False):
-    """Characteristic flow over x in [0, 1] from initial state z = (u, p)."""
-
-    def rhs(x, y):
-        u, p = y[0], y[1]
-        out = [p, -float(nl.f(x, u, p))]
-        if with_fp:
-            out.append(float(nl.f_p(x, u, p)))
-        return out
-
-    y0 = list(z) + ([0.0] if with_fp else [])
-    return solve_characteristics(
-        rhs, (0.0, 1.0), y0, cfg, 2,
-        lambda k, _: f"flow map from (u, p) = ({z[0]:.6g}, {z[1]:.6g})",
-        var="x")
-
-
 def integrability_defect(nl: GeneralNonlinearity,
                          periodic_orbit_seed: tuple[float, float],
                          cfg: CharflowConfig = DEFAULT_CONFIG,
@@ -183,38 +146,30 @@ def integrability_defect(nl: GeneralNonlinearity,
     Locates the orbit by Newton iteration on the period-1 return map,
     starting from the seed; the Jacobian is finite-differenced and solved
     by least squares (the phase direction of an orbit family is neutral).
-    Returns the integral of f_p along the located orbit. A nonzero value
-    is the obstruction to the separated-BC construction on the circle.
+    Each iteration is one solve of the iterate and its four neighbours as
+    lanes carrying f_p, so the solve that closes the orbit gives the
+    integral of f_p along it, which is returned. A nonzero value is the
+    obstruction to the separated-BC construction on the circle.
     """
     z = np.array(periodic_orbit_seed, dtype=float)
-
-    def residual(zz):
-        return _flow_map(nl, zz, cfg)[:2] - zz
-
-    converged = False
-    for _ in range(max_iter):
-        r = residual(z)
+    for _ in range(max_iter + 1):
+        # z, z + h_0 e_0, z - h_0 e_0, z + h_1 e_1, z - h_1 e_1
+        h = 1e-7 * np.maximum(1.0, np.abs(z))
+        starts = z[:, None] + [[0, 1, -1, 0, 0], [0, 0, 0, 1, -1]] * h[:, None]
+        u, p, g = solve_profile_flow(nl.f, np.ones(5), *starts, (0.0, 1.0),
+                                     cfg, "flow map", f_p=nl.f_p)
+        # the return map's residual Phi(z) - z at each start
+        res = np.array([u, p]) - starts
+        r = res[:, 0]
         if np.max(np.abs(r)) < tol:
-            converged = True
             break
-        J = np.empty((2, 2))
-        for j in range(2):
-            h = 1e-7 * max(1.0, abs(z[j]))
-            e = np.zeros(2)
-            e[j] = h
-            J[:, j] = (residual(z + e) - residual(z - e)) / (2 * h)
+        J = (res[:, 1::2] - res[:, 2::2]) / (2 * h)
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         # damp overly long steps along the neutral phase direction
-        norm = np.linalg.norm(step)
-        if norm > 1.0:
-            step *= 1.0 / norm
-        z = z + step
-    if not converged and np.max(np.abs(residual(z))) >= tol:
+        z = z + step * (1.0 / max(1.0, np.linalg.norm(step)))
+    else:
         raise RuntimeError(
             f"shooting failed to locate a 1-periodic characteristic orbit "
-            f"in {max_iter} iterations (residual {np.max(np.abs(residual(z))):.3g})")
-
-    defect = float(_flow_map(nl, z, cfg, with_fp=True)[2])
-    if return_orbit:
-        return defect, (float(z[0]), float(z[1]))
-    return defect
+            f"in {max_iter} iterations (residual {np.max(np.abs(r)):.3g})")
+    defect = float(g[0])
+    return (defect, (float(z[0]), float(z[1]))) if return_orbit else defect

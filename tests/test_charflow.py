@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
-from circlyap import charflow, lagrangian, matano
+from circlyap import charflow, harness, lagrangian, matano
 from circlyap.charflow import (
     CharacteristicEscape,
     CharflowConfig,
@@ -19,6 +19,7 @@ from circlyap.charflow import (
     compose_check,
     evolve,
     evolve_batch,
+    solve_profile_flow,
     verify_equilibrium_first_integral,
 )
 from circlyap.pde import GeneralNonlinearity
@@ -201,6 +202,37 @@ class TestEquilibriumFirstIntegral:
     def test_cubic_pendulum_energy(self):
         defect = verify_equilibrium_first_integral(cubic_nl(5.0), 0.1, 0.5, 1.0)
         assert defect <= 1e-6
+
+
+class TestProfileFlow:
+    def test_harmonic_lanes_and_exponent(self):
+        # u'' = -u from (u0, p0): u = u0 cos x + p0 sin x, with the
+        # exponent of f_p = 1/4 accumulating x/4
+        xs, u0 = np.array([0.5, 1.0, 2.0]), np.array([1.0, 0.0, 0.3])
+        u, p, g = solve_profile_flow(
+            lambda x, u, p: u, xs, u0, 0.5, (0.0, 1.0), CharflowConfig(),
+            "harmonic", f_p=lambda x, u, p: 0.25 + 0.0 * p)
+        assert u == pytest.approx(u0 * np.cos(xs) + 0.5 * np.sin(xs),
+                                  abs=1e-9)
+        assert p == pytest.approx(-u0 * np.sin(xs) + 0.5 * np.cos(xs),
+                                  abs=1e-9)
+        assert g == pytest.approx(0.25 * xs, abs=1e-12)
+
+    def test_without_exponent_returns_two_rows(self):
+        out = solve_profile_flow(lambda x, u, p: 0.0 * u, [1.0, 2.0], 0.0,
+                                 1.0, (0.0, 1.0), CharflowConfig(), "free")
+        assert out.shape == (2, 2)
+        assert out[0] == pytest.approx([1.0, 2.0], abs=1e-12)
+
+    def test_escape_names_the_lane(self):
+        # f = 0: lane k's u = xs[k] s leaves |u| <= 1.5 at s = 0.75 on
+        # lane 1 only, so the message names that lane, not its component
+        with pytest.raises(CharacteristicEscape,
+                           match=r"at s=0\.75 \(free: sample 1 at \(x, u, p\) "
+                                 r"= \(0, 0, 1\), stopped at x=1\.5\)"):
+            solve_profile_flow(lambda x, u, p: 0.0 * u, [0.1, 2.0], 0.0, 1.0,
+                               (0.0, 1.0), CharflowConfig(escape_bound=1.5),
+                               "free")
 
 
 class TestNonlinearityConsistency:
@@ -401,6 +433,8 @@ class TestDriverPolicy:
     def test_single_solve_path(self):
         for mod in (charflow, lagrangian, matano):
             assert "solve_ivp" not in inspect.getsource(mod), mod.__name__
+        assert "solve_ivp" not in inspect.getsource(
+            harness.equilibrium_profile)
 
     @pytest.mark.parametrize("call", [
         pytest.param(lambda cfg: evolve(mixed_nl(), 0.0, 1.0, 0.5, cfg),
@@ -418,6 +452,9 @@ class TestDriverPolicy:
         pytest.param(lambda cfg: matano.integrability_defect(
             _linear_gen(), (0.3, 0.1), cfg),
                      id="matano.integrability_defect"),
+        pytest.param(lambda cfg: verify_equilibrium_first_integral(
+            cubic_nl(5.0), 0.1, 0.5, 1.0, cfg),
+                     id="verify_equilibrium_first_integral"),
     ])
     def test_step_budget_on_every_path(self, call):
         with pytest.raises(IntegrationFailure, match="step budget exhausted"):

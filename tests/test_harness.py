@@ -124,6 +124,57 @@ class TestEquilibriumProfile:
         with pytest.raises(ValueError):
             equilibrium_profile(10.0, 1.0, 64)
 
+    @pytest.mark.parametrize("lam", [200.0, 800.0, 1500.0])
+    def test_one_lap_where_several_laps_fit(self, lam):
+        # ell/2 exceeds two small-amplitude half periods (pi/sqrt(lam)),
+        # so amplitudes on 3- and more-lap branches also turn back by
+        # ell/2; at 1500 the one-lap amplitudes span less than 1/65
+        n = 256
+        prof = equilibrium_profile(lam, 1.0, n)
+        signs = prof > 0
+        assert np.count_nonzero(signs != np.roll(signs, 1)) == 2
+        assert np.argmax(prof) == 0
+        assert np.max(np.abs(prof[1:] - prof[:0:-1])) <= 1e-9
+
+    def test_unresolvable_amplitude_is_an_error(self):
+        # 1 - A of the one-lap profile is below rounding at lam = 20000
+        with pytest.raises(RuntimeError, match="not one-lap"):
+            equilibrium_profile(20000.0, 1.0, 64)
+
+    @staticmethod
+    def _reference(lam, ell, n):
+        """The profile by scalar bisection of the first turning point,
+        each step a solve_ivp solve at rtol 1e-12, integrated forward over
+        the whole period."""
+        from scipy.integrate import solve_ivp
+
+        def rhs(x, y):
+            return [y[1], -lam * y[0] * (1.0 - y[0] ** 2)]
+
+        def turning(x, y):
+            return y[1]
+
+        turning.terminal = True
+        turning.direction = 1.0
+
+        def half_period(A):
+            sol = solve_ivp(rhs, (0.0, 10.0 * ell), (A, 0.0), "DOP853",
+                            rtol=1e-12, atol=1e-14, events=turning)
+            return sol.t_events[0][0] if sol.t_events[0].size else np.inf
+
+        lo, hi = 1e-6, 1.0 - 1e-9
+        while hi - lo >= 1e-12:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if half_period(mid) < 0.5 * ell else (lo, mid)
+        sol = solve_ivp(rhs, (0.0, ell), (0.5 * (lo + hi), 0.0), "DOP853",
+                        rtol=1e-12, atol=1e-14, dense_output=True)
+        return sol.sol(np.arange(n) * (ell / n))[0]
+
+    @pytest.mark.parametrize("lam", [50.0, 200.0])
+    def test_matches_solve_ivp_reference(self, lam):
+        prof = equilibrium_profile(lam, 1.0, 64)
+        assert np.max(np.abs(prof - self._reference(lam, 1.0, 64))) <= 1e-9
+
 
 class TestMakeInitial:
     def test_random_smooth_is_deterministic(self):
@@ -577,6 +628,44 @@ class TestCli:
         assert err.startswith(f"circlyap: bad config {path}: ")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario, edit", [
+        ("chafee_infante", {"initial": {"kind": "bogus"}}),
+        ("rotating_wave", {"params": {"lam": 10.0}}),
+    ], ids=["unknown_initial_kind", "subcritical_lam"])
+    def test_run_exit_four_when_the_scenario_cannot_be_built(
+            self, tmp_path, capsys, scenario, edit):
+        cfg = tiny_config(tmp_path, scenario=scenario).to_dict()
+        cfg.update(edit)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"circlyap: bad config {path}: ConfigError: "
+                              f"scenario {scenario!r}: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        # library callers still see a ValueError
+        with pytest.raises(ValueError):
+            run_scenario(ScenarioConfig.from_dict(cfg), write=False)
+
+    def test_sweep_reports_a_job_that_cannot_be_built(self, tmp_path,
+                                                       capsys):
+        cfg = tiny_config(tmp_path, scenario="rotating_wave",
+                          params={"lam": 50.0},
+                          solver=SolverConfig(n=32, t_end=1e-4,
+                                              save_every=10))
+        path = tmp_path / "cfg.json"
+        emit_config(cfg, path)
+        code = cli.main(["sweep", str(path), "--param", "params.lam",
+                         "--values", "10.0,50.0", "--workers", "1"])
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert out.splitlines() == ["params.lam=10.0: bad_config",
+                                    "params.lam=50.0: ok"]
+        assert len(err.splitlines()) == 1 and "lam must exceed" in err
+        assert (tmp_path / "out_lam=50.0" / "series.csv").exists()
+        assert not (tmp_path / "out_lam=10.0").exists()
 
     @pytest.mark.parametrize("text", [None, "{not json"],
                              ids=["missing", "malformed"])

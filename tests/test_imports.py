@@ -40,6 +40,9 @@ SeparatedEvaluator(gen).L(0.4, 0.3, 1.0)
 evolve(nl, 0.0, 1.0, 0.5)
 verify_equilibrium_first_integral(nl, 0.1, 0.5, 1.0)
 loaded("scalar_queries_and_first_integral")
+from circlyap import harness
+harness.equilibrium_profile(50.0, 1.0, 64)
+loaded("equilibrium_profile")
 cubic = GeneralNonlinearity(f=lambda x, u, p: u * (1.0 - u * u),
                             f_p=lambda x, u, p: 0.0 * p)
 n = 32
@@ -60,5 +63,6 @@ def test_scipy_loads_only_where_it_is_used():
     seen = json.loads(out.stdout.splitlines()[-1])
     assert seen == {"scipy_after_import": [],
                     "scalar_queries_and_first_integral": [],
+                    "equilibrium_profile": [],
                     "scalar_queries_and_rk4": [],
                     "etdrk4": ["scipy.fft"]}

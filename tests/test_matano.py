@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from circlyap import charflow
 from circlyap.charflow import (
     CharacteristicEscape,
     CharflowConfig,
@@ -385,6 +386,27 @@ class TestIntegrabilityDefect:
             x_periodic=False)
         assert integrability_defect(gen, (0.3, 0.1)) == pytest.approx(eps,
                                                                       abs=1e-6)
+
+    def test_linear_center_takes_at_most_five_solves(self, monkeypatch):
+        # one solve of five lanes per Newton step: the iterate and its
+        # four finite-difference neighbours
+        solves = []
+        real = charflow.solve_characteristics
+
+        def counting(*args, **kwargs):
+            solves.append(np.size(args[2]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(charflow, "solve_characteristics", counting)
+        eps = 0.5
+        gen = GeneralNonlinearity(
+            f=lambda x, u, p: (2 * np.pi) ** 2 * u + eps * p,
+            f_p=lambda x, u, p: np.full_like(np.asarray(p, dtype=float), eps),
+            x_periodic=False)
+        assert integrability_defect(gen, (0.3, 0.1)) == pytest.approx(eps,
+                                                                      abs=1e-6)
+        assert 1 <= len(solves) <= 5
+        assert set(solves) == {15}
 
     def test_reflection_symmetric_form_has_zero_defect(self):
         # gradient-dependence of reflection-symmetric type integrates to
