@@ -34,9 +34,10 @@ the failure policy: a non-finite right-hand side or more than
 or a step-size collapse is a :class:`CharacteristicEscape` that names the
 lane.
 
-Every solve of the profile flow u' = p, p' = -f (the separated-BC exponent,
-the periodic shooting, the equilibria, the first-integral check) runs
-lanes of :func:`solve_profile_flow` over it.
+Every solve of the q-flow but the scalar :func:`evolve` runs lanes of
+:func:`solve_q_flow` over it, and every solve of the profile flow u' = p,
+p' = -f lanes of :func:`solve_profile_flow`: every right-hand side the
+driver sees is built in this module.
 """
 
 from __future__ import annotations
@@ -362,6 +363,35 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
     return y
 
 
+def solve_q_flow(nl: NonlinearityO2, scale, q0, n_sens: int, span,
+                 cfg: CharflowConfig, lane, var: str = "s"):
+    """Lanes of the q-flow dq/du = -fbar(u, q) in one solve, lane k along
+    u = scale_k * s over ``span`` of s from q0_k (a float ``scale`` of 1.0
+    makes u the parameter). The first ``n_sens`` lanes carry the
+    sensitivity eta to q0_k from 1, the others the transport equation
+    dg/du = fbar_q(u, q) from 0; every q is watched, and ``lane(k, s)``
+    names lane k in an escape. Returns q, eta and g at the end of the span.
+    """
+    nq = q0.size
+    neg_scale = -scale
+    # d(eta)/ds = -scale * fbar_q * eta, dg/ds = scale * fbar_q
+    signed = np.where(np.arange(nq) < n_sens, neg_scale, scale)
+
+    def rhs(s, y):
+        # one f_bar and one f_bar_q call over all lanes, into a fresh array
+        q = y[:nq]
+        at = scale * s
+        out = np.empty(2 * nq)
+        np.multiply(neg_scale, nl.f_bar(at, q), out=out[:nq])
+        np.multiply(signed, nl.f_bar_q(at, q), out=out[nq:])
+        out[nq:nq + n_sens] *= y[nq:nq + n_sens]
+        return out
+
+    y0 = np.concatenate([q0, np.ones(n_sens), np.zeros(nq - n_sens)])
+    y = solve_characteristics(rhs, span, y0, cfg, nq, lane, var=var)
+    return y[:nq], y[nq:nq + n_sens], y[nq + n_sens:]
+
+
 def evolve(
     nl: NonlinearityO2,
     u0: float,
@@ -411,20 +441,12 @@ def evolve_batch(
         raise ValueError("the initial state must be finite")
     if q0.size == 0 or u0 == u1:
         return q0.copy(), np.ones_like(q0)
-    m = q0.size
     qs = q0.ravel()
-
-    def rhs(u, y):
-        out = np.empty(2 * m)
-        out[:m] = nl.f_bar(u, y[:m])
-        np.multiply(nl.f_bar_q(u, y[:m]), y[m:], out=out[m:])
-        return np.negative(out, out=out)
-
-    y = solve_characteristics(
-        rhs, (u0, u1), np.concatenate([qs, np.ones(m)]), cfg, m,
+    q, eta, _ = solve_q_flow(
+        nl, 1.0, qs, qs.size, (u0, u1), cfg,
         lambda k, _: f"evolution to u={u1:.6g}: sample {k} at (u, q) = "
-                     f"({u0:.6g}, {qs[k]:.6g})")
-    return y[:m].reshape(q0.shape), y[m:].reshape(q0.shape)
+                     f"({u0:.6g}, {qs[k]:.6g})", var="u")
+    return q.reshape(q0.shape), eta.reshape(q0.shape)
 
 
 def compose_check(
@@ -446,14 +468,15 @@ def compose_check(
     return leg2.value, direct.value
 
 
-def solve_profile_flow(f, xs, u0, p0, span, cfg: CharflowConfig, label: str,
+def solve_profile_flow(f, xs, u0, p0, span, cfg: CharflowConfig, label,
                        f_p=None) -> np.ndarray:
     """Lanes of the profile flow du/dx = p, dp/dx = -f(x, u, p), with the
     exponent dg/dx = f_p from g = 0 when ``f_p`` is given, in one solve.
 
     Lane k runs along x = xs[k] * s over ``span`` of s from (u0, p0), which
     broadcast to the lanes; u and p are watched, and an escape names
-    ``label`` and the lane. Returns the final rows u, p[, g].
+    ``label`` and the lane, or is named by ``label(k, s)`` when ``label``
+    is callable. Returns the final rows u, p[, g].
     """
     xs = np.asarray(xs, dtype=float).ravel()
     m = xs.size
@@ -474,6 +497,8 @@ def solve_profile_flow(f, xs, u0, p0, span, cfg: CharflowConfig, label: str,
 
     def lane(k, s):
         k %= m
+        if callable(label):
+            return label(k, s)
         return (f"{label}: sample {k} at (x, u, p) = ({xs[k] * span[0]:.6g}, "
                 f"{y0[0, k]:.6g}, {y0[1, k]:.6g}), stopped at "
                 f"x={xs[k] * s:.6g}")

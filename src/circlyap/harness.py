@@ -219,9 +219,10 @@ def equilibrium_profile(lam: float, ell: float, n: int) -> np.ndarray:
     Each solve runs 64 amplitudes to x = ell/2 as lanes of
     :func:`circlyap.charflow.solve_profile_flow`; the bracket becomes the
     largest one that has turned back (p(ell/2) > 0) and its upper
-    neighbour, down to 1e-12. A profile of more than one lap, as where
-    1 - A nears rounding (lam * ell^2 of several thousand), is a
-    RuntimeError.
+    neighbour, down to 1e-12. The half profile on [0, ell/2] decreases
+    strictly for lam * ell^2 up to about 1800. Beyond, 1 - A nears
+    rounding: a profile of more than one lap, or one whose half rises by
+    more than 1e-12 anywhere, is a RuntimeError.
     """
     if lam <= (2 * np.pi / ell) ** 2:
         raise ValueError("no nonconstant profile: lam must exceed (2*pi/ell)^2")
@@ -248,6 +249,11 @@ def equilibrium_profile(lam: float, ell: float, n: int) -> np.ndarray:
     # a one-lap profile changes sign at most once on [0, ell/2]
     if np.count_nonzero(np.diff(half > 0)) > 1:
         raise RuntimeError(f"the lam={lam:g} profile found is not one-lap")
+    # and decreases from its maximum at 0 to its minimum at ell/2
+    rise = np.diff(half).max()
+    if rise > 1e-12:
+        raise RuntimeError(f"the lam={lam:g} profile found rises by "
+                           f"{rise:.3g} on [0, ell/2]")
     return np.concatenate([half, half[(n - 1) // 2:0:-1]])
 
 

@@ -11,13 +11,14 @@ in two equivalent forms:
 
 where Psi is the characteristic evolution from :mod:`circlyap.charflow`.
 
-Every quantity comes from one characteristic solve, ``_lanes``: lanes
-through (u_k, q_k) run together down to u = 0 in a common rescaled
+Every quantity comes from one solve of :func:`circlyap.charflow.solve_q_flow`:
+lanes through (u_k, q_k) run together down to u = 0 in a common rescaled
 parameter, each co-integrating either its sensitivity to q_k (for phi) or
-the transport equation dg/du = fbar_q(u, q(u)) (for Fq, normalized to
-g = 0 at u = 0). ``field_eval`` stacks the lanes of a whole batch of
-samples; a scalar ``L`` is ``field_eval`` of one sample, and ``F_q`` and
-``L_pp`` are one transport lane.
+the transport equation dg/du = fbar_q(u, q(u)) (for Fq = -g, normalized to
+0 at u = 0). ``field_eval`` stacks the lanes of a whole batch of samples; a
+scalar ``L`` is ``field_eval`` of one sample, and ``F_q`` and ``L_pp`` are
+one transport lane. The double-integral form is :func:`cauchy_assembly`,
+which the separated-BC construction of :mod:`circlyap.matano` shares.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .charflow import (
     DEFAULT_CONFIG,
     CharflowConfig,
     NonlinearityO2,
-    solve_characteristics,
+    solve_q_flow,
 )
 
 GAUSS_LEGENDRE = "gauss_legendre"
@@ -88,6 +89,36 @@ def _unit_rule(panels: int):
     return 0.5 * (xg + 1.0), 0.5 * wg
 
 
+def cauchy_assembly(u, p, panels: int, exponent, reaction):
+    """L = int_0^p (p - s) exp g(u, s) ds - F(u) at paired samples
+    (u_i, p_i), by Cauchy's formula for the double p-integral, with
+    F(u) = int_0^u f(u1, 0) exp g(u1, 0) du1 and ``panels`` Gauss-Legendre
+    nodes in each integral, for the exponent g of either construction.
+
+    ``exponent(i, us, ps)`` gives g on every lane in one call: sample-major
+    p-nodes (u_i, p_i frac_j), F-nodes (u_i frac_j, 0), then one star lane
+    (u_i, p_i) per sample, i being each lane's sample. ``reaction(u_nodes)``
+    gives f at p = 0 on the (samples, nodes) F-nodes. Returns L,
+    L_pp = exp g, F and g of the star lanes.
+    """
+    frac, wfrac = _unit_rule(panels)
+    n, m = u.size, frac.size
+    nm = n * m
+    u_nodes = u[:, None] * frac[None, :]
+    at_nodes = np.repeat(np.arange(n), m)
+    g = exponent(np.concatenate([at_nodes, at_nodes, np.arange(n)]),
+                 np.concatenate([np.repeat(u, m), u_nodes.ravel(), u]),
+                 np.concatenate([(p[:, None] * frac[None, :]).ravel(),
+                                 np.zeros(nm), p]))
+    # weights w_j * (p - s_j) on the nodes s_j = p frac_j, u w_j on u frac_j
+    wL = (p * p)[:, None] * (wfrac * (1.0 - frac))[None, :]
+    wF = u[:, None] * wfrac[None, :]
+    F = np.sum(wF * reaction(u_nodes) * np.exp(g[nm:2 * nm].reshape(n, m)),
+               axis=1)
+    L = np.sum(wL * np.exp(g[:nm].reshape(n, m)), axis=1) - F
+    return L, np.exp(g[2 * nm:]), F, g[2 * nm:]
+
+
 @dataclass
 class LagrangianEvaluator:
     """Evaluator of L and its ingredients for one nonlinearity.
@@ -106,52 +137,18 @@ class LagrangianEvaluator:
         if self.form not in (DOUBLE_INTEGRAL, REDUCED):
             raise ValueError(f"unknown Lagrangian form: {self.form!r}")
 
-    # -- the characteristic solve ----------------------------------------
-
-    def _lanes(self, scale, q0, n_sens, lane):
-        """Characteristics of dq/du = -fbar(u, q) from (scale_k, q0_k) down
-        to u = 0, all lanes in one solve over the rescaled parameter
-        s in [1, 0] (u = scale_k * s).
-
-        The first ``n_sens`` lanes co-integrate the sensitivity eta of q to
-        q0 (eta = 1 at s = 1); the others co-integrate the transport
-        equation dg/du = fbar_q(u, q), normalized to g = 0 at u = 0. Every
-        q is watched; ``lane(k, s)`` names lane k in an escape. Returns
-        q at u = 0, eta, and Fq = -g(0) of the transport lanes.
-        """
-        nq = scale.size
-        nl = self.nl
-        neg_scale = -scale
-        # d(eta)/ds = -scale * fbar_q * eta, dg/ds = scale * fbar_q
-        signed = np.concatenate([neg_scale[:n_sens], scale[n_sens:]])
-
-        def rhs(s, y):
-            # one f_bar and one f_bar_q call over every lane; a fresh
-            # array per call: the integrator keeps the derivative
-            q = y[:nq]
-            at = scale * s
-            out = np.empty(2 * nq)
-            np.multiply(neg_scale, nl.f_bar(at, q), out=out[:nq])
-            np.multiply(signed, nl.f_bar_q(at, q), out=out[nq:])
-            out[nq:nq + n_sens] *= y[nq:nq + n_sens]
-            return out
-
-        y0 = np.concatenate([q0, np.ones(n_sens), np.zeros(nq - n_sens)])
-        y = solve_characteristics(rhs, (1.0, 0.0), y0, self.charflow_cfg,
-                                  nq, lane, var="s")
-        return y[:nq], y[nq:nq + n_sens], -y[nq + n_sens:]
-
     # -- ingredients ------------------------------------------------------
 
     def F_q(self, u: float, q: float) -> float:
         """Accumulated partial derivative exponent Fq(u, q), from one
         transport lane; q may be negative."""
         u, q = float(u), float(q)
-        _, _, fq = self._lanes(
-            np.array([u]), np.array([q]), 0,
+        _, _, g = solve_q_flow(
+            self.nl, np.array([u]), np.array([q]), 0, (1.0, 0.0),
+            self.charflow_cfg,
             lambda k, s: f"transport solve: sample 0 at (u, q) = "
                          f"({u:.6g}, {q:.6g}), stopped at u={u * s:.6g}")
-        return float(fq[0])
+        return float(-g[0])
 
     def F(self, u: float) -> float:
         """F(u) by quadrature of fbar(u1, 0) * exp(Fq(u1, 0)) over [0, u],
@@ -161,12 +158,12 @@ class LagrangianEvaluator:
             return 0.0
         frac, wfrac = _unit_rule(self.quad_cfg.panels)
         un = u * frac
-        _, _, fq = self._lanes(
-            un, np.zeros(un.size), 0,
+        _, _, g = solve_q_flow(
+            self.nl, un, np.zeros(un.size), 0, (1.0, 0.0), self.charflow_cfg,
             lambda k, s: f"F quadrature: node {k} at u={un[k]:.6g}, "
                          f"stopped at u={un[k] * s:.6g}")
         f0 = self.nl.f_bar(un, np.zeros(un.size))
-        return float(np.dot(u * wfrac, f0 * np.exp(fq)))
+        return float(np.dot(u * wfrac, f0 * np.exp(-g)))
 
     # -- Lagrange function ------------------------------------------------
 
@@ -188,9 +185,8 @@ class LagrangianEvaluator:
         p-integral, and one star lane through (u_i, p_i^2/2) whose
         transport exponent gives F_q and L_pp. In the reduced form the node
         lanes carry their sensitivities (phi) and the star lane gives Psi;
-        in the double-integral form the node lanes carry transport
-        exponents, and the transport lanes of the F-nodes u_i * frac_k
-        join them.
+        the double-integral form is :func:`cauchy_assembly` on transport
+        lanes, whose F-nodes u_i * frac_k join them.
 
         A scalar ``L`` is this evaluation of one sample. A sample inside a
         larger batch shares the batch's step sizes, so its values may
@@ -199,51 +195,37 @@ class LagrangianEvaluator:
         u_arr = np.asarray(u_arr, dtype=float)
         p_arr = np.asarray(p_arr, dtype=float)
         npts = u_arr.size
+
+        def lanes(i, us, q0, n_sens):
+            # lane k belongs to sample i[k] and runs along u = us[k] * s
+            def sample(k, s):
+                return (f"batched field evaluation: sample {i[k]} at (u, p) "
+                        f"= ({u_arr[i[k]]:.6g}, {p_arr[i[k]]:.6g}), "
+                        f"stopped at u={us[k] * s:.6g}")
+
+            return solve_q_flow(self.nl, us, q0, n_sens, (1.0, 0.0),
+                                self.charflow_cfg, sample)
+
+        if self.form == DOUBLE_INTEGRAL:
+            L, L_pp, F, fq_star = cauchy_assembly(
+                u_arr, p_arr, self.quad_cfg.panels,
+                lambda i, us, ps: -lanes(i, us, 0.5 * ps**2, 0)[2],
+                lambda un: self.nl.f_bar(un, np.zeros(un.shape)))
+            return {"L_pp": L_pp, "F_q": fq_star, "L": L, "F": F}
+        # sample-major p-node lanes with sensitivities, then the star lanes
         frac, wfrac = _unit_rule(self.quad_cfg.panels)
         m = frac.size
         nm = npts * m
-
         nodes = p_arr[:, None] * frac[None, :]          # (npts, m)
-        q_star = 0.5 * p_arr**2
-        un = np.repeat(u_arr, m)
-        # lanes run sample-major: p-node lanes, in the double form the
-        # F-node lanes, then one star lane per sample
-        if self.form == REDUCED:
-            scale = np.concatenate([un, u_arr])
-            q0 = np.concatenate([(0.5 * nodes**2).ravel(), q_star])
-            n_sens = n_nodes = nm
-        else:
-            u_nodes = u_arr[:, None] * frac[None, :]    # (npts, m)
-            scale = np.concatenate([un, u_nodes.ravel(), u_arr])
-            q0 = np.concatenate([(0.5 * nodes**2).ravel(), np.zeros(nm),
-                                 q_star])
-            n_sens, n_nodes = 0, 2 * nm
-
-        def sample(k, s):
-            i = (k % nm) // m if k < n_nodes else k - n_nodes
-            return (f"batched field evaluation: sample {i} at (u, p) = "
-                    f"({u_arr[i]:.6g}, {p_arr[i]:.6g}), "
-                    f"stopped at u={scale[k] * s:.6g}")
-
-        q_end, eta, fq = self._lanes(scale, q0, n_sens, sample)
-        fq_star = fq[fq.size - npts:]
-        out = {"L_pp": np.exp(fq_star), "F_q": fq_star}
-        if self.form == REDUCED:
-            psi_star = q_end[nm:]
-            weights = p_arr[:, None] * wfrac[None, :]
-            phi = np.sum(weights * eta.reshape(npts, m), axis=1)
-            out.update(L=p_arr * phi - psi_star, phi=phi, psi=psi_star)
-        else:
-            # Cauchy's formula: weights w_j * (p - s_j) on the nodes s_j
-            wL = (p_arr * p_arr)[:, None] * (wfrac * (1.0 - frac))[None, :]
-            wF = u_arr[:, None] * wfrac[None, :]
-            f0 = self.nl.f_bar(u_nodes, np.zeros((npts, m)))
-            g_L = fq[:nm].reshape(npts, m)
-            g_F = fq[nm:2 * nm].reshape(npts, m)
-            F_vals = np.sum(wF * f0 * np.exp(g_F), axis=1)
-            L_vals = np.sum(wL * np.exp(g_L), axis=1) - F_vals
-            out.update(L=L_vals, F=F_vals)
-        return out
+        q_end, eta, g = lanes(
+            np.concatenate([np.repeat(np.arange(npts), m), np.arange(npts)]),
+            np.concatenate([np.repeat(u_arr, m), u_arr]),
+            np.concatenate([(0.5 * nodes**2).ravel(), 0.5 * p_arr**2]), nm)
+        psi_star = q_end[nm:]
+        phi = np.sum(p_arr[:, None] * wfrac[None, :] * eta.reshape(npts, m),
+                     axis=1)
+        return {"L_pp": np.exp(-g), "F_q": -g, "L": p_arr * phi - psi_star,
+                "phi": phi, "psi": psi_star}
 
 
 def effective_nonlinearity(f_bar: NonlinearityO2, a_bar: NonlinearityO2) -> NonlinearityO2:

@@ -29,7 +29,7 @@ import numpy as np
 from .charflow import DEFAULT_CONFIG, CharflowConfig, solve_profile_flow
 from .functional import (DIRICHLET, FunctionalReport, ScalarField,
                          decay_residual, gradient, snapshot_report)
-from .lagrangian import QuadratureConfig, _unit_rule
+from .lagrangian import QuadratureConfig, cauchy_assembly
 from .pde import GeneralNonlinearity, TrajectoryRecord
 
 
@@ -63,45 +63,39 @@ class SeparatedEvaluator:
         Each span [x_k, 0] is rescaled to a common parameter s in [1, 0],
         so characteristics from every sample advance together.
         """
+        return self._g(xs, us, ps, "batched backward characteristics")
+
+    def _g(self, xs, us, ps, label):
+        # an escape is named by ``label``, as solve_profile_flow takes it
         return -solve_profile_flow(self.nl.f, xs, us, ps, (1.0, 0.0),
-                                   self.charflow_cfg,
-                                   "batched backward characteristics",
+                                   self.charflow_cfg, label,
                                    f_p=self.nl.f_p)[2]
 
     def eval_samples(self, xs, us, ps):
         """L, L_pp and F at paired samples (x_i, u_i, p_i), in one fused
-        solve.
-
-        Builds every node of the (p - s)-weighted p-integral and of the
-        F-integral for all samples, evaluates g on the full batch, and
-        assembles the Lagrange function values.
+        solve: :func:`circlyap.lagrangian.cauchy_assembly` on g, each
+        sample's lanes at its own x_i. An escape names the sample.
         """
         x = np.asarray(xs, dtype=float).ravel()
         u = np.asarray(us, dtype=float).ravel()
         p = np.asarray(ps, dtype=float).ravel()
-        n = x.size
-        frac, wfrac = _unit_rule(self.quad_cfg.panels)
-        m = frac.size
 
-        # nodes s_j = frac_j * p with weights w_j * (p - s_j)
-        p_nodes = p[:, None] * frac[None, :]                  # (n, m)
-        wL = (p * p)[:, None] * (wfrac * (1.0 - frac))[None, :]
-        u_nodes = u[:, None] * frac[None, :]                  # (n, m) for F
-        wF = u[:, None] * wfrac[None, :]
+        def exponent(i, u_lanes, p_lanes):
+            def sample(k, s):
+                j = i[k]
+                return (f"separated-BC field evaluation: sample {j} at "
+                        f"(x, u, p) = ({x[j]:.6g}, {u[j]:.6g}, {p[j]:.6g}), "
+                        f"stopped at x={x[j] * s:.6g}")
 
-        xm = np.repeat(x, m)
-        xs = np.concatenate([xm, xm, x])
-        us = np.concatenate([np.repeat(u, m), u_nodes.ravel(), u])
-        ps = np.concatenate([p_nodes.ravel(), np.zeros(n * m), p])
-        g_all = self.g_batch(xs, us, ps)
-        g_L = g_all[:n * m].reshape(n, m)
-        g_F = g_all[n * m:2 * n * m].reshape(n, m)
-        g_star = g_all[2 * n * m:]
+            return self._g(x[i], u_lanes, p_lanes, sample)
 
-        f0 = self.nl.f(xm.reshape(n, m), u_nodes, np.zeros((n, m)))
-        F_vals = np.sum(wF * f0 * np.exp(g_F), axis=1)
-        L_vals = np.sum(wL * np.exp(g_L), axis=1) - F_vals
-        return {"L": L_vals, "L_pp": np.exp(g_star), "F": F_vals}
+        def reaction(u_nodes):
+            x_nodes = np.repeat(x, u_nodes.shape[1]).reshape(u_nodes.shape)
+            return self.nl.f(x_nodes, u_nodes, np.zeros(u_nodes.shape))
+
+        L, L_pp, F, _ = cauchy_assembly(u, p, self.quad_cfg.panels, exponent,
+                                        reaction)
+        return {"L": L, "L_pp": L_pp, "F": F}
 
     def field_eval(self, fld: ScalarField):
         """L, L_pp and F over a whole gridded field: ``eval_samples`` at

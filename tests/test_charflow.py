@@ -1,7 +1,10 @@
 """Tests for the characteristic evolution and its sensitivity."""
 
+import ast
 import gc
+import importlib
 import inspect
+import pkgutil
 import warnings
 import weakref
 
@@ -10,6 +13,7 @@ import pytest
 from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
+import circlyap
 from circlyap import charflow, harness, lagrangian, matano
 from circlyap.charflow import (
     CharacteristicEscape,
@@ -289,7 +293,7 @@ PORT_CASES = {
         mixed_nl(), -0.3, 1.1, np.linspace(-0.5, 2.0, 7))),
     # stacked node, star, sensitivity and exponent lanes over s in [1, 0]
     "backward_field_eval": lambda mp: _first_solve(
-        mp, lagrangian, lambda: lagrangian.LagrangianEvaluator(
+        mp, charflow, lambda: lagrangian.LagrangianEvaluator(
             mixed_nl()).field_eval(np.array([0.6, -0.9, 1.4]),
                                    np.array([1.3, -0.4, 2.0]))),
     "rejections": lambda mp: (_van_der_pol, (0.0, 6.0), np.array([2.0, 0.0]),
@@ -435,6 +439,20 @@ class TestDriverPolicy:
             assert "solve_ivp" not in inspect.getsource(mod), mod.__name__
         assert "solve_ivp" not in inspect.getsource(
             harness.equilibrium_profile)
+        # every right-hand side the driver sees is built in charflow
+        for info in pkgutil.iter_modules(circlyap.__path__):
+            mod = importlib.import_module(f"circlyap.{info.name}")
+            if mod is not charflow:
+                assert "solve_characteristics" not in inspect.getsource(
+                    mod), info.name
+        assert "solve_characteristics" not in inspect.getsource(circlyap)
+        # the separated-BC construction shares lagrangian's public assembly
+        private = [alias.name for node in ast.walk(ast.parse(
+                       inspect.getsource(matano)))
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.module or "").split(".")[-1] == "lagrangian"
+                   for alias in node.names if alias.name.startswith("_")]
+        assert private == []
 
     @pytest.mark.parametrize("call", [
         pytest.param(lambda cfg: evolve(mixed_nl(), 0.0, 1.0, 0.5, cfg),

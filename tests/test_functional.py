@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from circlyap import lagrangian
+from circlyap import charflow
 from circlyap.charflow import (
     NonlinearityO2,
     evolve_batch,
@@ -173,13 +173,13 @@ class TestEvaluateV:
     @pytest.mark.parametrize("form", [REDUCED, DOUBLE_INTEGRAL])
     def test_one_characteristic_solve_per_field(self, form, monkeypatch):
         calls = []
-        real = lagrangian.solve_characteristics
+        real = charflow.solve_characteristics
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(lagrangian, "solve_characteristics", counted)
+        monkeypatch.setattr(charflow, "solve_characteristics", counted)
         ev = LagrangianEvaluator(mixed_nl(), form=form)
         for n in (32, 64):
             calls.clear()

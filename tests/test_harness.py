@@ -136,6 +136,14 @@ class TestEquilibriumProfile:
         assert np.argmax(prof) == 0
         assert np.max(np.abs(prof[1:] - prof[:0:-1])) <= 1e-9
 
+    def test_non_monotone_profile_is_an_error(self):
+        # at lam = 2500 the amplitude is resolved only to rounding in
+        # 1 - A: the half profile found is one-lap but rises by about
+        # 4e-7 near ell/2
+        with pytest.raises(RuntimeError, match=r"lam=2500 profile found "
+                                               r"rises by"):
+            equilibrium_profile(2500.0, 1.0, 128)
+
     def test_unresolvable_amplitude_is_an_error(self):
         # 1 - A of the one-lap profile is below rounding at lam = 20000
         with pytest.raises(RuntimeError, match="not one-lap"):
@@ -194,6 +202,41 @@ class TestMakeInitial:
         fld = make_initial({"kind": "random_smooth", "seed": 0}, 64, 1.0,
                            "dirichlet")
         assert abs(fld.values[0]) <= 1e-14 and abs(fld.values[-1]) <= 1e-14
+
+
+class TestFromFile:
+    """The ``from_file`` initial condition reloads a run's snapshot CSV."""
+
+    @staticmethod
+    def _last_snapshot(tmp_path, scenario):
+        traj, extras = run_scenario(tiny_config(tmp_path, scenario=scenario))
+        assert extras["status"] == "ok"
+        path = sorted((tmp_path / "out").glob("snapshot_*.csv"))[-1]
+        return traj.snapshots[-1].values, {"kind": "from_file",
+                                           "path": str(path)}
+
+    def test_periodic_reload_is_exact(self, tmp_path):
+        # the grid abscissae are written exactly and u to 17 digits
+        u, spec = self._last_snapshot(tmp_path, "chafee_infante")
+        fld = make_initial(spec, 32, 1.0, PERIODIC)
+        assert fld.bc == PERIODIC
+        assert np.array_equal(fld.values, u)
+
+    def test_dirichlet_reload_pins_the_ends(self, tmp_path):
+        u, spec = self._last_snapshot(tmp_path, "matano_separated")
+        fld = make_initial(spec, 32, 1.0, "dirichlet")
+        assert fld.values[0] == 0.0 and fld.values[-1] == 0.0
+        # linspace abscissae round in their 12th digit
+        assert np.max(np.abs(fld.values[1:-1] - u[1:-1])) <= 1e-12
+
+    def test_finer_grid_interpolates_across_the_seam(self, tmp_path):
+        u, spec = self._last_snapshot(tmp_path, "chafee_infante")
+        fld = make_initial(spec, 128, 1.0, PERIODIC)
+        assert np.array_equal(fld.values[::4], u)
+        # beyond the last saved abscissa 31/32, toward u(1) = u(0)
+        for j in (1, 2, 3):
+            assert fld.values[124 + j] == pytest.approx(
+                u[31] + (u[0] - u[31]) * j / 4, rel=1e-14, abs=1e-15)
 
 
 class TestShiftMatch:

@@ -1,5 +1,7 @@
 """Tests for the separated-BC Lagrange function and its periodic obstruction."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from circlyap.functional import (
     gradient,
     quadrature_weights,
 )
+from circlyap.harness import make_initial
 from circlyap.lagrangian import (
     GAUSS_LEGENDRE,
     LagrangianEvaluator,
@@ -263,6 +266,23 @@ class TestGBatchEscape:
         with pytest.raises(CharacteristicEscape,
                            match=r"sample 0 at \(x, u, p\) = \(1, 0, -1.42\)"):
             SeparatedEvaluator(gen).g_batch([1.0], [0.0], [-1.42])
+
+
+class TestFieldEscape:
+    def test_escape_names_the_sample_not_the_lane(self):
+        # a steep 64-point Dirichlet snapshot: the star lane of one sample
+        # escapes, and the message names that sample among the 64 with its
+        # own (x, u, p), not the lane among the 64 * (2 * 16 + 1) stacked
+        fld = make_initial({"kind": "random_smooth", "seed": 3}, 64, 1.0,
+                           DIRICHLET)
+        with pytest.raises(CharacteristicEscape) as err:
+            SeparatedEvaluator(cubic_drift_gen()).field_eval(fld)
+        msg = str(err.value)
+        i = int(re.search(r"sample (\d+) at", msg).group(1))
+        assert i < 64
+        x, u, p = fld.grid()[i], fld.values[i], gradient(fld).values[i]
+        assert f"sample {i} at (x, u, p) = ({x:.6g}, {u:.6g}, {p:.6g})" in msg
+        assert f"stopped at x={x * err.value.at:.6g}" in msg
 
 
 class TestConsistencyWithCircleConstruction:
