@@ -34,10 +34,10 @@ the failure policy: a non-finite right-hand side or more than
 or a step-size collapse is a :class:`CharacteristicEscape` that names the
 lane.
 
-Every solve of the q-flow but the scalar :func:`evolve` runs lanes of
-:func:`solve_q_flow` over it, and every solve of the profile flow u' = p,
-p' = -f lanes of :func:`solve_profile_flow`: every right-hand side the
-driver sees is built in this module.
+Every solve of the q-flow runs lanes of :func:`solve_q_flow` over it (the
+scalar :func:`evolve` is a batch of one), and every solve of the profile
+flow u' = p, p' = -f lanes of :func:`solve_profile_flow`: every
+right-hand side the driver sees is built in this module.
 """
 
 from __future__ import annotations
@@ -401,24 +401,11 @@ def evolve(
 ) -> EvolutionResult:
     """Evolution of the characteristic ODE from u0 to u1 (either direction).
 
-    Returns the terminal value q(u1) together with its sensitivity to q0.
-    If |q| exceeds ``cfg.escape_bound`` on the way, it raises
-    :class:`CharacteristicEscape`, as every characteristic solve does.
+    Returns the terminal value q(u1) together with its sensitivity to q0:
+    :func:`evolve_batch` of one sample, whose escape it raises.
     """
-    for v in (u0, u1, q0):
-        if not np.isfinite(v):
-            raise ValueError("evolve requires finite inputs")
-    if u0 == u1:
-        return EvolutionResult(float(q0), 1.0)
-
-    def rhs(u, y):
-        q, eta = y
-        return (-nl.f_bar(u, q), -nl.f_bar_q(u, q) * eta)
-
-    y = solve_characteristics(
-        rhs, (u0, u1), (float(q0), 1.0), cfg, 1,
-        lambda k, _: f"evolution from (u, q) = ({u0:.6g}, {q0:.6g})")
-    return EvolutionResult(float(y[0]), float(y[1]))
+    q, eta = evolve_batch(nl, u0, u1, np.array([q0], dtype=float), cfg)
+    return EvolutionResult(float(q[0]), float(eta[0]))
 
 
 def evolve_batch(

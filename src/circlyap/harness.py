@@ -65,7 +65,9 @@ SCENARIOS = {
     "gradient_quadratic": "nonlinearity a(u) + b*q, quadratic in the gradient",
     "qlinear": "quasilinear run with constant diffusion coefficient abar",
     "planar_embedding": "planar center field embedded in the first Fourier modes",
-    "matano_separated": "separated-BC construction for f0(u) + eps*u_x (Dirichlet)",
+    "matano_separated": "separated-BC construction for f0(u) + eps*u_x "
+                        "(Dirichlet); a slope above about 3 leaves its "
+                        "domain, so the default start needs burn_in 0.05",
 }
 
 
@@ -75,7 +77,7 @@ SCENARIOS = {
 def chafee_infante_nl(lam: float) -> NonlinearityO2:
     return NonlinearityO2(
         f_bar=lambda u, q: lam * u * (1.0 - u * u),
-        f_bar_q=lambda u, q: np.zeros_like(np.asarray(q, dtype=float)),
+        f_bar_q=lambda u, q: 0.0,
         label=f"chafee_infante(lam={lam})",
     )
 
@@ -83,16 +85,16 @@ def chafee_infante_nl(lam: float) -> NonlinearityO2:
 def gradient_quadratic_nl(b: float = 1.0, slope: float = -1.0) -> NonlinearityO2:
     """fbar(u, q) = slope * u + b * q, quadratic in the gradient."""
     return NonlinearityO2(
-        f_bar=lambda u, q: slope * u + b * np.asarray(q, dtype=float),
-        f_bar_q=lambda u, q: np.full_like(np.asarray(q, dtype=float), b),
+        f_bar=lambda u, q: slope * u + b * q,
+        f_bar_q=lambda u, q: b,
         label=f"gradient_quadratic(b={b}, slope={slope})",
     )
 
 
 def constant_coefficient_nl(value: float) -> NonlinearityO2:
     return NonlinearityO2(
-        f_bar=lambda u, q: np.full_like(np.asarray(q, dtype=float), value),
-        f_bar_q=lambda u, q: np.zeros_like(np.asarray(q, dtype=float)),
+        f_bar=lambda u, q: value,
+        f_bar_q=lambda u, q: 0.0,
         label=f"const({value})",
     )
 
@@ -117,14 +119,13 @@ class PlanarField:
     g: Callable[[float, float], float]
     h: Callable[[float, float], float]
 
-    def verify_symmetry(self, n_samples: int = 64, seed: int = 0,
-                        tol: float = 1e-12) -> None:
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(-2.0, 2.0, size=(n_samples, 2))
+    def verify_symmetry(self) -> None:
+        """Check both symmetries at 64 seeded points of [-2, 2]^2."""
+        pts = np.random.default_rng(0).uniform(-2.0, 2.0, size=(64, 2))
         for a, b in pts:
-            if abs(self.g(a, -b) - self.g(a, b)) > tol:
+            if abs(self.g(a, -b) - self.g(a, b)) > 1e-12:
                 raise ValueError(f"g is not even in b at (a={a:.4g}, b={b:.4g})")
-            if abs(self.h(a, -b) + self.h(a, b)) > tol:
+            if abs(self.h(a, -b) + self.h(a, b)) > 1e-12:
                 raise ValueError(f"h is not odd in b at (a={a:.4g}, b={b:.4g})")
 
 
@@ -133,7 +134,7 @@ def center_planar_field() -> PlanarField:
     return PlanarField(g=lambda a, b: 0.5 * (1.0 - b * b), h=lambda a, b: a * b)
 
 
-def embed_planar(pf: PlanarField, fd_step: float = 1e-6) -> GeneralNonlinearity:
+def embed_planar(pf: PlanarField) -> GeneralNonlinearity:
     """Reaction term realizing the planar field inside span{cos x, sin x}.
 
     The returned nonlinearity satisfies the single reflection symmetry
@@ -142,6 +143,7 @@ def embed_planar(pf: PlanarField, fd_step: float = 1e-6) -> GeneralNonlinearity:
     """
     pf.verify_symmetry()
     g, h = pf.g, pf.h
+    fd_step = 1e-6
 
     def _ab(x, u, p):
         c, s = np.cos(x), np.sin(x)
@@ -176,12 +178,11 @@ def fourier_project(fld: ScalarField, mode: int) -> tuple[float, float]:
     return a, b
 
 
-def planar_orbit(pf: PlanarField, a0: float, b0: float,
-                 t_max: float = 50.0, rtol: float = 1e-11):
+def planar_orbit(pf: PlanarField, a0: float, b0: float):
     """Dense planar solution through (a0, b0) and its return period.
 
     The period is detected as the first return to the section a = a0 with
-    the velocity direction of the start point.
+    the velocity direction of the start point, within t = 50.
     """
     from scipy.integrate import solve_ivp
 
@@ -196,8 +197,8 @@ def planar_orbit(pf: PlanarField, a0: float, b0: float,
 
     section.direction = direction
 
-    sol = solve_ivp(rhs, (0.0, t_max), (a0, b0), method="RK45",
-                    rtol=rtol, atol=1e-13, dense_output=True, events=section)
+    sol = solve_ivp(rhs, (0.0, 50.0), (a0, b0), method="RK45",
+                    rtol=1e-11, atol=1e-13, dense_output=True, events=section)
     hits = sol.t_events[0]
     hits = hits[hits > 1e-6]
     if hits.size == 0:
@@ -368,8 +369,9 @@ def shift_match(u_ref: np.ndarray, u: np.ndarray, ell: float):
     """Best cyclic alignment of u against u_ref.
 
     Returns (theta, sup_mismatch): the estimated right-shift of the profile
-    (sub-grid, by parabolic refinement of the cross-correlation peak) and
-    the sup-norm mismatch at the best integer grid shift.
+    in (-ell/2, ell/2] (sub-grid, by parabolic refinement of the
+    cross-correlation peak) and the sup-norm mismatch at the best integer
+    grid shift.
     """
     n = u_ref.size
     h = ell / n
@@ -379,6 +381,8 @@ def shift_match(u_ref: np.ndarray, u: np.ndarray, ell: float):
     denom = cm - 2 * c0 + cp
     frac = 0.0 if denom == 0 else 0.5 * (cm - cp) / denom
     theta = ((s0 + frac) * h) % ell
+    if theta > ell / 2:
+        theta -= ell
     mismatch = float(np.min([np.max(np.abs(u - np.roll(u_ref, s)))
                              for s in range(n)]))
     return theta, mismatch
@@ -429,66 +433,58 @@ def _build_scenario(cfg: ScenarioConfig):
     ell = float(p.get("ell", 1.0))
     n = cfg.solver.n
 
+    def circle(nl, a_const=None, u0=None, drift=0.0, reported=True,
+               extras=None):
+        # fbar - drift * p on the circle; with a_const, L is built on
+        # fbar / a_const and the dissipation weighed by 1 / a_const
+        a_bar = None if a_const is None else constant_coefficient_nl(a_const)
+        report = None
+        if reported:
+            ev = LagrangianEvaluator(
+                nl if a_bar is None else effective_nonlinearity(nl, a_bar),
+                cfg.charflow, cfg.quadrature)
+            report = partial(field_report, ev, weight_a=a_bar)
+        return (general_from_o2(nl, drift), a_const,
+                u0 or make_initial(cfg.initial, n, ell, PERIODIC), report,
+                extras, cfg.solver)
+
     if cfg.scenario in ("classical", "chafee_infante"):
         lam = float(p.get("lam", 1.0 if cfg.scenario == "classical" else 15.0))
-        nl = chafee_infante_nl(lam)
-        u0 = make_initial(cfg.initial, n, ell, PERIODIC)
-        ev = LagrangianEvaluator(nl, cfg.charflow, cfg.quadrature)
-        return general_from_o2(nl), None, u0, partial(field_report, ev), \
-            None, cfg.solver
+        return circle(chafee_infante_nl(lam))
 
     if cfg.scenario == "gradient_quadratic":
-        b = float(p.get("b", 1.0))
-        slope = float(p.get("slope", -1.0))
-        nl = gradient_quadratic_nl(b, slope)
-        u0 = make_initial(cfg.initial, n, ell, PERIODIC)
-        ev = LagrangianEvaluator(nl, cfg.charflow, cfg.quadrature)
-        return general_from_o2(nl), None, u0, partial(field_report, ev), \
-            None, cfg.solver
+        return circle(gradient_quadratic_nl(float(p.get("b", 1.0)),
+                                            float(p.get("slope", -1.0))))
 
     if cfg.scenario == "qlinear":
-        lam = float(p.get("lam", 15.0))
-        a_const = float(p.get("a_const", 2.0))
-        nl = chafee_infante_nl(lam)
-        a_bar = constant_coefficient_nl(a_const)
-        eff = effective_nonlinearity(nl, a_bar)
-        u0 = make_initial(cfg.initial, n, ell, PERIODIC)
-        ev = LagrangianEvaluator(eff, cfg.charflow, cfg.quadrature)
-        return general_from_o2(nl), a_const, u0, \
-            partial(field_report, ev, weight_a=a_bar), None, cfg.solver
+        return circle(chafee_infante_nl(float(p.get("lam", 15.0))),
+                      float(p.get("a_const", 2.0)))
 
     if cfg.scenario in ("frozen_wave", "rotating_wave"):
         lam = float(p.get("lam", 50.0))
-        drift = float(p.get("c", 0.0 if cfg.scenario == "frozen_wave" else 1.0))
-        nl = chafee_infante_nl(lam)
-        profile = equilibrium_profile(lam, ell, n)
-        u0 = ScalarField(profile, ell, PERIODIC)
-        ev = LagrangianEvaluator(nl, cfg.charflow, cfg.quadrature)
+        frozen = cfg.scenario == "frozen_wave"
 
         def extras(traj):
-            out = {}
             u_start = traj.snapshots[0].values
-            thetas, mismatches = [], []
-            for snap in traj.snapshots:
-                th, mm = shift_match(u_start, snap.values, ell)
-                thetas.append(th)
-                mismatches.append(mm)
-            out["theta"] = np.array(thetas)
-            out["shift_mismatch"] = np.array(mismatches)
+            theta, mismatch = map(np.array, zip(*(
+                shift_match(u_start, snap.values, ell)
+                for snap in traj.snapshots)))
+            out = {"theta": theta, "shift_mismatch": mismatch}
             t_final = traj.times[-1]
-            if cfg.scenario == "rotating_wave" and t_final > 0:
-                out["speed_estimate"] = out["theta"][-1] / t_final
-            if cfg.scenario == "frozen_wave":
+            if frozen:
                 out["profile_drift"] = float(
                     np.max(np.abs(traj.snapshots[-1].values - u_start)))
+            elif t_final > 0:
+                out["speed_estimate"] = (np.unwrap(theta, period=ell)[-1]
+                                         / t_final)
             return out
 
-        if cfg.scenario == "frozen_wave":
-            return general_from_o2(nl), None, u0, partial(field_report, ev), \
-                extras, cfg.solver
         # the drift term breaks the reflection symmetry: no Lyapunov series
-        return general_from_o2(nl, drift=drift), None, u0, None, extras, \
-            cfg.solver
+        return circle(chafee_infante_nl(lam),
+                      u0=ScalarField(equilibrium_profile(lam, ell, n), ell,
+                                     PERIODIC),
+                      drift=0.0 if frozen else float(p.get("c", 1.0)),
+                      reported=frozen, extras=extras)
 
     if cfg.scenario == "planar_embedding":
         pf = center_planar_field()
@@ -536,7 +532,7 @@ def _build_scenario(cfg: ScenarioConfig):
         eps = float(p.get("eps", 0.5))
         gen = GeneralNonlinearity(
             f=lambda x, u, pp: lam * u * (1.0 - u * u) + eps * pp,
-            f_p=lambda x, u, pp: np.full_like(np.asarray(pp, dtype=float), eps),
+            f_p=lambda x, u, pp: eps,
             x_periodic=False,
         )
         u0 = make_initial(cfg.initial, n, ell, DIRICHLET)

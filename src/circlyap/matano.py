@@ -10,9 +10,9 @@ minus F(x, u); by Cauchy's formula for repeated integrals,
     int_0^p int_0^p1 exp g(x, u, p2) dp2 dp1 = int_0^p (p - s) exp g(x, u, s) ds,
 
 so it takes one backward characteristic per node of a single quadrature
-rule over [0, p]. A snapshot's V, dissipation and min L_pp, and the decay
-residual of a trajectory, are assembled by :mod:`circlyap.functional`, as
-for the circle construction.
+rule over [0, p]. A snapshot's V, dissipation and min L_pp are assembled by
+:mod:`circlyap.functional`, and a trajectory's decay residual by the one
+series function of :mod:`circlyap.harness`, as for the circle construction.
 
 Under periodic boundary conditions the same recipe demands that the
 accumulated f_p vanish around every 1-periodic characteristic orbit; the
@@ -27,10 +27,10 @@ from __future__ import annotations
 import numpy as np
 
 from .charflow import DEFAULT_CONFIG, CharflowConfig, solve_profile_flow
-from .functional import (DIRICHLET, FunctionalReport, ScalarField,
-                         decay_residual, gradient, snapshot_report)
+from .functional import (PERIODIC, FunctionalReport, ScalarField, gradient,
+                         snapshot_report)
 from .lagrangian import QuadratureConfig, cauchy_assembly
-from .pde import GeneralNonlinearity, TrajectoryRecord
+from .pde import GeneralNonlinearity
 
 
 class SeparatedEvaluator:
@@ -105,28 +105,13 @@ class SeparatedEvaluator:
 
 def field_report(ev: SeparatedEvaluator, fld: ScalarField,
                  u_t: ScalarField) -> FunctionalReport:
-    """V, dissipation and min L_pp of one snapshot from a single fused
-    solve, assembled as the circle construction assembles its own."""
+    """V, dissipation and min L_pp of one interval snapshot from a single
+    fused solve, assembled as the circle construction assembles its own."""
+    if fld.bc == PERIODIC:
+        raise ValueError("the separated-BC construction needs an interval "
+                         "field")
     fe = ev.field_eval(fld)
     return snapshot_report(fld, u_t, fe["L"], fe["L_pp"])
-
-
-def decay_identity_residual(nl: GeneralNonlinearity, trajectory: TrajectoryRecord,
-                            charflow_cfg: CharflowConfig = DEFAULT_CONFIG,
-                            quad_cfg: QuadratureConfig | None = None) -> np.ndarray:
-    """Centered-difference check of dV/dt against the dissipation integral.
-
-    Expects a Dirichlet trajectory. Returns one residual per interior save
-    point, as ``functional.decay_residual`` computes it; the residuals
-    shrink at second order under grid and save-density refinement.
-    """
-    if trajectory.snapshots[0].bc != DIRICHLET:
-        raise ValueError("decay identity check expects a Dirichlet trajectory")
-    ev = SeparatedEvaluator(nl, charflow_cfg, quad_cfg)
-    V, D, _ = np.array([field_report(ev, s, ut) for s, ut in
-                        zip(trajectory.snapshots,
-                            trajectory.u_t_snapshots)]).T
-    return decay_residual(trajectory.times, V, D)[1:-1]
 
 
 def integrability_defect(nl: GeneralNonlinearity,

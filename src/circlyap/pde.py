@@ -248,11 +248,11 @@ def _diagonalised_second_difference(n: int, h: float, bc: str):
     return -4.0 * np.sin(half) ** 2 / (h * h), fwd, inv
 
 
-def _etdrk4_coefficients(z: np.ndarray, dt: float, points: int = 32):
+def _etdrk4_coefficients(z: np.ndarray, dt: float):
     """exp(z), exp(z/2) and Cox & Matthews' Q, f1, f2, f3 (each times dt)
-    for z = dt * eigenvalue, as Kassam & Trefethen's means over a circle of
-    radius 1 around each z, which avoid the cancellation near z = 0."""
-    r = np.exp(1j * np.pi * (np.arange(points) + 0.5) / points)
+    for z = dt * eigenvalue, as Kassam & Trefethen's means over 32 points of
+    a circle of radius 1 around each z, which avoid cancellation at z = 0."""
+    r = np.exp(1j * np.pi * (np.arange(32) + 0.5) / 32)
     Z = z[:, None] + r[None, :]
     eZ = np.exp(Z)
     Z3 = Z ** 3

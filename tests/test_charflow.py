@@ -94,7 +94,7 @@ class TestEvolve:
                             label="blowup")
         cfg = CharflowConfig(escape_bound=1e6)
         with pytest.raises(CharacteristicEscape,
-                           match=r"evolution from \(u, q\) = \(0, 1\)") as err:
+                           match=r"sample 0 at \(u, q\) = \(0, 1\)") as err:
             evolve(nl, 0.0, 10.0, 1.0, cfg)
         assert err.value.var == "u"
         assert err.value.at == pytest.approx(1.0 - 1e-6, abs=1e-9)
@@ -446,6 +446,16 @@ class TestDriverPolicy:
                 assert "solve_characteristics" not in inspect.getsource(
                     mod), info.name
         assert "solve_characteristics" not in inspect.getsource(circlyap)
+        # inside charflow, only the two lane helpers call the driver
+        callers = {fn.name for fn in ast.walk(ast.parse(
+                       inspect.getsource(charflow)))
+                   if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn) if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None)
+                   == "solve_characteristics"}
+        assert callers == {"solve_q_flow", "solve_profile_flow"}
+        # and the separated construction has no series loop of its own
+        assert not hasattr(matano, "decay_identity_residual")
         # the separated-BC construction shares lagrangian's public assembly
         private = [alias.name for node in ast.walk(ast.parse(
                        inspect.getsource(matano)))

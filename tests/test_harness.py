@@ -4,12 +4,13 @@ import csv
 import json
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from circlyap import cli, harness, matano
+from circlyap import cli, harness
 from circlyap.charflow import CharacteristicEscape, CharflowConfig, IntegrationFailure
 from circlyap.functional import DIRICHLET, NEUMANN, PERIODIC, ScalarField
 from circlyap.harness import (
@@ -249,6 +250,35 @@ class TestShiftMatch:
         assert theta == pytest.approx(17 / n, abs=1e-6)
         assert mismatch <= 1e-14
 
+    def test_shift_is_signed(self):
+        # no shift reads 0, not ell, and a left shift reads negative
+        n = 128
+        x = np.arange(n) / n
+        u_ref = np.sin(2 * np.pi * x) + 0.3 * np.cos(4 * np.pi * x)
+        assert abs(shift_match(u_ref, u_ref, 1.0)[0]) <= 1e-12
+        theta, _ = shift_match(u_ref, np.roll(u_ref, -17), 1.0)
+        assert theta == pytest.approx(-17 / n, abs=1e-6)
+
+    def test_wave_moving_in_minus_x_has_negative_speed(self):
+        # criterion 06's settings with c = -1; an unsigned shift read the
+        # wave's -1/8 as 7/8, a speed of 7
+        cfg = ScenarioConfig(
+            scenario="rotating_wave", params={"lam": 50.0, "c": -1.0},
+            solver=SolverConfig(n=512, dt=0.125 / 320, t_end=0.125,
+                                save_every=40, scheme="etdrk4"))
+        _, extras = run_scenario(cfg, write=False)
+        assert extras["speed_estimate"] == pytest.approx(-1.0, rel=1e-3)
+
+    @pytest.mark.parametrize("c", [1.0, -1.0])
+    def test_speed_unwraps_beyond_half_a_lap(self, c):
+        # the wave travels 0.75 * ell; the save interval moves it ell / 16
+        cfg = ScenarioConfig(
+            scenario="rotating_wave", params={"lam": 50.0, "c": c},
+            solver=SolverConfig(n=128, dt=1 / 1024, t_end=0.75,
+                                save_every=64, scheme="etdrk4"))
+        _, extras = run_scenario(cfg, write=False)
+        assert extras["speed_estimate"] == pytest.approx(c, rel=1e-3)
+
 
 class TestConfigRoundTrip:
     def test_parse_emit_identity(self, tmp_path):
@@ -413,6 +443,87 @@ class TestRunScenario:
         assert extras["fourier_match"] <= 1e-2  # coarse smoke bound
         series = (tmp_path / "planar" / "series.csv").read_text().splitlines()
         assert series[0].endswith("a_mode,b_mode")
+
+
+# scenarios with a Lyapunov construction; the drift of rotating_wave (any
+# c, 0 included) and the planar embedding have none
+_WITH_SERIES = {"classical", "chafee_infante", "gradient_quadratic",
+                "qlinear", "frozen_wave", "matano_separated"}
+
+
+def every_scenario_config(tmp_path, scenario, **params):
+    solver = SolverConfig(n=32, t_end=0.004, save_every=5)
+    if scenario == "planar_embedding":
+        solver = SolverConfig(n=32, dt=2e-2, save_every=100, scheme="etdrk4")
+    return ScenarioConfig(scenario=scenario, params=params, solver=solver,
+                          quadrature=QuadratureConfig(panels=4),
+                          initial={"kind": "random_smooth", "seed": 2},
+                          output_path=str(tmp_path / scenario))
+
+
+class TestEveryScenario:
+    @pytest.mark.parametrize("scenario, params", [
+        *[(name, {}) for name in sorted(harness.SCENARIOS)],
+        ("rotating_wave", {"c": 0.0})])
+    def test_series_exactly_where_a_construction_applies(
+            self, tmp_path, scenario, params):
+        traj, extras = run_scenario(
+            every_scenario_config(tmp_path, scenario, **params))
+        assert extras["status"] == "ok" and len(traj.times) >= 3
+        rows = [extras[k] for k in ("V", "dissipation", "convexity_min")]
+        if scenario in _WITH_SERIES:
+            assert all(np.isfinite(r).all() for r in rows)
+            assert np.isfinite(extras["residual"][1:-1]).all()
+        else:
+            assert all(np.isnan(r).all() for r in rows + [extras["residual"]])
+
+    def test_classical_is_chafee_infante_at_lam_one(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        _, classical = run_scenario(
+            every_scenario_config(tmp_path / "a", "classical"))
+        _, chafee = run_scenario(
+            every_scenario_config(tmp_path / "b", "chafee_infante", lam=1.0))
+        for key in ("V", "dissipation", "residual", "convexity_min",
+                    "ut_inf"):
+            assert np.array_equal(classical[key], chafee[key],
+                                  equal_nan=True), key
+        a = tmp_path / "a" / "classical"
+        b = tmp_path / "b" / "chafee_infante"
+        names = sorted(p.name for p in a.glob("s*.csv"))
+        assert names == sorted(p.name for p in b.glob("s*.csv"))
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_frozen_wave_stays_frozen(self, tmp_path):
+        cfg = ScenarioConfig(
+            scenario="frozen_wave",
+            solver=SolverConfig(n=128, dt=1e-4, t_end=0.01, save_every=20,
+                                scheme="etdrk4"),
+            quadrature=QuadratureConfig(panels=4))
+        _, extras = run_scenario(cfg, write=False)
+        assert extras["status"] == "ok"
+        assert extras["profile_drift"] < 1e-3
+
+    @pytest.mark.parametrize("burn_in, error", [
+        (0.0, r"sample 51 at \(x, u, p\) = \(0\.809524, -0\.649872, 4\.2187\)"),
+        (0.01, r"sample 57 at \(x, u, p\) = \(0\.904762, -0\.308888, "
+               r"3\.24789\)"),
+        (0.05, None)])
+    def test_matano_separated_domain(self, tmp_path, burn_in, error):
+        # the default random_smooth field at seed 3 is steep enough (slope
+        # 4.2) that a backward characteristic escapes before x = 0; a
+        # burn-in of 0.05 flattens it into the construction's domain
+        cfg = ScenarioConfig(
+            scenario="matano_separated", params={"burn_in": burn_in},
+            solver=SolverConfig(n=64, t_end=0.004, save_every=20),
+            initial={"kind": "random_smooth", "seed": 3})
+        _, extras = run_scenario(cfg, write=False)
+        if error is None:
+            assert extras["status"] == "ok"
+        else:
+            assert extras["status"] == "construction_failure"
+            assert re.search(error + r".* at save 0, t=0$", extras["error"])
 
 
 def burn_in_field(bc, n=64):
@@ -584,23 +695,6 @@ class TestLyapunovSeries:
         traj, extras = run_scenario(tiny_config(tmp_path), write=False)
         assert extras["status"] == "ok"
         assert calls == {"field_eval": len(traj.times), "scalar": 0}
-
-    def test_separated_residual_is_the_decay_identity_residual(self, tmp_path):
-        # one residual function for both constructions: the series column
-        # and the separated-BC check agree bit for bit
-        cfg = tiny_config(
-            tmp_path, scenario="matano_separated",
-            params={"lam": 5.0, "eps": 0.5},
-            solver=SolverConfig(n=32, t_end=0.008, save_every=5),
-            quadrature=QuadratureConfig(panels=8))
-        traj, extras = run_scenario(cfg, write=False)
-        assert extras["status"] == "ok" and len(traj.times) >= 4
-        gen, *_ = harness._build_scenario(cfg)
-        ref = matano.decay_identity_residual(gen, traj, cfg.charflow,
-                                             cfg.quadrature)
-        res = extras["residual"]
-        assert np.isnan(res[0]) and np.isnan(res[-1])
-        assert np.array_equal(res[1:-1], ref)
 
 
 class TestCli:
