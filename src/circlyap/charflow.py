@@ -404,7 +404,7 @@ def evolve(
     Returns the terminal value q(u1) together with its sensitivity to q0:
     :func:`evolve_batch` of one sample, whose escape it raises.
     """
-    q, eta = evolve_batch(nl, u0, u1, np.array([q0], dtype=float), cfg)
+    q, eta = evolve_batch(nl, u0, u1, [q0], cfg)
     return EvolutionResult(float(q[0]), float(eta[0]))
 
 
