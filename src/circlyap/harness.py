@@ -463,6 +463,9 @@ def _build_scenario(cfg: ScenarioConfig):
     if cfg.scenario in ("frozen_wave", "rotating_wave"):
         lam = float(p.get("lam", 50.0))
         frozen = cfg.scenario == "frozen_wave"
+        if frozen and "c" in p:
+            raise ValueError("a frozen wave has no speed 'c'; use "
+                             "'rotating_wave'")
 
         def extras(traj):
             u_start = traj.snapshots[0].values
@@ -487,6 +490,9 @@ def _build_scenario(cfg: ScenarioConfig):
                       reported=frozen, extras=extras)
 
     if cfg.scenario == "planar_embedding":
+        if "ell" in p:
+            raise ValueError("the planar embedding lives on a circle of "
+                             "length 2*pi; 'ell' cannot be set")
         pf = center_planar_field()
         gen = embed_planar(pf)
         ell = 2 * np.pi

@@ -769,7 +769,10 @@ class TestCli:
     @pytest.mark.parametrize("scenario, edit", [
         ("chafee_infante", {"initial": {"kind": "bogus"}}),
         ("rotating_wave", {"params": {"lam": 10.0}}),
-    ], ids=["unknown_initial_kind", "subcritical_lam"])
+        ("frozen_wave", {"params": {"c": 1.0}}),
+        ("planar_embedding", {"params": {"ell": 1.0}}),
+    ], ids=["unknown_initial_kind", "subcritical_lam", "frozen_wave_c",
+            "planar_embedding_ell"])
     def test_run_exit_four_when_the_scenario_cannot_be_built(
             self, tmp_path, capsys, scenario, edit):
         cfg = tiny_config(tmp_path, scenario=scenario).to_dict()

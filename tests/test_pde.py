@@ -7,6 +7,7 @@ import pytest
 
 from circlyap.functional import DIRICHLET, NEUMANN, PERIODIC, ScalarField
 from circlyap.pde import (
+    TABULATED_TRANSFORM_MAX,
     GeneralNonlinearity,
     SolverConfig,
     _diagonalised_second_difference,
@@ -301,10 +302,13 @@ class TestIntegrate:
 
 
 class TestETDRK4:
-    @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET, NEUMANN])
-    def test_transforms_diagonalise_the_second_difference(self, bc):
+    # n = 40 tabulates the interval transforms, n = 600 runs scipy.fft
+    @pytest.mark.parametrize("bc, n", [
+        *[pytest.param(bc, 40, id=bc) for bc in (PERIODIC, DIRICHLET, NEUMANN)],
+        *[pytest.param(bc, 600, id=f"{bc}-600")
+          for bc in (PERIODIC, DIRICHLET, NEUMANN)]])
+    def test_transforms_diagonalise_the_second_difference(self, bc, n):
         rng = np.random.default_rng(3)
-        n = 40
         u = rng.standard_normal(n)
         if bc == DIRICHLET:
             u[0] = u[-1] = 0.0
@@ -315,6 +319,22 @@ class TestETDRK4:
         got[moving] = inv(lam * fwd(u[moving]))
         want = second_difference(u, h * h, bc, np.empty(n))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("bc, pair", [
+        (DIRICHLET, ("dst", "idst")), (NEUMANN, ("dct", "idct"))],
+        ids=[DIRICHLET, NEUMANN])
+    def test_tabulated_transforms_are_scipys(self, bc, pair):
+        import scipy.fft as sfft
+
+        n = 128
+        assert n <= TABULATED_TRANSFORM_MAX
+        _, fwd, inv = _diagonalised_second_difference(n, 1.0 / (n - 1), bc)
+        w = np.random.default_rng(5).standard_normal(n - 2 if bc == DIRICHLET
+                                                     else n)
+        for mine, name in zip((fwd, inv), pair):
+            want = getattr(sfft, name)(w, type=1)
+            assert (np.max(np.abs(mine(w) - want))
+                    <= 1e-13 * np.max(np.abs(want)))
 
     def test_needs_an_explicit_step(self):
         with pytest.raises(ValueError, match="explicit dt"):
@@ -343,6 +363,16 @@ class TestETDRK4:
                          SolverConfig(n=n, dt=1e-2, t_end=0.1,
                                       save_every=10**9, scheme="etdrk4"))
         lam = -4.0 * np.sin(np.pi / n) ** 2 * n * n
+        exact = np.exp(0.5 * lam * 0.1) * fld.values
+        assert np.max(np.abs(traj.snapshots[-1].values - exact)) <= 1e-13
+        # the first Dirichlet sine mode, through the tabulated DST-I
+        u = np.sin(np.pi * np.arange(n) / (n - 1))
+        u[0] = u[-1] = 0.0
+        fld = ScalarField(u, 1.0, DIRICHLET)
+        traj = integrate(zero_gen(), 0.5, fld,
+                         SolverConfig(n=n, dt=1e-2, t_end=0.1,
+                                      save_every=10**9, scheme="etdrk4"))
+        lam = -4.0 * np.sin(np.pi / (2 * (n - 1))) ** 2 * (n - 1) ** 2
         exact = np.exp(0.5 * lam * 0.1) * fld.values
         assert np.max(np.abs(traj.snapshots[-1].values - exact)) <= 1e-13
 
