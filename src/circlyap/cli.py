@@ -47,9 +47,7 @@ def _set_path(tree: dict, dotted: str, value):
     if not keys and leaf not in tree:
         raise KeyError(f"{dotted}: no such key in the config")
     old = node.get(leaf)
-    if isinstance(old, bool):
-        node[leaf] = value.lower() in ("1", "true", "yes")
-    elif isinstance(old, int) and not isinstance(old, bool):
+    if isinstance(old, int):
         node[leaf] = int(value)
     elif isinstance(old, float):
         node[leaf] = float(value)
@@ -118,8 +116,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_list_scenarios(_args) -> int:
-    for name in sorted(harness.SCENARIOS):
-        print(f"{name:20s} {harness.SCENARIOS[name]}")
+    for name, (doc, params) in sorted(harness.SCENARIOS.items()):
+        print(f"{name:20s} {doc}")
+        print(" " * 21 + " ".join(f"{k}={v:g}" for k, v in params.items()))
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -57,17 +58,31 @@ from .pde import (
 FORMAT_VERSION = 1
 OUTPUT_ROOT_ENV = "CIRCLYAP_OUTPUT_ROOT"
 
+# each scenario's description and every parameter it reads, with its
+# default; parsing checks a config's params against these and fills them in
 SCENARIOS = {
-    "classical": "gradient reaction-diffusion with a q-independent nonlinearity",
-    "chafee_infante": "cubic nonlinearity lam*u*(1-u^2) on the circle",
-    "frozen_wave": "nonhomogeneous equilibrium profile held frozen on the circle",
-    "rotating_wave": "frozen profile advected by an SO(2)-only drift term",
-    "gradient_quadratic": "nonlinearity a(u) + b*q, quadratic in the gradient",
-    "qlinear": "quasilinear run with constant diffusion coefficient abar",
-    "planar_embedding": "planar center field embedded in the first Fourier modes",
-    "matano_separated": "separated-BC construction for f0(u) + eps*u_x "
-                        "(Dirichlet); a slope above about 3 leaves its "
-                        "domain, so the default start needs burn_in 0.05",
+    "classical": ("gradient reaction-diffusion with a q-independent "
+                  "nonlinearity", {"lam": 1.0, "ell": 1.0, "burn_in": 0.0}),
+    "chafee_infante": ("cubic nonlinearity lam*u*(1-u^2) on the circle",
+                       {"lam": 15.0, "ell": 1.0, "burn_in": 0.0}),
+    "frozen_wave": ("nonhomogeneous equilibrium profile held frozen on the "
+                    "circle", {"lam": 50.0, "ell": 1.0, "burn_in": 0.0}),
+    "rotating_wave": ("frozen profile advected by an SO(2)-only drift term",
+                      {"lam": 50.0, "c": 1.0, "ell": 1.0, "burn_in": 0.0}),
+    "gradient_quadratic": ("nonlinearity a(u) + b*q, quadratic in the "
+                           "gradient", {"b": 1.0, "slope": -1.0, "ell": 1.0,
+                                        "burn_in": 0.0}),
+    "qlinear": ("quasilinear run with constant diffusion coefficient abar",
+                {"lam": 15.0, "a_const": 2.0, "ell": 1.0, "burn_in": 0.0}),
+    # no burn-in: the monitors follow the planar orbit from t = 0
+    "planar_embedding": ("planar center field embedded in the first Fourier "
+                         "modes of the 2*pi circle, run for one period",
+                         {"a0": 0.2, "b0": 1.1}),
+    "matano_separated": ("separated-BC construction for f0(u) + eps*u_x "
+                         "(Dirichlet); a slope above about 3 leaves its "
+                         "domain, so the default start needs burn_in 0.05",
+                         {"lam": 5.0, "eps": 0.5, "ell": 1.0,
+                          "burn_in": 0.0}),
 }
 
 
@@ -82,7 +97,7 @@ def chafee_infante_nl(lam: float) -> NonlinearityO2:
     )
 
 
-def gradient_quadratic_nl(b: float = 1.0, slope: float = -1.0) -> NonlinearityO2:
+def gradient_quadratic_nl(b: float, slope: float) -> NonlinearityO2:
     """fbar(u, q) = slope * u + b * q, quadratic in the gradient."""
     return NonlinearityO2(
         f_bar=lambda u, q: slope * u + b * q,
@@ -261,14 +276,28 @@ def equilibrium_profile(lam: float, ell: float, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # initial conditions
 
+# the keys each initial-condition kind reads besides "kind"
+_INITIAL_KEYS = {"fourier_modes": {"modes"},
+                 "random_smooth": {"seed", "amplitude", "n_modes"},
+                 "from_file": {"path"}}
+
+
 def make_initial(spec: dict, n: int, ell: float, bc: str) -> ScalarField:
     """Named initial-condition generators.
 
-    kinds: ``fourier_modes`` (explicit mode table), ``random_smooth``
-    (seeded truncated random Fourier series with quadratic decay),
-    ``from_file`` (snapshot CSV of a prior run, interpolated to the grid).
+    kinds: ``fourier_modes`` (explicit mode table; an interval takes sine
+    coefficients only), ``random_smooth`` (seeded truncated random Fourier
+    series with quadratic decay), ``from_file`` (snapshot CSV of a prior
+    run, interpolated to the grid). A key the kind does not read is a
+    ValueError.
     """
     kind = spec.get("kind", "random_smooth")
+    if kind not in _INITIAL_KEYS:
+        raise ValueError(f"unknown initial-condition kind: {kind!r}")
+    unread = sorted(set(spec) - {"kind"} - _INITIAL_KEYS[kind])
+    if unread:
+        raise ValueError(f"initial kind {kind!r} has no key {unread[0]!r}; "
+                         f"it reads {sorted(_INITIAL_KEYS[kind])}")
     if bc == PERIODIC:
         x = np.arange(n) * (ell / n)
     else:
@@ -281,6 +310,9 @@ def make_initial(spec: dict, n: int, ell: float, bc: str) -> ScalarField:
             if bc == PERIODIC:
                 u += ca * np.cos(2 * np.pi * k * x / ell) \
                     + sa * np.sin(2 * np.pi * k * x / ell)
+            elif ca:
+                raise ValueError(f"mode {mode}: a cosine coefficient needs "
+                                 f"the circle; an interval takes sine modes")
             else:
                 u += sa * np.sin(np.pi * k * x / ell)
         return ScalarField(u, ell, bc)
@@ -300,15 +332,12 @@ def make_initial(spec: dict, n: int, ell: float, bc: str) -> ScalarField:
                 u += decay * sa * np.sin(np.pi * k * x / ell)
         return ScalarField(u, ell, bc)
 
-    if kind == "from_file":
-        data = np.loadtxt(spec["path"], delimiter=",", skiprows=1)
-        u = np.interp(x, data[:, 0], data[:, 1],
-                      period=ell if bc == PERIODIC else None)
-        if bc == DIRICHLET:
-            u[0] = u[-1] = 0.0
-        return ScalarField(u, ell, bc)
-
-    raise ValueError(f"unknown initial-condition kind: {kind!r}")
+    data = np.loadtxt(spec["path"], delimiter=",", skiprows=1)
+    u = np.interp(x, data[:, 0], data[:, 1],
+                  period=ell if bc == PERIODIC else None)
+    if bc == DIRICHLET:
+        u[0] = u[-1] = 0.0
+    return ScalarField(u, ell, bc)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +357,19 @@ class ScenarioConfig:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; "
                              f"known: {sorted(SCENARIOS)}")
+        defaults = SCENARIOS[self.scenario][1]
+        for k, v in self.params.items():
+            if k not in defaults:
+                raise ValueError(f"scenario {self.scenario!r} has no "
+                                 f"parameter {k!r}; it reads {list(defaults)}")
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) \
+                    or not math.isfinite(v):
+                raise ValueError(f"params.{k} = {v!r} is not a finite number")
+            if v <= 0 and k in ("ell", "a_const") or v < 0 and k == "burn_in":
+                raise ValueError(f"params.{k} = {v!r} is out of range (ell "
+                                 f"and a_const > 0, burn_in >= 0)")
+        self.params = {k: float(self.params.get(k, v))
+                       for k, v in defaults.items()}
 
     def to_dict(self) -> dict:
         return {
@@ -430,86 +472,20 @@ def _build_scenario(cfg: ScenarioConfig):
     once per run.
     """
     p = cfg.params
-    ell = float(p.get("ell", 1.0))
     n = cfg.solver.n
 
-    def circle(nl, a_const=None, u0=None, drift=0.0, reported=True,
-               extras=None):
-        # fbar - drift * p on the circle; with a_const, L is built on
-        # fbar / a_const and the dissipation weighed by 1 / a_const
-        a_bar = None if a_const is None else constant_coefficient_nl(a_const)
-        report = None
-        if reported:
-            ev = LagrangianEvaluator(
-                nl if a_bar is None else effective_nonlinearity(nl, a_bar),
-                cfg.charflow, cfg.quadrature)
-            report = partial(field_report, ev, weight_a=a_bar)
-        return (general_from_o2(nl, drift), a_const,
-                u0 or make_initial(cfg.initial, n, ell, PERIODIC), report,
-                extras, cfg.solver)
-
-    if cfg.scenario in ("classical", "chafee_infante"):
-        lam = float(p.get("lam", 1.0 if cfg.scenario == "classical" else 15.0))
-        return circle(chafee_infante_nl(lam))
-
-    if cfg.scenario == "gradient_quadratic":
-        return circle(gradient_quadratic_nl(float(p.get("b", 1.0)),
-                                            float(p.get("slope", -1.0))))
-
-    if cfg.scenario == "qlinear":
-        return circle(chafee_infante_nl(float(p.get("lam", 15.0))),
-                      float(p.get("a_const", 2.0)))
-
-    if cfg.scenario in ("frozen_wave", "rotating_wave"):
-        lam = float(p.get("lam", 50.0))
-        frozen = cfg.scenario == "frozen_wave"
-        if frozen and "c" in p:
-            raise ValueError("a frozen wave has no speed 'c'; use "
-                             "'rotating_wave'")
-
-        def extras(traj):
-            u_start = traj.snapshots[0].values
-            theta, mismatch = map(np.array, zip(*(
-                shift_match(u_start, snap.values, ell)
-                for snap in traj.snapshots)))
-            out = {"theta": theta, "shift_mismatch": mismatch}
-            t_final = traj.times[-1]
-            if frozen:
-                out["profile_drift"] = float(
-                    np.max(np.abs(traj.snapshots[-1].values - u_start)))
-            elif t_final > 0:
-                out["speed_estimate"] = (np.unwrap(theta, period=ell)[-1]
-                                         / t_final)
-            return out
-
-        # the drift term breaks the reflection symmetry: no Lyapunov series
-        return circle(chafee_infante_nl(lam),
-                      u0=ScalarField(equilibrium_profile(lam, ell, n), ell,
-                                     PERIODIC),
-                      drift=0.0 if frozen else float(p.get("c", 1.0)),
-                      reported=frozen, extras=extras)
-
     if cfg.scenario == "planar_embedding":
-        if "ell" in p:
-            raise ValueError("the planar embedding lives on a circle of "
-                             "length 2*pi; 'ell' cannot be set")
         pf = center_planar_field()
         gen = embed_planar(pf)
-        ell = 2 * np.pi
-        a0 = float(p.get("a0", 0.2))
-        b0 = float(p.get("b0", 1.1))
-        x = np.arange(n) * (ell / n)
-        u0 = ScalarField(a0 * np.cos(x) + b0 * np.sin(x), ell, PERIODIC)
-        sol, period = planar_orbit(pf, a0, b0)
-        if p.get("one_period", True):
-            # land the final step exactly on the orbit period
-            dt = cfg.solver.dt or 2e-3
-            steps = int(np.ceil(period / dt))
-            cfg = replace(cfg, solver=replace(cfg.solver, t_end=period,
-                                              dt=period / steps))
+        x = np.arange(n) * (2 * np.pi / n)
+        c, s = np.cos(x), np.sin(x)
+        u0 = ScalarField(p["a0"] * c + p["b0"] * s, 2 * np.pi, PERIODIC)
+        sol, period = planar_orbit(pf, p["a0"], p["b0"])
+        # land the final step exactly on the orbit period
+        steps = int(np.ceil(period / (cfg.solver.dt or 2e-3)))
+        solver = replace(cfg.solver, t_end=period, dt=period / steps)
 
         def extras(traj):
-            c, s = np.cos(x), np.sin(x)
             ab_pde, ab_ode, off_e = [], [], []
             for t, snap in zip(traj.times, traj.snapshots):
                 a, b = fourier_project(snap, 1)
@@ -531,22 +507,69 @@ def _build_scenario(cfg: ScenarioConfig):
                                        / np.max(np.abs(u_start))),
             }
 
-        return gen, None, u0, None, extras, cfg.solver
+        return gen, None, u0, None, extras, solver
 
-    if cfg.scenario == "matano_separated":
-        lam = float(p.get("lam", 5.0))
-        eps = float(p.get("eps", 0.5))
-        gen = GeneralNonlinearity(
-            f=lambda x, u, pp: lam * u * (1.0 - u * u) + eps * pp,
-            f_p=lambda x, u, pp: eps,
-            x_periodic=False,
-        )
-        u0 = make_initial(cfg.initial, n, ell, DIRICHLET)
-        ev = matano.SeparatedEvaluator(gen, cfg.charflow, cfg.quadrature)
-        return gen, None, u0, partial(matano.field_report, ev), None, \
-            cfg.solver
+    ell = p["ell"]
 
-    raise ValueError(f"unknown scenario {cfg.scenario!r}")
+    def circle(nl, a_const=None, u0=None, drift=0.0, reported=True,
+               extras=None):
+        # fbar - drift * p on the circle; with a_const, L is built on
+        # fbar / a_const and the dissipation weighed by 1 / a_const
+        a_bar = None if a_const is None else constant_coefficient_nl(a_const)
+        report = None
+        if reported:
+            ev = LagrangianEvaluator(
+                nl if a_bar is None else effective_nonlinearity(nl, a_bar),
+                cfg.charflow, cfg.quadrature)
+            report = partial(field_report, ev, weight_a=a_bar)
+        return (general_from_o2(nl, drift), a_const,
+                u0 or make_initial(cfg.initial, n, ell, PERIODIC), report,
+                extras, cfg.solver)
+
+    if cfg.scenario in ("classical", "chafee_infante"):
+        return circle(chafee_infante_nl(p["lam"]))
+
+    if cfg.scenario == "gradient_quadratic":
+        return circle(gradient_quadratic_nl(p["b"], p["slope"]))
+
+    if cfg.scenario == "qlinear":
+        return circle(chafee_infante_nl(p["lam"]), p["a_const"])
+
+    if cfg.scenario in ("frozen_wave", "rotating_wave"):
+        frozen = cfg.scenario == "frozen_wave"
+
+        def extras(traj):
+            u_start = traj.snapshots[0].values
+            theta, mismatch = map(np.array, zip(*(
+                shift_match(u_start, snap.values, ell)
+                for snap in traj.snapshots)))
+            out = {"theta": theta, "shift_mismatch": mismatch}
+            t_final = traj.times[-1]
+            if frozen:
+                out["profile_drift"] = float(
+                    np.max(np.abs(traj.snapshots[-1].values - u_start)))
+            elif t_final > 0:
+                out["speed_estimate"] = (np.unwrap(theta, period=ell)[-1]
+                                         / t_final)
+            return out
+
+        # the drift term breaks the reflection symmetry: no Lyapunov series
+        return circle(chafee_infante_nl(p["lam"]),
+                      u0=ScalarField(equilibrium_profile(p["lam"], ell, n),
+                                     ell, PERIODIC),
+                      drift=0.0 if frozen else p["c"],
+                      reported=frozen, extras=extras)
+
+    # matano_separated
+    lam, eps = p["lam"], p["eps"]
+    gen = GeneralNonlinearity(
+        f=lambda x, u, pp: lam * u * (1.0 - u * u) + eps * pp,
+        f_p=lambda x, u, pp: eps,
+        x_periodic=False,
+    )
+    u0 = make_initial(cfg.initial, n, ell, DIRICHLET)
+    ev = matano.SeparatedEvaluator(gen, cfg.charflow, cfg.quadrature)
+    return gen, None, u0, partial(matano.field_report, ev), None, cfg.solver
 
 
 def _resolve_output_dir(cfg: ScenarioConfig) -> Path:
@@ -632,9 +655,10 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True):
         gen, a_coeff, u0, report, extras_fn, solver_cfg = _build_scenario(cfg)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"scenario {cfg.scenario!r}: {exc}") from exc
-    burn_in = float(cfg.params.get("burn_in", 0.0))
+    # None where the scenario declares no burn-in
+    burn_in = cfg.params.get("burn_in")
     traj = None
-    if burn_in > 0.0:
+    if burn_in:
         # evolve past the fast initial transient before monitoring starts,
         # so the centered time differences see a resolved signal
         pre_cfg = burn_in_config(solver_cfg, burn_in, a_coeff, u0.dx)

@@ -288,6 +288,20 @@ class TestConfigRoundTrip:
         again = parse_config(path)
         assert again == cfg
 
+    @pytest.mark.parametrize("scenario", sorted(harness.SCENARIOS))
+    def test_dict_round_trip_of_every_scenario(self, scenario):
+        cfg = ScenarioConfig(scenario=scenario)
+        assert cfg.params == harness.SCENARIOS[scenario][1]
+        assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_resolved_params_written_to_manifest(self, tmp_path):
+        cfg = tiny_config(tmp_path, params={})
+        run_scenario(cfg)
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json")
+                              .read_text())
+        assert manifest["config"]["params"] == {"lam": 15.0, "ell": 1.0,
+                                                "burn_in": 0.0}
+
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="nope")
@@ -703,6 +717,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "chafee_infante" in out and "planar_embedding" in out
 
+    def test_list_scenarios_prints_parameter_defaults(self, capsys):
+        cli.main(["list-scenarios"])
+        lines = capsys.readouterr().out.splitlines()
+        row = [i for i, line in enumerate(lines)
+               if line.startswith("chafee_infante ")][0]
+        assert lines[row + 1].split() == ["lam=15", "ell=1", "burn_in=0"]
+
     def test_check_suite(self, capsys):
         assert cli.main(["check"]) == 0
         assert "7/7 checks passed" in capsys.readouterr().out
@@ -753,8 +774,18 @@ class TestCli:
         lambda d: d["solver"].update(nosuch=1),
         lambda d: d.pop("scenario"),
         lambda d: d.update(scenario="nosuch"),
+        lambda d: d["params"].update(lamda=3.0),
+        lambda d: d["params"].update(lam="3"),
+        lambda d: d.update(scenario="frozen_wave", params={"c": 1.0}),
+        lambda d: d.update(scenario="planar_embedding", params={"ell": 1.0}),
+        lambda d: d.update(scenario="qlinear", params={"a_const": 0}),
+        lambda d: d.update(scenario="qlinear", params={"a_const": -1}),
+        lambda d: d["params"].update(burn_in=-1),
+        lambda d: d["params"].update(ell=0),
     ], ids=["save_every_0", "n_4", "unknown_solver_key", "no_scenario",
-            "unknown_scenario"])
+            "unknown_scenario", "lamda_typo", "lam_not_a_number",
+            "frozen_wave_c", "planar_embedding_ell", "a_const_0",
+            "a_const_negative", "burn_in_negative", "ell_0"])
     def test_run_exit_four_on_invalid_config(self, tmp_path, capsys, edit):
         cfg = tiny_config(tmp_path).to_dict()
         edit(cfg)
@@ -769,10 +800,11 @@ class TestCli:
     @pytest.mark.parametrize("scenario, edit", [
         ("chafee_infante", {"initial": {"kind": "bogus"}}),
         ("rotating_wave", {"params": {"lam": 10.0}}),
-        ("frozen_wave", {"params": {"c": 1.0}}),
-        ("planar_embedding", {"params": {"ell": 1.0}}),
-    ], ids=["unknown_initial_kind", "subcritical_lam", "frozen_wave_c",
-            "planar_embedding_ell"])
+        ("chafee_infante", {"initial": {"kind": "random_smooth", "sed": 3}}),
+        ("matano_separated", {"initial": {"kind": "fourier_modes",
+                                          "modes": {"1": [0.5, 0.25]}}}),
+    ], ids=["unknown_initial_kind", "subcritical_lam", "initial_key_typo",
+            "cosine_mode_on_interval"])
     def test_run_exit_four_when_the_scenario_cannot_be_built(
             self, tmp_path, capsys, scenario, edit):
         cfg = tiny_config(tmp_path, scenario=scenario).to_dict()
@@ -823,6 +855,7 @@ class TestCli:
         ("scenario.lam", "2.0"),
         ("solver.nosuch", "2.0"),
         ("solver.save_every", "10,0"),
+        ("params.lamda", "3,5"),
     ])
     def test_sweep_exit_four_before_any_job(self, tmp_path, capsys,
                                             monkeypatch, param, values):
