@@ -7,6 +7,8 @@ import pytest
 
 from circlyap.functional import DIRICHLET, NEUMANN, PERIODIC, ScalarField
 from circlyap.pde import (
+    ETDRK4_MAX_SUBSTEPS,
+    ETDRK4_TOL,
     TABULATED_TRANSFORM_MAX,
     GeneralNonlinearity,
     SolverConfig,
@@ -93,6 +95,86 @@ def reference_rk4(nl, a, u0, dt, n_steps):
         k4 = reference_rhs(nl, a, u0.like(u + dt * k3))
         u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return u
+
+
+def reference_etdrk4_coefficients(z, dt):
+    """exp(z), exp(z/2), Q, f1, f2, f3 as real tables: Kassam & Trefethen's
+    contour means over 32 points of the unit circle around each z."""
+    r = np.exp(1j * np.pi * (np.arange(32) + 0.5) / 32)
+    Z = z[:, None] + r[None, :]
+    eZ = np.exp(Z)
+    Z3 = Z ** 3
+
+    def mean(vals):
+        return dt * np.mean(vals, axis=1).real
+
+    Q = mean((np.exp(0.5 * Z) - 1.0) / Z)
+    f1 = mean((-4.0 - Z + eZ * (4.0 - 3.0 * Z + Z * Z)) / Z3)
+    f2 = mean((2.0 + Z + eZ * (Z - 2.0)) / Z3)
+    f3 = mean((-4.0 - 3.0 * Z - Z * Z + eZ * (4.0 - Z)) / Z3)
+    return np.exp(z), np.exp(0.5 * z), Q, f1, f2, f3
+
+
+def reference_etdrk4(nl, a, u0, dt, n_steps):
+    """The ETDRK4 solve as first written: real coefficient tables, the end
+    forcing added on every grid, a ``physical`` that copies the start and
+    step doubling through the initial transient. Returns the state after
+    each step and, per step, the substep count at which the doubling check
+    stopped (0 for a plain step)."""
+    a = 1.0 if a is None else a
+    h, bc, x = u0.dx, u0.bc, u0.grid()
+    lam, fwd, inv = _diagonalised_second_difference(u0.n, h, bc)
+    moving = slice(1, -1) if bc == DIRICHLET else slice(None)
+    u = u0.values.copy()
+    ends = np.zeros(u[moving].size)
+    if bc == DIRICHLET:
+        ends[0], ends[-1] = u[0], u[-1]
+    forcing = fwd(ends * (a / (h * h)))
+
+    def N(uv):
+        p = reference_gradient(u0.like(uv))
+        return fwd(nl.f(x, uv, p)[moving]) + forcing
+
+    def physical(v):
+        uv = u0.values.copy()
+        uv[moving] = inv(v)
+        return uv
+
+    def advance(v, uv, m):
+        E, E2, Q, f1, f2, f3 = reference_etdrk4_coefficients(
+            a * (dt / m) * lam, dt / m)
+        for _ in range(m):
+            Nu = N(uv)
+            sa = E2 * v + Q * Nu
+            Na = N(physical(sa))
+            sb = E2 * v + Q * Na
+            Nb = N(physical(sb))
+            sc = E2 * sa + Q * (2.0 * Nb - Nu)
+            Nc = N(physical(sc))
+            v = E * v + f1 * Nu + 2.0 * f2 * (Na + Nb) + f3 * Nc
+            uv = physical(v)
+        return v, uv
+
+    states, substeps = [], []
+    v, m, checking = fwd(u[moving]), 1, True
+    for _ in range(n_steps):
+        if not checking:
+            v, u = advance(v, u, 1)
+            substeps.append(0)
+        else:
+            coarse = advance(v, u, m)
+            while True:
+                fine = advance(v, u, 2 * m)
+                gap = np.abs(coarse[1] - fine[1]).max()
+                scale = max(1.0, np.abs(fine[1]).max())
+                if (gap <= ETDRK4_TOL * scale
+                        or 2 * m >= ETDRK4_MAX_SUBSTEPS):
+                    break
+                coarse, m = fine, 2 * m
+            substeps.append(m)
+            (v, u), checking, m = fine, m > 1, max(1, m // 2)
+        states.append(u)
+    return states, substeps
 
 
 def advective_gen():
@@ -301,6 +383,10 @@ class TestIntegrate:
             SolverConfig(n=32, t_end=0.01, save_every=save_every)
 
 
+# a step at which ETDRK4's doubling check halves the first steps
+DT_ETD = 4e-4
+
+
 class TestETDRK4:
     # n = 40 tabulates the interval transforms, n = 600 runs scipy.fft
     @pytest.mark.parametrize("bc, n", [
@@ -335,6 +421,29 @@ class TestETDRK4:
             want = getattr(sfft, name)(w, type=1)
             assert (np.max(np.abs(mine(w) - want))
                     <= 1e-13 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("bc, n, a", [
+        pytest.param(PERIODIC, 64, None, id="periodic-64"),
+        pytest.param(PERIODIC, 256, 0.7, id="periodic-256"),
+        pytest.param(DIRICHLET, 48, 0.7, id=DIRICHLET),
+        pytest.param(NEUMANN, 48, None, id=NEUMANN)])
+    def test_run_is_bit_identical_to_reference(self, bc, n, a):
+        u0 = profile(bc, n)
+        dt, n_steps = DT_ETD, 12
+        traj = integrate(advective_gen(), a, u0,
+                         SolverConfig(n=n, dt=dt, t_end=n_steps * dt,
+                                      save_every=1, scheme="etdrk4"))
+        assert not traj.blew_up
+        states, substeps = reference_etdrk4(advective_gen(), a, u0, dt,
+                                            n_steps)
+        # the doubling subdivides a step, and plain steps follow
+        assert max(substeps) > 1 and substeps[-1] == 0
+        assert len(traj.snapshots) == n_steps + 1
+        for snap, u_t, want in zip(traj.snapshots[1:],
+                                   traj.u_t_snapshots[1:], states):
+            assert np.array_equal(snap.values, want)
+            assert np.array_equal(u_t.values, reference_rhs(
+                advective_gen(), a, u0.like(want)))
 
     def test_needs_an_explicit_step(self):
         with pytest.raises(ValueError, match="explicit dt"):
