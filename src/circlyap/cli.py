@@ -119,6 +119,9 @@ def cmd_list_scenarios(_args) -> int:
     for name, (doc, params) in sorted(harness.SCENARIOS.items()):
         print(f"{name:20s} {doc}")
         print(" " * 21 + " ".join(f"{k}={v:g}" for k, v in params.items()))
+        print(" " * 21 + ("builds its own start; a config's 'initial' is "
+                          "an error" if name in harness.OWN_START
+                          else "starts from the config's 'initial'"))
     return EXIT_OK
 
 

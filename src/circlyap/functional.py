@@ -87,10 +87,9 @@ def central_difference(u: np.ndarray, two_h: float, bc: str,
 
     Central differences inside; periodic ends wrap around, interval ends
     use the one-sided three-point formulas. ``two_h`` is twice the grid
-    spacing. This is the one first-derivative stencil of the package: the
-    PDE right-hand side and the functionals both call it. It divides by
-    ``two_h`` rather than multiplying by its inverse; tests hold the
-    results bit for bit.
+    spacing. The functionals call it, and tests hold the PDE operator's
+    buffered stencil to it bit for bit. It divides by ``two_h`` rather
+    than multiplying by its inverse; tests hold the results bit for bit.
     """
     out[1:-1] = (u[2:] - u[:-2]) / two_h
     if bc == PERIODIC:

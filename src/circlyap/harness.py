@@ -18,7 +18,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -84,6 +84,8 @@ SCENARIOS = {
                          {"lam": 5.0, "eps": 0.5, "ell": 1.0,
                           "burn_in": 0.0}),
 }
+# scenarios that build their own start: a config's ``initial`` is an error
+OWN_START = frozenset({"frozen_wave", "rotating_wave", "planar_embedding"})
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +116,11 @@ def constant_coefficient_nl(value: float) -> NonlinearityO2:
     )
 
 
-def general_from_o2(nl: NonlinearityO2, drift: float = 0.0) -> GeneralNonlinearity:
-    """Reaction term f(x, u, p) = fbar(u, p^2/2) - drift * p."""
+def general_from_o2(nl: NonlinearityO2) -> GeneralNonlinearity:
+    """Reaction term f(x, u, p) = fbar(u, p^2/2)."""
     return GeneralNonlinearity(
-        f=lambda x, u, p: nl.f_bar(u, 0.5 * p * p) - drift * p,
-        f_p=lambda x, u, p: nl.f_bar_q(u, 0.5 * p * p) * p - drift,
+        f=lambda x, u, p: nl.f_bar(u, 0.5 * p * p),
+        f_p=lambda x, u, p: nl.f_bar_q(u, 0.5 * p * p) * p,
         x_periodic=True,
     )
 
@@ -350,7 +352,9 @@ class ScenarioConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
     charflow: CharflowConfig = field(default_factory=CharflowConfig)
-    initial: dict = field(default_factory=lambda: {"kind": "random_smooth", "seed": 0})
+    # None for the scenarios in OWN_START; the others default to a seeded
+    # random_smooth field
+    initial: dict | None = None
     output_path: str | None = None
 
     def __post_init__(self):
@@ -370,28 +374,42 @@ class ScenarioConfig:
                                  f"and a_const > 0, burn_in >= 0)")
         self.params = {k: float(self.params.get(k, v))
                        for k, v in defaults.items()}
+        if self.scenario in OWN_START:
+            if self.initial is not None:
+                raise ValueError(f"scenario {self.scenario!r} builds its own "
+                                 f"start and reads no 'initial'")
+        elif self.initial is None:
+            self.initial = {"kind": "random_smooth", "seed": 0}
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "format_version": FORMAT_VERSION,
             "scenario": self.scenario,
             "params": self.params,
             "solver": asdict(self.solver),
             "quadrature": asdict(self.quadrature),
             "charflow": asdict(self.charflow),
-            "initial": self.initial,
             "output_path": self.output_path,
         }
+        if self.initial is not None:
+            d["initial"] = self.initial
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
+        known = ["format_version"] + [f.name for f in fields(cls)]
+        unknown = sorted(set(d) - set(known))
+        if unknown:
+            raise ValueError(f"config has no key {unknown[0]!r}; its keys "
+                             f"are {known}")
+        initial = d.get("initial")
         return cls(
             scenario=d["scenario"],
             params=dict(d.get("params", {})),
             solver=SolverConfig(**d.get("solver", {})),
             quadrature=QuadratureConfig(**d.get("quadrature", {})),
             charflow=CharflowConfig(**d.get("charflow", {})),
-            initial=dict(d.get("initial", {"kind": "random_smooth", "seed": 0})),
+            initial=None if initial is None else dict(initial),
             output_path=d.get("output_path"),
         )
 
@@ -511,10 +529,10 @@ def _build_scenario(cfg: ScenarioConfig):
 
     ell = p["ell"]
 
-    def circle(nl, a_const=None, u0=None, drift=0.0, reported=True,
+    def circle(nl, a_const=None, u0=None, gen=None, reported=True,
                extras=None):
-        # fbar - drift * p on the circle; with a_const, L is built on
-        # fbar / a_const and the dissipation weighed by 1 / a_const
+        # fbar on the circle, unless ``gen`` replaces it; with a_const, L is
+        # built on fbar / a_const and the dissipation weighed by 1 / a_const
         a_bar = None if a_const is None else constant_coefficient_nl(a_const)
         report = None
         if reported:
@@ -522,7 +540,7 @@ def _build_scenario(cfg: ScenarioConfig):
                 nl if a_bar is None else effective_nonlinearity(nl, a_bar),
                 cfg.charflow, cfg.quadrature)
             report = partial(field_report, ev, weight_a=a_bar)
-        return (general_from_o2(nl, drift), a_const,
+        return (gen or general_from_o2(nl), a_const,
                 u0 or make_initial(cfg.initial, n, ell, PERIODIC), report,
                 extras, cfg.solver)
 
@@ -553,12 +571,18 @@ def _build_scenario(cfg: ScenarioConfig):
                                          / t_final)
             return out
 
-        # the drift term breaks the reflection symmetry: no Lyapunov series
-        return circle(chafee_infante_nl(p["lam"]),
-                      u0=ScalarField(equilibrium_profile(p["lam"], ell, n),
-                                     ell, PERIODIC),
-                      drift=0.0 if frozen else p["c"],
-                      reported=frozen, extras=extras)
+        nl = chafee_infante_nl(p["lam"])
+        gen = None
+        if not frozen:
+            # the drift term - c * u_x breaks the reflection symmetry: no
+            # Lyapunov series
+            base, c = general_from_o2(nl), p["c"]
+            gen = GeneralNonlinearity(
+                f=lambda x, u, pp: base.f(x, u, pp) - c * pp,
+                f_p=lambda x, u, pp: base.f_p(x, u, pp) - c)
+        return circle(nl, u0=ScalarField(equilibrium_profile(p["lam"], ell, n),
+                                         ell, PERIODIC),
+                      gen=gen, reported=frozen, extras=extras)
 
     # matano_separated
     lam, eps = p["lam"], p["eps"]

@@ -24,12 +24,19 @@ Second-order central stencils in space. In time, one of two schemes:
   plain steps follow. It needs a constant diffusion coefficient and an
   explicit step ``dt``.
 
-Each solve builds one semi-discrete operator on plain arrays, with the grid,
-2h, h^2 and the derivative buffers fixed; the RK4 stages, the ETDRK4
-reaction terms and the saved u_t snapshots all evaluate it, and the public
-``rhs`` builds one per call, so the stencils exist once. The operator pins
-Dirichlet ends and names the grid index of a non-finite right-hand side or
-reaction term.
+Each solve builds one semi-discrete operator on preallocated buffers: it
+copies the state between two ghost values (the far ends on the circle) and
+writes u_x and u_xx from that copy into fixed arrays, in the operation order
+of ``functional.central_difference`` and ``second_difference``, which tests
+hold it to bit for bit. The RK4 stages, the ETDRK4 reaction terms and the
+saved u_t snapshots all evaluate it, and the public ``rhs`` builds one per
+call. The operator pins Dirichlet ends and names the grid index of a
+non-finite right-hand side or reaction term. RK4 keeps its stage state and
+its weighted sum of slopes in two buffers that every step reuses. ETDRK4
+stores its coefficient tables in the dtype of the transformed state
+(complex on the circle, real on an interval), so that no product casts;
+only a Dirichlet grid adds the end forcing and copies its pinned ends into
+each physical state.
 A run stops with a blow-up record, which keeps the snapshots saved so far
 and says what happened and when, if max|u| exceeds 1e6, the state turns
 non-finite or the right-hand side does.
@@ -45,13 +52,7 @@ from typing import Callable
 import numpy as np
 
 from .charflow import check_partial
-from .functional import (
-    DIRICHLET,
-    NEUMANN,
-    PERIODIC,
-    ScalarField,
-    central_difference,
-)
+from .functional import DIRICHLET, NEUMANN, PERIODIC, ScalarField
 
 BLOWUP_THRESHOLD = 1e6
 # ETDRK4 step doubling in the initial transient: a step and its two
@@ -127,7 +128,8 @@ def second_difference(u: np.ndarray, h2: float, bc: str,
     """Second-order u_xx of the samples ``u`` into ``out``; ``h2`` is the
     squared spacing. Dirichlet ends read 0 (the values there are pinned),
     Neumann ends mirror the ghost values. Each value is computed as
-    ((u[i+1] - 2 u[i]) + u[i-1]) / h2; tests hold that order bit for bit."""
+    ((u[i+1] - 2 u[i]) + u[i-1]) / h2. It is the reference that tests hold
+    the solver's buffered stencil to, bit for bit."""
     mid = out[1:-1]
     np.multiply(u[1:-1], 2, out=mid)
     np.subtract(u[2:], mid, out=mid)
@@ -148,10 +150,13 @@ class _SemiDiscrete:
     """The semi-discrete operator u -> a * u_xx + f(x, u, u_x) on plain arrays.
 
     Built once per solve from the grid ``x``, the spacing ``h`` and the
-    boundary tag: the grid, 2h, h^2 and the derivative buffers are fixed, so
-    one evaluation costs the two stencils, the user's callables and one
-    finiteness check. ``a`` is None (unit coefficient), a constant or a
-    callable a(x, u, p).
+    boundary tag: the grid, 2h, h^2 and the buffers are fixed. Each
+    evaluation copies u between two ghost values (the far ends of the
+    circle; interval ends are set apart) and takes u_x and u_xx from that
+    copy into the derivative buffers, in the operation order of
+    ``central_difference`` and ``second_difference``, bit for bit. Then
+    come the user's callables and one finiteness check. ``a`` is None
+    (unit coefficient), a constant or a callable a(x, u, p).
     """
 
     def __init__(self, nl: GeneralNonlinearity, a, x: np.ndarray, h: float,
@@ -162,19 +167,47 @@ class _SemiDiscrete:
         self.bc = bc
         self.two_h = 2 * h
         self.h2 = h**2
+        # interval ends are overwritten, so their ghosts stay 0
+        self._pad = np.zeros(x.size + 2)
         self._p = np.empty(x.size)
         self._uxx = np.empty(x.size)
         self._ones = np.ones(x.size)
 
+    def _slope(self, u: np.ndarray) -> np.ndarray:
+        """u_x into the slope buffer, from the ghost-padded copy of u."""
+        pad, p = self._pad, self._p
+        pad[1:-1] = u
+        if self.bc == PERIODIC:
+            pad[0], pad[-1] = u[-1], u[0]
+        np.subtract(pad[2:], pad[:-2], out=p)
+        p /= self.two_h
+        if self.bc != PERIODIC:
+            p[0] = (-3 * u[0] + 4 * u[1] - u[2]) / self.two_h
+            p[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / self.two_h
+        return p
+
+    def _second(self, u: np.ndarray) -> np.ndarray:
+        """u_xx into its buffer, from the padded copy ``_slope`` made."""
+        pad, uxx, h2 = self._pad, self._uxx, self.h2
+        np.multiply(u, 2, out=uxx)
+        np.subtract(pad[2:], uxx, out=uxx)
+        uxx += pad[:-2]
+        uxx /= h2
+        if self.bc == DIRICHLET:
+            uxx[0] = uxx[-1] = 0.0
+        elif self.bc == NEUMANN:
+            uxx[0] = 2 * (u[1] - u[0]) / h2
+            uxx[-1] = 2 * (u[-2] - u[-1]) / h2
+        return uxx
+
     def reaction(self, u: np.ndarray) -> np.ndarray:
         """f(x, u, u_x), zero at pinned Dirichlet ends.
 
-        The slope goes into a new array: f may return it, and the caller
-        keeps each result for the next step. Raises FloatingPointError
-        naming the first grid index whose value is not finite.
+        f may return the slope buffer itself, so the result is only valid
+        until the next evaluation. Raises FloatingPointError naming the
+        first grid index whose value is not finite.
         """
-        p = central_difference(u, self.two_h, self.bc, np.empty(u.size))
-        out = self.f(self.x, u, p)
+        out = self.f(self.x, u, self._slope(u))
         if self.bc == DIRICHLET:
             out = np.array(out, dtype=float)
             out[0] = out[-1] = 0.0
@@ -197,8 +230,8 @@ class _SemiDiscrete:
         is not finite.
         """
         x, a = self.x, self.a
-        p = central_difference(u, self.two_h, self.bc, self._p)
-        uxx = second_difference(u, self.h2, self.bc, self._uxx)
+        p = self._slope(u)
+        uxx = self._second(u)
         if a is None:
             out = uxx + self.f(x, u, p)
         elif callable(a):
@@ -264,10 +297,13 @@ def _diagonalised_second_difference(n: int, h: float, bc: str):
     return -4.0 * np.sin(half) ** 2 / (h * h), fwd, inv
 
 
-def _etdrk4_coefficients(z: np.ndarray, dt: float):
-    """exp(z), exp(z/2) and Cox & Matthews' Q, f1, f2, f3 (each times dt)
+def _etdrk4_coefficients(z: np.ndarray, dt: float, dtype):
+    """exp(z), exp(z/2) and Cox & Matthews' Q, f1, 2 f2, f3 (each times dt)
     for z = dt * eigenvalue, as Kassam & Trefethen's means over 32 points of
-    a circle of radius 1 around each z, which avoid cancellation at z = 0."""
+    a circle of radius 1 around each z, which avoid cancellation at z = 0.
+    The tables come in ``dtype``, that of the transformed state, so that
+    products with it cast nothing; a real table stored as complex gives
+    the same products bit for bit."""
     r = np.exp(1j * np.pi * (np.arange(32) + 0.5) / 32)
     Z = z[:, None] + r[None, :]
     eZ = np.exp(Z)
@@ -280,7 +316,8 @@ def _etdrk4_coefficients(z: np.ndarray, dt: float):
     f1 = mean((-4.0 - Z + eZ * (4.0 - 3.0 * Z + Z * Z)) / Z3)
     f2 = mean((2.0 + Z + eZ * (Z - 2.0)) / Z3)
     f3 = mean((-4.0 - 3.0 * Z - Z * Z + eZ * (4.0 - Z)) / Z3)
-    return np.exp(z), np.exp(0.5 * z), Q, f1, f2, f3
+    return tuple(c.astype(dtype) for c in
+                 (np.exp(z), np.exp(0.5 * z), Q, f1, 2.0 * f2, f3))
 
 
 def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
@@ -357,39 +394,46 @@ def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
 
     if cfg.scheme == ETDRK4:
         lam, fwd, inv = _diagonalised_second_difference(u0.n, h, u0.bc)
-        moving = slice(1, -1) if u0.bc == DIRICHLET else slice(None)
-        # pinned Dirichlet end values reach their neighbours through u_xx
-        ends = np.zeros(u[moving].size)
         if u0.bc == DIRICHLET:
+            # pinned end values reach their neighbours through u_xx
+            ends = np.zeros(u0.n - 2)
             ends[0], ends[-1] = u[0], u[-1]
-        forcing = fwd(ends * (a_const / (h * h)))
+            forcing = fwd(ends * (a_const / (h * h)))
+
+            def N(uv):
+                """Transformed reaction term plus the end forcing."""
+                return fwd(op.reaction(uv)[1:-1]) + forcing
+
+            def physical(v):
+                uv = u0.values.copy()  # keeps the pinned ends
+                uv[1:-1] = inv(v)
+                return uv
+
+            v = fwd(u[1:-1])
+        else:
+            def N(uv):
+                return fwd(op.reaction(uv))
+
+            physical, v = inv, fwd(u)
         coefficients = {}
-
-        def N(uv):
-            """Transformed reaction term plus the end forcing."""
-            return fwd(op.reaction(uv)[moving]) + forcing
-
-        def physical(v):
-            uv = u0.values.copy()  # keeps the pinned ends
-            uv[moving] = inv(v)
-            return uv
 
         def advance(v, uv, m):
             """Cover one step dt in m ETDRK4 steps of dt / m; returns the
             transformed and the physical state."""
             if m not in coefficients:
                 coefficients[m] = _etdrk4_coefficients(
-                    a_const * (dt / m) * lam, dt / m)
-            E, E2, Q, f1, f2, f3 = coefficients[m]
+                    a_const * (dt / m) * lam, dt / m, v.dtype)
+            E, E2, Q, f1, f2_twice, f3 = coefficients[m]
             for _ in range(m):
                 Nu = N(uv)
-                sa = E2 * v + Q * Nu
+                E2v = E2 * v
+                sa = E2v + Q * Nu
                 Na = N(physical(sa))
-                sb = E2 * v + Q * Na
+                sb = E2v + Q * Na
                 Nb = N(physical(sb))
                 sc = E2 * sa + Q * (2.0 * Nb - Nu)
                 Nc = N(physical(sc))
-                v = E * v + f1 * Nu + 2.0 * f2 * (Na + Nb) + f3 * Nc
+                v = E * v + f1 * Nu + f2_twice * (Na + Nb) + f3 * Nc
                 uv = physical(v)
             return v, uv
 
@@ -397,7 +441,7 @@ def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
         # step dt resolves. Until one step dt agrees with two of dt / 2,
         # every step is checked that way (step doubling) and covered in
         # halved steps until the two agree; then plain steps dt follow.
-        v, m, checking = fwd(u[moving]), 1, True
+        m, checking = 1, True
         for k in range(1, n_steps + 1):
             try:
                 if not checking:
@@ -420,17 +464,25 @@ def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
                 return finish(why, k * dt)
         return finish()
 
-    # explicit RK4
+    # explicit RK4: the stage state and the weighted sum of the slopes live
+    # in two buffers that every step reuses
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    stage, total = np.empty_like(u), np.empty_like(u)
     for k in range(1, n_steps + 1):
         try:
             k1 = op(u)
-            k2 = op(u + half_dt * k1)
-            k3 = op(u + half_dt * k2)
-            k4 = op(u + dt * k3)
+            k2 = op(np.add(u, np.multiply(half_dt, k1, out=stage), out=stage))
+            k3 = op(np.add(u, np.multiply(half_dt, k2, out=stage), out=stage))
+            k4 = op(np.add(u, np.multiply(dt, k3, out=stage), out=stage))
         except FloatingPointError as exc:
             return failed_step(exc, k)
-        u = u + sixth_dt * (k1 + 2 * k2 + 2 * k3 + k4)
+        # k1 + 2 k2 + 2 k3 + k4, summed left to right as tests hold it
+        np.multiply(2, k2, out=total)
+        total += k1
+        total += np.multiply(2, k3, out=stage)
+        total += k4
+        total *= sixth_dt
+        u += total
         why = stepped(k, u)
         if why is not None:
             return finish(why, k * dt)

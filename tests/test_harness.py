@@ -37,11 +37,18 @@ def tiny_config(tmp_path, scenario="chafee_infante", **overrides):
         params=overrides.pop("params", {"lam": 5.0}),
         solver=overrides.pop("solver",
                              SolverConfig(n=32, t_end=0.01, save_every=40)),
-        initial=overrides.pop("initial", {"kind": "random_smooth", "seed": 2}),
+        initial=overrides.pop("initial", start_of(scenario)),
         output_path=str(tmp_path / "out"),
         **overrides,
     )
     return cfg
+
+
+def start_of(scenario):
+    """A seeded start, for the scenarios that read one."""
+    if scenario in harness.OWN_START:
+        return None
+    return {"kind": "random_smooth", "seed": 2}
 
 
 class TestPlanarField:
@@ -306,6 +313,34 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="nope")
 
+    def test_unknown_top_level_key_rejected(self):
+        # "param" for "params" once ran chafee_infante at its default lam
+        d = {"scenario": "chafee_infante", "param": {"lam": 3.0}}
+        with pytest.raises(ValueError) as err:
+            ScenarioConfig.from_dict(d)
+        msg = str(err.value)
+        assert "'param'" in msg
+        for key in ("scenario", "params", "solver", "quadrature", "charflow",
+                    "initial", "output_path", "format_version"):
+            assert f"'{key}'" in msg
+
+    @pytest.mark.parametrize("scenario", sorted(harness.OWN_START))
+    def test_explicit_initial_rejected_where_the_start_is_built(
+            self, scenario):
+        with pytest.raises(ValueError, match="reads no 'initial'"):
+            ScenarioConfig(scenario=scenario, initial={"kind": "bogus"})
+        with pytest.raises(ValueError, match="reads no 'initial'"):
+            ScenarioConfig.from_dict({"scenario": scenario,
+                                      "initial": {"kind": "random_smooth"}})
+        # the config a manifest records still parses
+        d = ScenarioConfig(scenario=scenario).to_dict()
+        assert "initial" not in d
+        assert ScenarioConfig.from_dict(d).initial is None
+
+    def test_initial_default_where_the_config_gives_none(self):
+        cfg = ScenarioConfig.from_dict({"scenario": "chafee_infante"})
+        assert cfg.initial == {"kind": "random_smooth", "seed": 0}
+
     def test_nested_panels_in_json_is_ignored(self, tmp_path):
         cfg = tiny_config(tmp_path, scenario="matano_separated")
         d = cfg.to_dict()
@@ -471,7 +506,7 @@ def every_scenario_config(tmp_path, scenario, **params):
         solver = SolverConfig(n=32, dt=2e-2, save_every=100, scheme="etdrk4")
     return ScenarioConfig(scenario=scenario, params=params, solver=solver,
                           quadrature=QuadratureConfig(panels=4),
-                          initial={"kind": "random_smooth", "seed": 2},
+                          initial=start_of(scenario),
                           output_path=str(tmp_path / scenario))
 
 
@@ -782,10 +817,13 @@ class TestCli:
         lambda d: d.update(scenario="qlinear", params={"a_const": -1}),
         lambda d: d["params"].update(burn_in=-1),
         lambda d: d["params"].update(ell=0),
+        lambda d: d.update(param=d.pop("params")),
+        lambda d: d.update(scenario="frozen_wave", params={}),
     ], ids=["save_every_0", "n_4", "unknown_solver_key", "no_scenario",
             "unknown_scenario", "lamda_typo", "lam_not_a_number",
             "frozen_wave_c", "planar_embedding_ell", "a_const_0",
-            "a_const_negative", "burn_in_negative", "ell_0"])
+            "a_const_negative", "burn_in_negative", "ell_0",
+            "param_for_params", "initial_of_frozen_wave"])
     def test_run_exit_four_on_invalid_config(self, tmp_path, capsys, edit):
         cfg = tiny_config(tmp_path).to_dict()
         edit(cfg)
@@ -838,6 +876,31 @@ class TestCli:
         assert len(err.splitlines()) == 1 and "lam must exceed" in err
         assert (tmp_path / "out_lam=50.0" / "series.csv").exists()
         assert not (tmp_path / "out_lam=10.0").exists()
+
+    def test_sweep_exit_four_on_an_unknown_top_level_key(
+            self, tmp_path, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a job started before validation ended")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        d = tiny_config(tmp_path).to_dict()
+        d["param"] = {"lam": 3.0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        code = cli.main(["sweep", str(path), "--param", "params.lam",
+                         "--values", "2.0,5.0"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "'param'" in err
+
+    def test_list_scenarios_says_which_read_initial(self, capsys):
+        cli.main(["list-scenarios"])
+        lines = capsys.readouterr().out.splitlines()
+        for name in harness.SCENARIOS:
+            row = [i for i, line in enumerate(lines)
+                   if line.startswith(f"{name} ")][0]
+            reads = "'initial' is an error" not in lines[row + 2]
+            assert reads == (name not in harness.OWN_START), name
 
     @pytest.mark.parametrize("text", [None, "{not json"],
                              ids=["missing", "malformed"])

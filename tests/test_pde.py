@@ -5,13 +5,20 @@ import warnings
 import numpy as np
 import pytest
 
-from circlyap.functional import DIRICHLET, NEUMANN, PERIODIC, ScalarField
+from circlyap.functional import (
+    DIRICHLET,
+    NEUMANN,
+    PERIODIC,
+    ScalarField,
+    central_difference,
+)
 from circlyap.pde import (
     ETDRK4_MAX_SUBSTEPS,
     ETDRK4_TOL,
     TABULATED_TRANSFORM_MAX,
     GeneralNonlinearity,
     SolverConfig,
+    _SemiDiscrete,
     _diagonalised_second_difference,
     integrate,
     rhs,
@@ -234,6 +241,20 @@ class TestRhs:
         uxx = second_difference(fld.values, fld.dx**2, fld.bc, np.empty(fld.n))
         exact = -np.pi**2 * fld.values
         assert np.max(np.abs(uxx - exact)) <= 5e-2
+
+    @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET, NEUMANN])
+    def test_operator_stencils_are_the_reference_stencils(self, bc):
+        # the operator's ghost-padded stencils against the two reference
+        # functions, on two states in turn, so that a stale buffer shows
+        fld = profile(bc, 64)
+        h = fld.dx
+        op = _SemiDiscrete(zero_gen(), None, fld.grid(), h, bc)
+        for u in (fld.values, np.sin(3.0 * fld.values) * fld.values):
+            op(u)
+            assert np.array_equal(
+                op._p, central_difference(u, 2 * h, bc, np.empty(fld.n)))
+            assert np.array_equal(
+                op._uxx, second_difference(u, h**2, bc, np.empty(fld.n)))
 
     def test_diffusion_coefficient_scales(self):
         fld = sine_field(128)
