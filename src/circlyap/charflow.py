@@ -16,33 +16,32 @@ fbar and fbar_q are numpy callables that broadcast, as every nonlinearity
 of the package is: a solve calls each once per right-hand side over all its
 lanes, and a result of u alone, or a constant, broadcasts into place.
 
-Every characteristic solve in the package, here and in
-:mod:`circlyap.lagrangian`, :mod:`circlyap.matano` and
-:mod:`circlyap.harness`, runs through one driver,
-:func:`solve_characteristics`. It runs the 8th-order DOP853
+Every ODE solve in the package, here and in :mod:`circlyap.lagrangian`,
+:mod:`circlyap.matano` and :mod:`circlyap.harness`, runs through one
+driver, :func:`solve_characteristics`. It runs the 8th-order DOP853
 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.10) in its own loop, over
 scipy's tableau vendored as :mod:`circlyap._dop853`, with scipy's
-first-step rule, error norm, step-size controller and interpolant repeated
-operation for operation, so its values equal scipy's bit for bit wherever
-scipy's error norm is not NaN. It needs numpy only: scipy's ``brentq``
-is imported to locate an escape, and nowhere else. It returns the final
-state only; a caller that needs the solution at several points solves
-them as lanes. It calls the right-hand side directly and owns
-the failure policy: a non-finite right-hand side or more than
-``max_steps`` steps is an :class:`IntegrationFailure`; an escape past
-``escape_bound``, located on the interpolant of the step that crossed it,
-or a step-size collapse is a :class:`CharacteristicEscape` that names the
-lane.
+first-step rule, error norm and step-size controller repeated operation
+for operation, so its values equal scipy's bit for bit wherever scipy's
+error norm is not NaN. It needs numpy only. It returns the final state
+only; a caller that needs the solution at several points solves them as
+lanes. It calls the right-hand side directly and owns the failure policy:
+a non-finite right-hand side or more than ``max_steps`` steps is an
+:class:`IntegrationFailure`; an escape past ``escape_bound``, bisected
+with steps from the start of the step that crossed it, or a step-size
+collapse is a :class:`CharacteristicEscape` that names the lane.
 
 Every solve of the q-flow runs lanes of :func:`solve_q_flow` over it (the
-scalar :func:`evolve` is a batch of one), and every solve of the profile
-flow u' = p, p' = -f lanes of :func:`solve_profile_flow`: every
+scalar :func:`evolve` is a batch of one), every solve of the profile flow
+u' = p, p' = -f lanes of :func:`solve_profile_flow`, and the planar oracle
+of :mod:`circlyap.harness` lanes of :func:`solve_planar_flow`: every
 right-hand side the driver sees is built in this module.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -107,6 +106,19 @@ def check_partial(fn, partial, name: str, samples: dict,
             f"{partial(*at):.8g} vs finite difference {fd.flat[i]:.8g}")
 
 
+def check_numbers(cfg, finite=(), counts=()) -> None:
+    """Raise ValueError at the first field of ``cfg`` named in ``finite``
+    that is not a finite number, or in ``counts`` that is not an integer;
+    a bool is neither. The config check of every solver setting."""
+    for name in (*finite, *counts):
+        v, count = getattr(cfg, name), name in counts
+        if isinstance(v, bool) or not isinstance(
+                v, numbers.Integral if count else numbers.Real) \
+                or not (count or math.isfinite(v)):
+            raise ValueError(f"{type(cfg).__name__}.{name} = {v!r} is not "
+                             f"{'an integer' if count else 'a finite number'}")
+
+
 @dataclass(frozen=True)
 class NonlinearityO2:
     """Reflection-symmetric nonlinearity fbar(u, q) with q = p^2/2.
@@ -145,6 +157,7 @@ class CharflowConfig:
     max_steps: int = 10**6
 
     def __post_init__(self):
+        check_numbers(self, ("rel_tol", "abs_tol"), ("max_steps",))
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
         if not (self.escape_bound > 0 and self.max_steps > 0):
@@ -161,11 +174,9 @@ DEFAULT_CONFIG = CharflowConfig()
 _EPS = np.finfo(float).eps
 
 # DOP853 as scipy tabulates it (vendored in _dop853): stages 1..11 of a
-# step (row, coefficients on the earlier stages, abscissa), the
-# interpolant's three extra stages, and the step-size controller's constants
+# step (row, coefficients on the earlier stages, abscissa) and the
+# step-size controller's constants
 _STAGES = [(s, _DOP.A[s, :s], _DOP.C[s]) for s in range(1, _DOP.N_STAGES)]
-_EXTRA_STAGES = [(s, _DOP.A[s, :s], _DOP.C[s])
-                 for s in range(_DOP.N_STAGES + 1, _DOP.N_STAGES_EXTENDED)]
 _ERROR_ORDER = 7
 _EXPONENT = -1 / (_ERROR_ORDER + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
@@ -198,45 +209,6 @@ def _squared_norm(x):
     return np.sqrt(x.dot(x)) ** 2
 
 
-def _interpolant(fun, t_old, t, y_old, y, f, h, K):
-    """DOP853's 7th-order interpolant over the step from (t_old, y_old) to
-    (t, y) just taken with stages ``K``: three more stages, as scipy's
-    ``DOP853.dense_output`` computes them."""
-    for s, a, c in _EXTRA_STAGES:
-        K[s] = fun(t_old + c * h, y_old + np.dot(K[:s].T, a) * h)
-    F = np.empty((_DOP.INTERPOLATOR_POWER, y.size))
-    f_old = K[0]
-    delta_y = y - y_old
-    F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (f + f_old)
-    F[3:] = h * np.dot(_DOP.D, K)
-    return _Step(t_old, t, y_old, F)
-
-
-class _Step:
-    """The interpolant of one step at a scalar ``t``, evaluated as scipy's
-    ``Dop853DenseOutput`` evaluates it, operation for operation."""
-
-    def __init__(self, t_old, t, y_old, F):
-        self.t_old = t_old
-        self.h = t - t_old
-        self.F = F
-        self.y_old = y_old
-
-    def __call__(self, t):
-        x = (t - self.t_old) / self.h
-        y = np.zeros_like(self.y_old)
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += self.y_old
-        return y
-
-
 def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
                           lane, var: str = "u"):
     """Integrate a stack of characteristics over ``span``; the one driver
@@ -250,9 +222,9 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
 
     It runs DOP853 in its own loop at ``cfg.rel_tol``/``cfg.abs_tol``:
     scipy's tableau (vendored in :mod:`circlyap._dop853`), first-step
-    rule, error norm, step-size controller (with its ``min_step`` clamp and
-    100 eps floor on rel_tol) and interpolant, operation for operation, so
-    every value equals scipy's bit for bit. The one departure: an error
+    rule, error norm and step-size controller (with its ``min_step`` clamp
+    and 100 eps floor on rel_tol), operation for operation, so every value
+    equals scipy's bit for bit. The one departure: an error
     estimate whose 5th-order part is 0 has norm 0, where scipy's formula
     can give 0/0. Failure policy:
 
@@ -264,11 +236,11 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
       :class:`CharacteristicEscape`, whose context ``lane(k, t)`` names
       the lane of the watched component k of largest modulus at the
       parameter value t where the solve stopped, followed by the reason on
-      a collapse. A crossing of the bound is located on the interpolant of
-      the step that made it.
+      a collapse. A crossing of the bound is bisected to 4 eps, as scipy's
+      terminal events are, with steps from the start of the step that made
+      it; the state reported there is beyond the bound.
 
-    Returns the final state. scipy is imported only for ``brentq``, when
-    an escape is located.
+    Returns the final state.
     """
     y = np.asarray(y0, dtype=float)
     t, t_bound = float(span[0]), float(span[1])
@@ -304,11 +276,17 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
         return y
     direction = np.sign(t_bound - t)
     h_abs = _initial_step(fun, t, y, t_bound, f, direction, rtol, atol)
-    # stage k in row k; the rows after the 13th serve the interpolant
-    K_ext = np.empty((_DOP.N_STAGES_EXTENDED, y.size))
-    K = K_ext[:_DOP.N_STAGES + 1]
+    K = np.empty((_DOP.N_STAGES + 1, y.size))  # stage k in row k
     stages = [(s, K[:s].T, a, c) for s, a, c in _STAGES]
     K_sol, K_err = K[:-1].T, K.T
+
+    def step(t, y, f, h):
+        """One DOP853 step h from (t, y), f = rhs(t, y): stages 0..11 in K."""
+        K[0] = f
+        for s, K_s, a, c in stages:
+            K[s] = fun(t + c * h, y + np.dot(K_s, a) * h)
+        return y + h * np.dot(K_sol, _DOP.B)
+
     for _ in range(cfg.max_steps):
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -322,10 +300,7 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
                 t_new = t_bound
             h = t_new - t
             h_abs = np.abs(h)
-            K[0] = f
-            for s, K_s, a, c in stages:
-                K[s] = fun(t + c * h, y + np.dot(K_s, a) * h)
-            y_new = y + h * np.dot(K_sol, _DOP.B)
+            y_new = step(t, y, f, h)
             f_new = fun(t + h, y_new)
             K[-1] = f_new
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
@@ -346,16 +321,19 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _EXPONENT)
             rejected = True
-        t_old, y_old = t, y
+        if np.abs(y_new[:watch]).max(initial=0.0) >= bound:
+            # bisect the crossing, to brentq's 4 eps, with steps from the
+            # start of the step that made it; y_new stays beyond the bound
+            lo, hi = t, t_new
+            while abs(hi - lo) > 4 * _EPS * (1 + abs(hi)):
+                mid = 0.5 * (lo + hi)
+                y_mid = step(t, y, f, mid - t)
+                if np.abs(y_mid[:watch]).max() >= bound:
+                    hi, y_new = mid, y_mid
+                else:
+                    lo = mid
+            raise escaped(float(hi), y_new)
         t, y, f = t_new, y_new, f_new
-        if np.abs(y[:watch]).max(initial=0.0) >= bound:
-            # the crossing on this step's interpolant, to the tolerances
-            # scipy uses for a terminal event
-            from scipy.optimize import brentq
-            step = _interpolant(fun, t_old, t, y_old, y, f, h, K_ext)
-            t = brentq(lambda s: np.max(np.abs(step(s)[:watch])) - bound,
-                       t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
-            raise escaped(float(t), step(t))
         if direction * (t - t_bound) >= 0:
             break
     else:
@@ -493,6 +471,28 @@ def solve_profile_flow(f, xs, u0, p0, span, cfg: CharflowConfig, label,
     y = solve_characteristics(rhs, span, y0.ravel(), cfg, 2 * m, lane,
                               var="s")
     return y.reshape(y0.shape)
+
+
+def solve_planar_flow(g, h, a0, b0, ts, cfg: CharflowConfig,
+                      label: str) -> np.ndarray:
+    """Lanes of the planar flow a' = g(a, b), b' = h(a, b) from (a0, b0)
+    in one solve, lane k along t = ts[k] * s over s in [0, 1]; a and b are
+    watched, and an escape names ``label`` and the lane. Returns the rows
+    a, b at the times ``ts``, in the shape (2,) + ts.shape."""
+    shape = (2,) + np.shape(ts)
+    ts = np.asarray(ts, dtype=float).ravel()
+    m = ts.size
+
+    def rhs(s, y):
+        a, b = y[:m], y[m:]
+        return np.concatenate([ts * g(a, b), ts * h(a, b)])
+
+    y0 = np.repeat([float(a0), float(b0)], m)
+    y = solve_characteristics(
+        rhs, (0.0, 1.0), y0, cfg, 2 * m,
+        lambda k, s: f"{label}: lane {k % m} stopped at t={ts[k % m] * s:.6g}",
+        var="s")
+    return y.reshape(shape)
 
 
 def verify_equilibrium_first_integral(

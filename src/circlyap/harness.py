@@ -30,6 +30,7 @@ from .charflow import (
     CharflowConfig,
     IntegrationFailure,
     NonlinearityO2,
+    solve_planar_flow,
     solve_profile_flow,
 )
 from .functional import (
@@ -196,31 +197,28 @@ def fourier_project(fld: ScalarField, mode: int) -> tuple[float, float]:
 
 
 def planar_orbit(pf: PlanarField, a0: float, b0: float):
-    """Dense planar solution through (a0, b0) and its return period.
+    """The planar solution through (a0, b0) and its return period.
 
-    The period is detected as the first return to the section a = a0 with
-    the velocity direction of the start point, within t = 50.
+    Returns ``(at, period)``: ``at(t)`` gives the rows a, b at the times t
+    (any shape), as lanes of :func:`circlyap.charflow.solve_planar_flow`.
+    The period is the first return to the section a = a0 in the start's
+    direction within t = 50: bracketed on a t-grid, then Newton on a(T) = a0.
     """
-    from scipy.integrate import solve_ivp
-
-    g0 = pf.g(a0, b0)
-    direction = 1.0 if g0 > 0 else -1.0
-
-    def rhs(t, y):
-        return [pf.g(y[0], y[1]), pf.h(y[0], y[1])]
-
-    def section(t, y):
-        return y[0] - a0
-
-    section.direction = direction
-
-    sol = solve_ivp(rhs, (0.0, 50.0), (a0, b0), method="RK45",
-                    rtol=1e-11, atol=1e-13, dense_output=True, events=section)
-    hits = sol.t_events[0]
-    hits = hits[hits > 1e-6]
+    at = partial(solve_planar_flow, pf.g, pf.h, a0, b0, cfg=_PROFILE_CFG,
+                 label="planar orbit")
+    ts = np.linspace(0.0, 50.0, 501)
+    gap = (at(ts)[0] - a0) * np.sign(pf.g(a0, b0))
+    hits = np.flatnonzero((gap[:-1] < 0) & (gap[1:] >= 0))
     if hits.size == 0:
         raise RuntimeError("planar orbit did not return to the section; not periodic?")
-    return sol, float(hits[0])
+    period = float(ts[hits[0] + 1])
+    for _ in range(20):
+        a, b = at(period)
+        step = (a - a0) / pf.g(a, b)
+        period -= step
+        if abs(step) <= 1e-12 * period:
+            break
+    return at, float(period)
 
 
 # ---------------------------------------------------------------------------
@@ -498,21 +496,20 @@ def _build_scenario(cfg: ScenarioConfig):
         x = np.arange(n) * (2 * np.pi / n)
         c, s = np.cos(x), np.sin(x)
         u0 = ScalarField(p["a0"] * c + p["b0"] * s, 2 * np.pi, PERIODIC)
-        sol, period = planar_orbit(pf, p["a0"], p["b0"])
+        at, period = planar_orbit(pf, p["a0"], p["b0"])
         # land the final step exactly on the orbit period
         steps = int(np.ceil(period / (cfg.solver.dt or 2e-3)))
         solver = replace(cfg.solver, t_end=period, dt=period / steps)
 
         def extras(traj):
-            ab_pde, ab_ode, off_e = [], [], []
-            for t, snap in zip(traj.times, traj.snapshots):
+            ab_pde, off_e = [], []
+            for snap in traj.snapshots:
                 a, b = fourier_project(snap, 1)
                 ab_pde.append((a, b))
-                ab_ode.append(tuple(sol.sol(min(t, sol.t[-1]))))
                 resid = snap.values - a * c - b * s
                 nrm = np.linalg.norm(snap.values) or 1.0
                 off_e.append(np.linalg.norm(resid) / nrm)
-            ab_pde, ab_ode = np.array(ab_pde), np.array(ab_ode)
+            ab_pde, ab_ode = np.array(ab_pde), at(traj.times).T
             u_start = traj.snapshots[0].values
             u_end = traj.snapshots[-1].values
             return {

@@ -34,6 +34,7 @@ from .charflow import (
     DEFAULT_CONFIG,
     CharflowConfig,
     NonlinearityO2,
+    check_numbers,
     solve_q_flow,
 )
 
@@ -69,6 +70,7 @@ class QuadratureConfig:
             why = ("was retired; use 'gauss_legendre'" if rule == "simpson"
                    else "is unknown")
             raise ValueError(f"quadrature rule {rule!r} {why}")
+        check_numbers(self, counts=("panels",))
         if self.panels < 2:
             raise ValueError("panels must be >= 2")
 

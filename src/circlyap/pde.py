@@ -6,14 +6,14 @@ Second-order central stencils in space. In time, one of two schemes:
 * ``etdrk4``: the exponential integrator of Cox & Matthews (J. Comput.
   Phys. 176, 2002). The linear part a * u_xx, with the same
   second-difference matrix, is applied exactly in the basis that
-  diagonalises it (``scipy.fft``: real FFT on the circle, DST-I on the
-  Dirichlet interior, DCT-I for Neumann's mirrored ghosts); the reaction
-  f(x, u, u_x) stays explicit through the same central difference. An
-  interval transform of at most 256 points is a dense matrix product,
-  the matrix tabulated once per solve from the scipy transform: DST-I and
-  DCT-I run FFTs of length 2(N+1) and 2(N-1), which on a grid of 2^k
-  points have a large prime factor (2 * 127 at n = 128), and the matrix
-  product is faster up to about 256 points.
+  diagonalises it (``numpy.fft``: real FFT on the circle, DST-I on the
+  Dirichlet interior, DCT-I for Neumann's mirrored ghosts, both as the
+  real FFT of the odd or even extension); the reaction f(x, u, u_x) stays
+  explicit through the same central difference. An interval transform of
+  at most 256 points is a dense matrix product, tabulated once per solve:
+  DST-I and DCT-I run FFTs of length 2(N+1) and 2(N-1), which on a grid of
+  2^k points have a large prime factor (2 * 127 at n = 128), and the
+  matrix product is faster up to about 256 points.
   Non-zero Dirichlet end values enter as a constant forcing. So it
   integrates the same semi-discrete ODE as RK4, at steps far above RK4's
   stability limit. Its phi-functions come from Kassam & Trefethen's
@@ -51,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .charflow import check_partial
+from .charflow import check_numbers, check_partial
 from .functional import DIRICHLET, NEUMANN, PERIODIC, ScalarField
 
 BLOWUP_THRESHOLD = 1e6
@@ -60,9 +60,9 @@ BLOWUP_THRESHOLD = 1e6
 ETDRK4_TOL = 1e-9
 ETDRK4_MAX_SUBSTEPS = 128
 # ETDRK4 applies an interval transform of at most this many points as a
-# tabulated matrix product: the measured break-even with scipy.fft (3
-# against 21 us per transform at N = 126, 10 against 12 at 254, 55 against
-# 20 at 510)
+# tabulated matrix product: the measured break-even with the FFT of the
+# extension (3 against 21 us per transform at N = 126, 10 against 12 at
+# 254, 55 against 20 at 510)
 TABULATED_TRANSFORM_MAX = 256
 
 RK4 = "rk4"
@@ -96,6 +96,8 @@ class SolverConfig:
     scheme: str = RK4
 
     def __post_init__(self):
+        check_numbers(self, ("t_end",) if self.dt is None else ("t_end", "dt"),
+                      ("n", "save_every"))
         if self.n < 8:
             raise ValueError("need at least 8 grid points")
         if self.dt is not None and self.dt <= 0:
@@ -267,33 +269,41 @@ def time_step(cfg: SolverConfig, h: float, a) -> float:
     return 0.4 * h * h / (a_const if a_const is not None else 1.0)
 
 
+def _interval_transform(w: np.ndarray, dirichlet: bool) -> np.ndarray:
+    """Unnormalised DST-I (``dirichlet``) or DCT-I of ``w`` along axis 0:
+    the real FFT of its odd or even extension, as pocketfft computes them."""
+    if dirichlet:
+        zero = np.zeros((1,) + w.shape[1:])
+        z = np.concatenate([zero, w, zero, -w[::-1]])
+        return -np.fft.rfft(z, axis=0).imag[1:-1]
+    return np.fft.rfft(np.concatenate([w, w[-2:0:-1]]), axis=0).real
+
+
 def _diagonalised_second_difference(n: int, h: float, bc: str):
     """Eigenvalues of the ``second_difference`` matrix and the transform
     pair that diagonalises it, acting on the points that move: all of
     them, or the Dirichlet interior. The eigenvalues are
     -4 sin^2(theta_k / 2) / h^2 for the real FFT (theta_k = 2 pi k / n),
     DST-I (theta_k = pi k / (n - 1), k = 1 .. n - 2) and DCT-I
-    (theta_k = pi k / (n - 1), k = 0 .. n - 1). An interval pair of at
-    most ``TABULATED_TRANSFORM_MAX`` points is two dense matrices, the
-    scipy transforms of the identity's columns. ``scipy.fft`` is imported
-    here, its one user, once per ETDRK4 solve."""
-    import scipy.fft as sfft
-
+    (theta_k = pi k / (n - 1), k = 0 .. n - 1); each interval transform is
+    its own inverse up to the factor 1 / (2 (n - 1)). An interval pair of
+    at most ``TABULATED_TRANSFORM_MAX`` points is two dense matrices, the
+    transforms of the identity's columns."""
     if bc == PERIODIC:
         half = np.pi * np.arange(n // 2 + 1) / n
-        fwd, inv = sfft.rfft, (lambda v: sfft.irfft(v, n))
+        fwd, inv = np.fft.rfft, (lambda v: np.fft.irfft(v, n))
     else:
         dirichlet = bc == DIRICHLET
         k = np.arange(1, n - 1) if dirichlet else np.arange(n)
         half = 0.5 * np.pi * k / (n - 1)
-        pair = (sfft.dst, sfft.idst) if dirichlet else (sfft.dct, sfft.idct)
+        scale = 1.0 / (2 * (n - 1))
+        fwd, inv = (lambda w: _interval_transform(w, dirichlet)), \
+            (lambda v: _interval_transform(v, dirichlet) * scale)
         if k.size <= TABULATED_TRANSFORM_MAX:
-            # the same linear maps, applied to the identity's columns once
-            F, G = (t(np.eye(k.size), type=1, axis=0) for t in pair)
+            # C-contiguous: a strided F changes F @ w in the last bits
+            F = np.ascontiguousarray(fwd(np.eye(k.size)))
+            G = F * scale
             fwd, inv = (lambda w: F @ w), (lambda v: G @ v)
-        else:
-            fwd, inv = (lambda w: pair[0](w, type=1)), \
-                (lambda v: pair[1](v, type=1))
     return -4.0 * np.sin(half) ** 2 / (h * h), fwd, inv
 
 

@@ -10,8 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853
-from scipy.optimize import brentq
+from scipy.integrate import DOP853, solve_ivp
 
 import circlyap
 from circlyap import charflow, harness, lagrangian, matano
@@ -310,34 +309,25 @@ PORT_CASES = {
 
 def _by_hand(rhs, span, y0, cfg):
     """scipy's DOP853 stepped by hand: the final state, the number of
-    rejected attempts, whether every right-hand side was evaluated inside
-    the span, and per accepted step a pair (the driver's interpolant built
-    from the step, scipy's dense output of it)."""
+    rejected attempts, and whether every right-hand side was evaluated
+    inside the span."""
     at = []
 
     def logged(t, y):
         at.append(t)
         return rhs(t, y)
 
-    def fun(t, y):
-        return np.asarray(rhs(t, y), dtype=float)
-
     solver = DOP853(logged, span[0], y0, span[1], rtol=cfg.rel_tol,
                     atol=cfg.abs_tol)
-    steps, attempts = [], 0
+    steps = attempts = 0
     while solver.status == "running":
         nfev = solver.nfev
         solver.step()
         attempts += (solver.nfev - nfev) // 12
-        if solver.y_old is None:
-            continue  # the empty state finishes without a step
-        mine = charflow._interpolant(
-            fun, solver.t_old, solver.t, solver.y_old, solver.y, solver.f,
-            solver.h_previous, solver.K_extended.copy())
-        steps.append((mine, solver.dense_output()))
+        steps += solver.y_old is not None  # the empty state takes no step
     assert solver.status == "finished"
     inside = min(span) <= min(at) and max(at) <= max(span)
-    return solver.y, steps, attempts - len(steps), inside
+    return solver.y, attempts - steps, inside
 
 
 class TestDop853Port:
@@ -346,7 +336,7 @@ class TestDop853Port:
     @pytest.mark.parametrize("case", list(PORT_CASES))
     def test_equals_scipy_bit_for_bit(self, case, monkeypatch):
         rhs, span, y0, cfg, watch = PORT_CASES[case](monkeypatch)
-        y, steps, rejected, inside = _by_hand(rhs, span, y0, cfg)
+        y, rejected, inside = _by_hand(rhs, span, y0, cfg)
         if case == "rejections":
             assert rejected > 0
         if not inside:
@@ -356,33 +346,29 @@ class TestDop853Port:
         y_end = charflow.solve_characteristics(rhs, span, y0, cfg, watch,
                                                lambda k, t: "")
         assert np.array_equal(y_end, y)
-        # the interpolant that locates an escape, at every accepted step
-        for mine, theirs in steps:
-            for t in np.linspace(theirs.t_old, theirs.t, 5):
-                assert np.array_equal(mine(t), theirs(t))
 
     def test_escape_located_as_scipy_locates_it(self, monkeypatch):
-        # dq/du = q^2 from q = 1 blows up at u = 1; the escape is the
-        # crossing of the bound on the interpolant of scipy's step
+        # dq/du = q^2 from q = 1 blows up at u = 1; scipy locates the
+        # crossing of the bound as a terminal event on its interpolant, the
+        # driver bisects it with its own steps
         cfg = CharflowConfig(escape_bound=1e6)
         rhs, span, y0, _, watch = _first_solve(
             monkeypatch, charflow,
             lambda: evolve_batch(_BLOWUP, 0.0, 10.0, np.array([0.1, 1.0]),
                                  cfg))
-        solver = DOP853(rhs, span[0], y0, span[1], rtol=cfg.rel_tol,
-                        atol=cfg.abs_tol)
-        while np.max(np.abs(solver.y[:watch])) < cfg.escape_bound:
-            solver.step()
-        step = solver.dense_output()
-        eps = np.finfo(float).eps
-        at = brentq(lambda s: np.max(np.abs(step(s)[:watch]))
-                    - cfg.escape_bound, solver.t_old, solver.t,
-                    xtol=4 * eps, rtol=4 * eps)
+
+        def crossing(t, y):
+            return np.max(np.abs(y[:watch])) - cfg.escape_bound
+
+        crossing.terminal = True
+        sol = solve_ivp(rhs, span, y0, "DOP853", rtol=cfg.rel_tol,
+                        atol=cfg.abs_tol, events=crossing)
+        at = sol.t_events[0][0]
         with pytest.raises(CharacteristicEscape) as err:
             charflow.solve_characteristics(rhs, span, y0, cfg, watch,
                                            lambda k, t: "")
-        assert err.value.at == at
-        assert np.array_equal(err.value.state, step(at))
+        assert err.value.at == pytest.approx(at, rel=1e-12, abs=0)
+        assert np.max(np.abs(err.value.state[:watch])) >= cfg.escape_bound
 
 
 class TestVendoredTableau:
@@ -435,10 +421,8 @@ class TestDriverPolicy:
     failure policy."""
 
     def test_single_solve_path(self):
-        for mod in (charflow, lagrangian, matano):
+        for mod in (charflow, lagrangian, matano, harness):
             assert "solve_ivp" not in inspect.getsource(mod), mod.__name__
-        assert "solve_ivp" not in inspect.getsource(
-            harness.equilibrium_profile)
         # every right-hand side the driver sees is built in charflow
         for info in pkgutil.iter_modules(circlyap.__path__):
             mod = importlib.import_module(f"circlyap.{info.name}")
@@ -446,14 +430,15 @@ class TestDriverPolicy:
                 assert "solve_characteristics" not in inspect.getsource(
                     mod), info.name
         assert "solve_characteristics" not in inspect.getsource(circlyap)
-        # inside charflow, only the two lane helpers call the driver
+        # inside charflow, only the three lane helpers call the driver
         callers = {fn.name for fn in ast.walk(ast.parse(
                        inspect.getsource(charflow)))
                    if isinstance(fn, ast.FunctionDef)
                    for node in ast.walk(fn) if isinstance(node, ast.Call)
                    and getattr(node.func, "id", None)
                    == "solve_characteristics"}
-        assert callers == {"solve_q_flow", "solve_profile_flow"}
+        assert callers == {"solve_q_flow", "solve_profile_flow",
+                           "solve_planar_flow"}
         # and the separated construction has no series loop of its own
         assert not hasattr(matano, "decay_identity_residual")
         # the separated-BC construction shares lagrangian's public assembly

@@ -83,16 +83,16 @@ class TestPlanarField:
 
     def test_center_orbit_conserves_energy_and_closes(self):
         pf = center_planar_field()
-        sol, period = planar_orbit(pf, 0.2, 1.1)
+        at, period = planar_orbit(pf, 0.2, 1.1)
 
         def energy(a, b):
             return a * a / 2.0 + b * b / 4.0 - 0.5 * np.log(b)
 
         E0 = energy(0.2, 1.1)
         ts = np.linspace(0.0, period, 200)
-        ab = sol.sol(ts)
+        ab = at(ts)
         assert np.max(np.abs(energy(ab[0], ab[1]) - E0)) <= 1e-8
-        end = sol.sol(period)
+        end = at(period)
         assert np.hypot(end[0] - 0.2, end[1] - 1.1) <= 1e-7
 
 
@@ -819,11 +819,25 @@ class TestCli:
         lambda d: d["params"].update(ell=0),
         lambda d: d.update(param=d.pop("params")),
         lambda d: d.update(scenario="frozen_wave", params={}),
+        # a setting that is not a finite number, or a count that is not an
+        # integer: each once crashed with a traceback, or ran and exited 0
+        lambda d: d["solver"].update(t_end=math.inf),
+        lambda d: d["solver"].update(dt=math.nan),
+        lambda d: d["solver"].update(scheme="etdrk4", dt=math.inf),
+        lambda d: d["solver"].update(n=64.5),
+        lambda d: d["solver"].update(save_every=True),
+        lambda d: d["solver"].update(save_every=2.5),
+        lambda d: d["quadrature"].update(panels=8.0),
+        lambda d: d["charflow"].update(max_steps=10.5),
+        lambda d: d["charflow"].update(rel_tol=math.inf),
     ], ids=["save_every_0", "n_4", "unknown_solver_key", "no_scenario",
             "unknown_scenario", "lamda_typo", "lam_not_a_number",
             "frozen_wave_c", "planar_embedding_ell", "a_const_0",
             "a_const_negative", "burn_in_negative", "ell_0",
-            "param_for_params", "initial_of_frozen_wave"])
+            "param_for_params", "initial_of_frozen_wave", "t_end_inf",
+            "dt_nan", "etdrk4_dt_inf", "n_fractional", "save_every_bool",
+            "save_every_fractional", "panels_float", "max_steps_fractional",
+            "rel_tol_inf"])
     def test_run_exit_four_on_invalid_config(self, tmp_path, capsys, edit):
         cfg = tiny_config(tmp_path).to_dict()
         edit(cfg)
