@@ -670,11 +670,12 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True):
     "blowup" or "construction_failure"; on failure the partial series is
     still emitted together with a machine-readable error record
     (``error.json``) that says what failed, where and when. A scenario
-    that cannot be built raises :class:`ConfigError`.
+    that cannot be built raises :class:`ConfigError`, also where the
+    equilibrium profile or the planar orbit it starts from is not found.
     """
     try:
         gen, a_coeff, u0, report, extras_fn, solver_cfg = _build_scenario(cfg)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, RuntimeError) as exc:
         raise ConfigError(f"scenario {cfg.scenario!r}: {exc}") from exc
     # None where the scenario declares no burn-in
     burn_in = cfg.params.get("burn_in")

@@ -10,18 +10,16 @@ Second-order central stencils in space. In time, one of two schemes:
   Dirichlet interior, DCT-I for Neumann's mirrored ghosts, both as the
   real FFT of the odd or even extension); the reaction f(x, u, u_x) stays
   explicit through the same central difference. An interval transform of
-  at most 256 points is a dense matrix product, tabulated once per solve:
-  DST-I and DCT-I run FFTs of length 2(N+1) and 2(N-1), which on a grid of
-  2^k points have a large prime factor (2 * 127 at n = 128), and the
-  matrix product is faster up to about 256 points.
-  Non-zero Dirichlet end values enter as a constant forcing. So it
+  at most 256 points is a dense matrix product, tabulated once per solve,
+  as it is faster there than the FFT of the extension. Non-zero Dirichlet end values enter as a constant forcing. So it
   integrates the same semi-discrete ODE as RK4, at steps far above RK4's
   stability limit. Its phi-functions come from Kassam & Trefethen's
   contour integrals (SIAM J. Sci. Comput. 26, 2005), once per solve and
   step size. The initial transient changes faster than a large step
   resolves, so each step is checked against two half steps and covered
   in halved steps until the two agree to 1e-9, until a whole step passes;
-  plain steps follow. It needs a constant diffusion coefficient and an
+  plain steps follow. All attempts at a step share its first reaction
+  term, evaluated once. It needs a constant diffusion coefficient and an
   explicit step ``dt``.
 
 Each solve builds one semi-discrete operator on preallocated buffers: it
@@ -31,15 +29,17 @@ of ``functional.central_difference`` and ``second_difference``, which tests
 hold it to bit for bit. The RK4 stages, the ETDRK4 reaction terms and the
 saved u_t snapshots all evaluate it, and the public ``rhs`` builds one per
 call. The operator pins Dirichlet ends and names the grid index of a
-non-finite right-hand side or reaction term. RK4 keeps its stage state and
-its weighted sum of slopes in two buffers that every step reuses. ETDRK4
-stores its coefficient tables in the dtype of the transformed state
-(complex on the circle, real on an interval), so that no product casts;
-only a Dirichlet grid adds the end forcing and copies its pinned ends into
-each physical state.
-A run stops with a blow-up record, which keeps the snapshots saved so far
-and says what happened and when, if max|u| exceeds 1e6, the state turns
-non-finite or the right-hand side does.
+non-finite right-hand side or reaction term. RK4 reuses two buffers in
+every step. ETDRK4 stores its coefficient tables in the dtype of the
+transformed state (complex on the circle, real on an interval), so that no
+product casts; only a Dirichlet grid adds the end forcing and copies its
+pinned ends into each physical state.
+
+Each scheme only builds a ``step(u) -> u``. One loop in ``integrate`` owns
+the time, the saves and the end of a run: a blow-up record, which keeps
+the snapshots saved so far and says what happened and when, if max|u|
+exceeds 1e6, the state turns non-finite or a step fails on a non-finite
+right-hand side or reaction term.
 """
 
 from __future__ import annotations
@@ -330,6 +330,104 @@ def _etdrk4_coefficients(z: np.ndarray, dt: float, dtype):
                  (np.exp(z), np.exp(0.5 * z), Q, f1, 2.0 * f2, f3))
 
 
+def _rk4_step(op: _SemiDiscrete, dt: float, u: np.ndarray):
+    """Explicit RK4 steps of ``op`` as ``step(u) -> u``, in place, on two
+    buffers that every step reuses: the stage state and the slope sum."""
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    stage, total = np.empty_like(u), np.empty_like(u)
+
+    def step(u):
+        k1 = op(u)
+        k2 = op(np.add(u, np.multiply(half_dt, k1, out=stage), out=stage))
+        k3 = op(np.add(u, np.multiply(half_dt, k2, out=stage), out=stage))
+        k4 = op(np.add(u, np.multiply(dt, k3, out=stage), out=stage))
+        # k1 + 2 k2 + 2 k3 + k4, summed left to right as tests hold it
+        np.multiply(2, k2, out=total)
+        np.add(total, k1, out=total)
+        np.add(total, np.multiply(2, k3, out=stage), out=total)
+        np.add(total, k4, out=total)
+        np.multiply(total, sixth_dt, out=total)
+        return np.add(u, total, out=u)
+
+    return step
+
+
+def _etdrk4_step(op: _SemiDiscrete, u0: ScalarField, a: float, dt: float):
+    """ETDRK4 steps dt of ``op`` from ``u0`` on, as ``step(u) -> u``, for
+    the constant diffusion coefficient ``a``. In the initial transient the
+    reaction term changes faster than a step dt resolves: until one step
+    dt agrees with two of dt / 2, every step is checked that way (step
+    doubling) and covered in halved steps until the two agree; then plain
+    steps dt follow. All attempts share the step's first reaction term."""
+    h, u = u0.dx, u0.values
+    lam, fwd, inv = _diagonalised_second_difference(u0.n, h, u0.bc)
+    if u0.bc == DIRICHLET:
+        # pinned end values reach their neighbours through u_xx
+        ends = np.zeros(u0.n - 2)
+        ends[0], ends[-1] = u[0], u[-1]
+        forcing = fwd(ends * (a / (h * h)))
+
+        def N(uv):
+            """Transformed reaction term plus the end forcing."""
+            return fwd(op.reaction(uv)[1:-1]) + forcing
+
+        def physical(v):
+            uv = u.copy()  # keeps the pinned ends
+            uv[1:-1] = inv(v)
+            return uv
+
+        v = fwd(u[1:-1])
+    else:
+        def N(uv):
+            return fwd(op.reaction(uv))
+
+        physical, v = inv, fwd(u)
+    coefficients = {}
+
+    def advance(v, Nu, m):
+        """Cover one step dt in m ETDRK4 steps of dt / m from the
+        transformed state v, whose reaction term is Nu; returns the
+        transformed and the physical state."""
+        if m not in coefficients:
+            coefficients[m] = _etdrk4_coefficients(
+                a * (dt / m) * lam, dt / m, v.dtype)
+        E, E2, Q, f1, f2_twice, f3 = coefficients[m]
+        for i in range(m):
+            if i:
+                Nu = N(uv)
+            E2v = E2 * v
+            sa = E2v + Q * Nu
+            Na = N(physical(sa))
+            sb = E2v + Q * Na
+            Nb = N(physical(sb))
+            sc = E2 * sa + Q * (2.0 * Nb - Nu)
+            Nc = N(physical(sc))
+            v = E * v + f1 * Nu + f2_twice * (Na + Nb) + f3 * Nc
+            uv = physical(v)
+        return v, uv
+
+    m, checking = 1, True
+
+    def step(uv):
+        nonlocal v, m, checking
+        Nu = N(uv)
+        if not checking:
+            v, uv = advance(v, Nu, 1)
+            return uv
+        coarse = advance(v, Nu, m)
+        while True:
+            fine = advance(v, Nu, 2 * m)
+            gap = np.abs(coarse[1] - fine[1]).max()
+            scale = max(1.0, np.abs(fine[1]).max())
+            if gap <= ETDRK4_TOL * scale or 2 * m >= ETDRK4_MAX_SUBSTEPS:
+                break
+            coarse, m = fine, 2 * m
+        (v, uv), checking, m = fine, m > 1, max(1, m // 2)
+        return uv
+
+    return step
+
+
 def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
               cfg: SolverConfig) -> TrajectoryRecord:
     """Advance the semi-discrete system and record snapshots.
@@ -354,16 +452,15 @@ def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
     # tolerate round-off when t_end is an exact multiple of dt
     n_steps = int(np.ceil(cfg.t_end / dt - 1e-9))
     u = u0.values.copy()
-    make = u0.like
     op = _SemiDiscrete(nl, a, u0.grid(), h, u0.bc)
 
     times, snaps, rhs_snaps = [], [], []
 
     def record(t, uv):
         """Save the state and its u_t, or say why u_t cannot be saved."""
-        fld = make(uv.copy())
+        fld = u0.like(uv.copy())
         try:
-            u_t = make(op(fld.values))
+            u_t = u0.like(op(fld.values))
         except FloatingPointError as exc:
             return f"{exc} at t={t:.6g}"
         times.append(t)
@@ -376,124 +473,25 @@ def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
                                 blew_up=message is not None,
                                 blowup_time=t_blow, message=message)
 
-    def blowup_reason(uv, t):
-        """Why the state at t ends the run, or None while it is sound."""
-        peak = np.abs(uv).max()  # NaN or inf make this comparison fail
-        if peak <= BLOWUP_THRESHOLD:
-            return None
-        if not np.isfinite(peak):
-            return f"state turned non-finite at t={t:.6g}"
-        return f"max|u| = {peak:.3g} exceeds {BLOWUP_THRESHOLD:g} at t={t:.6g}"
-
-    def stepped(k, uv):
-        """Check the state after step k and save it when due; returns why
-        the run ends, or None."""
-        t = k * dt
-        why = blowup_reason(uv, t)
-        if why is None and (k % cfg.save_every == 0 or k == n_steps):
-            why = record(t, uv)
-        return why
-
-    def failed_step(exc, k):
-        return finish(f"{exc} in the step from t={(k - 1) * dt:.6g} "
-                      f"to t={k * dt:.6g}", k * dt)
-
     why = record(0.0, u)
     if why is not None:
         return finish(why, 0.0)
-
-    if cfg.scheme == ETDRK4:
-        lam, fwd, inv = _diagonalised_second_difference(u0.n, h, u0.bc)
-        if u0.bc == DIRICHLET:
-            # pinned end values reach their neighbours through u_xx
-            ends = np.zeros(u0.n - 2)
-            ends[0], ends[-1] = u[0], u[-1]
-            forcing = fwd(ends * (a_const / (h * h)))
-
-            def N(uv):
-                """Transformed reaction term plus the end forcing."""
-                return fwd(op.reaction(uv)[1:-1]) + forcing
-
-            def physical(v):
-                uv = u0.values.copy()  # keeps the pinned ends
-                uv[1:-1] = inv(v)
-                return uv
-
-            v = fwd(u[1:-1])
-        else:
-            def N(uv):
-                return fwd(op.reaction(uv))
-
-            physical, v = inv, fwd(u)
-        coefficients = {}
-
-        def advance(v, uv, m):
-            """Cover one step dt in m ETDRK4 steps of dt / m; returns the
-            transformed and the physical state."""
-            if m not in coefficients:
-                coefficients[m] = _etdrk4_coefficients(
-                    a_const * (dt / m) * lam, dt / m, v.dtype)
-            E, E2, Q, f1, f2_twice, f3 = coefficients[m]
-            for _ in range(m):
-                Nu = N(uv)
-                E2v = E2 * v
-                sa = E2v + Q * Nu
-                Na = N(physical(sa))
-                sb = E2v + Q * Na
-                Nb = N(physical(sb))
-                sc = E2 * sa + Q * (2.0 * Nb - Nu)
-                Nc = N(physical(sc))
-                v = E * v + f1 * Nu + f2_twice * (Na + Nb) + f3 * Nc
-                uv = physical(v)
-            return v, uv
-
-        # In the initial transient the reaction term changes faster than a
-        # step dt resolves. Until one step dt agrees with two of dt / 2,
-        # every step is checked that way (step doubling) and covered in
-        # halved steps until the two agree; then plain steps dt follow.
-        m, checking = 1, True
-        for k in range(1, n_steps + 1):
-            try:
-                if not checking:
-                    v, u = advance(v, u, 1)
-                else:
-                    coarse = advance(v, u, m)
-                    while True:
-                        fine = advance(v, u, 2 * m)
-                        gap = np.abs(coarse[1] - fine[1]).max()
-                        scale = max(1.0, np.abs(fine[1]).max())
-                        if (gap <= ETDRK4_TOL * scale
-                                or 2 * m >= ETDRK4_MAX_SUBSTEPS):
-                            break
-                        coarse, m = fine, 2 * m
-                    (v, u), checking, m = fine, m > 1, max(1, m // 2)
-            except FloatingPointError as exc:
-                return failed_step(exc, k)
-            why = stepped(k, u)
-            if why is not None:
-                return finish(why, k * dt)
-        return finish()
-
-    # explicit RK4: the stage state and the weighted sum of the slopes live
-    # in two buffers that every step reuses
-    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
-    stage, total = np.empty_like(u), np.empty_like(u)
+    step = (_etdrk4_step(op, u0, a_const, dt) if cfg.scheme == ETDRK4
+            else _rk4_step(op, dt, u))
     for k in range(1, n_steps + 1):
+        t = k * dt
         try:
-            k1 = op(u)
-            k2 = op(np.add(u, np.multiply(half_dt, k1, out=stage), out=stage))
-            k3 = op(np.add(u, np.multiply(half_dt, k2, out=stage), out=stage))
-            k4 = op(np.add(u, np.multiply(dt, k3, out=stage), out=stage))
+            u = step(u)
         except FloatingPointError as exc:
-            return failed_step(exc, k)
-        # k1 + 2 k2 + 2 k3 + k4, summed left to right as tests hold it
-        np.multiply(2, k2, out=total)
-        total += k1
-        total += np.multiply(2, k3, out=stage)
-        total += k4
-        total *= sixth_dt
-        u += total
-        why = stepped(k, u)
+            return finish(f"{exc} in the step from t={(k - 1) * dt:.6g} "
+                          f"to t={t:.6g}", t)
+        peak = np.abs(u).max()
+        if not peak <= BLOWUP_THRESHOLD:  # NaN fails the test too
+            why = (f"max|u| = {peak:.3g} exceeds {BLOWUP_THRESHOLD:g} at "
+                   f"t={t:.6g}" if np.isfinite(peak) else
+                   f"state turned non-finite at t={t:.6g}")
+        elif k % cfg.save_every == 0 or k == n_steps:
+            why = record(t, u)
         if why is not None:
-            return finish(why, k * dt)
+            return finish(why, t)
     return finish()

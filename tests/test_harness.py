@@ -819,6 +819,13 @@ class TestCli:
         lambda d: d["params"].update(ell=0),
         lambda d: d.update(param=d.pop("params")),
         lambda d: d.update(scenario="frozen_wave", params={}),
+        # a scenario whose start the library cannot find (RuntimeError):
+        # no one-lap profile resolved at lam = 6000, and an orbit that only
+        # touches the section a = a0 at b0 = 1
+        lambda d: d.update(scenario="frozen_wave", params={"lam": 6000.0},
+                           initial=None),
+        lambda d: d.update(scenario="planar_embedding", params={"b0": 1.0},
+                           initial=None),
         # a setting that is not a finite number, or a count that is not an
         # integer: each once crashed with a traceback, or ran and exited 0
         lambda d: d["solver"].update(t_end=math.inf),
@@ -834,7 +841,9 @@ class TestCli:
             "unknown_scenario", "lamda_typo", "lam_not_a_number",
             "frozen_wave_c", "planar_embedding_ell", "a_const_0",
             "a_const_negative", "burn_in_negative", "ell_0",
-            "param_for_params", "initial_of_frozen_wave", "t_end_inf",
+            "param_for_params", "initial_of_frozen_wave",
+            "frozen_wave_no_profile", "planar_embedding_no_return",
+            "t_end_inf",
             "dt_nan", "etdrk4_dt_inf", "n_fractional", "save_every_bool",
             "save_every_fractional", "panels_float", "max_steps_fractional",
             "rel_tol_inf"])
@@ -890,6 +899,27 @@ class TestCli:
         assert len(err.splitlines()) == 1 and "lam must exceed" in err
         assert (tmp_path / "out_lam=50.0" / "series.csv").exists()
         assert not (tmp_path / "out_lam=10.0").exists()
+
+    def test_sweep_reports_a_start_that_is_not_found(self, tmp_path,
+                                                      capsys):
+        # the library raises RuntimeError for the lam = 6000 profile; the
+        # sweep reports that job and runs the other
+        cfg = tiny_config(tmp_path, scenario="frozen_wave",
+                          params={"lam": 50.0},
+                          solver=SolverConfig(n=32, t_end=1e-4,
+                                              save_every=10))
+        path = tmp_path / "cfg.json"
+        emit_config(cfg, path)
+        code = cli.main(["sweep", str(path), "--param", "params.lam",
+                         "--values", "50,6000", "--workers", "1"])
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert out.splitlines() == ["params.lam=50: ok",
+                                    "params.lam=6000: bad_config"]
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "lam=6000 profile found" in err
+        assert (tmp_path / "out_lam=50" / "series.csv").exists()
+        assert not (tmp_path / "out_lam=6000").exists()
 
     def test_sweep_exit_four_on_an_unknown_top_level_key(
             self, tmp_path, capsys, monkeypatch):

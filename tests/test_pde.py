@@ -1,5 +1,7 @@
 """Tests for the method-of-lines solver."""
 
+import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -13,8 +15,10 @@ from circlyap.functional import (
     central_difference,
 )
 from circlyap.pde import (
+    ETDRK4,
     ETDRK4_MAX_SUBSTEPS,
     ETDRK4_TOL,
+    RK4,
     TABULATED_TRANSFORM_MAX,
     GeneralNonlinearity,
     SolverConfig,
@@ -43,6 +47,11 @@ def log_barrier_gen():
             return 5.0 - np.log(0.4 - u)
 
     return GeneralNonlinearity(f=f, f_p=lambda x, u, p: 1.0 / (0.4 - u))
+
+
+def constant_gen(value):
+    return GeneralNonlinearity(f=lambda x, u, p: np.full_like(u, value),
+                               f_p=lambda x, u, p: 0.0 * u)
 
 
 def sine_field(n, ell=1.0, amplitude=1.0):
@@ -469,6 +478,27 @@ class TestETDRK4:
             assert np.array_equal(u_t.values, reference_rhs(
                 advective_gen(), a, u0.like(want)))
 
+    @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET, NEUMANN])
+    def test_no_reaction_state_is_evaluated_twice(self, bc, monkeypatch):
+        # the doubling's coarse attempt and every finer one start from the
+        # same state and share its reaction term
+        seen = []
+        reaction = _SemiDiscrete.reaction
+
+        def hashed(self, u):
+            seen.append(hashlib.sha256(u.tobytes()).hexdigest())
+            return reaction(self, u)
+
+        monkeypatch.setattr(_SemiDiscrete, "reaction", hashed)
+        n_steps = 12
+        traj = integrate(advective_gen(), None, profile(bc),
+                         SolverConfig(n=48, dt=DT_ETD, t_end=n_steps * DT_ETD,
+                                      save_every=1, scheme="etdrk4"))
+        assert not traj.blew_up
+        # the first steps subdivide: more than four evaluations a step
+        assert len(seen) > 4 * n_steps
+        assert len(set(seen)) == len(seen)
+
     def test_needs_an_explicit_step(self):
         with pytest.raises(ValueError, match="explicit dt"):
             SolverConfig(n=32, t_end=0.01, scheme="etdrk4")
@@ -540,6 +570,71 @@ class TestETDRK4:
         assert "non-finite reaction term at grid index" in traj.message
         assert f"t={traj.blowup_time:.6g}" in traj.message
         assert len(traj.times) >= 2 and traj.times[-1] < traj.blowup_time
+
+
+# a step that both schemes take stably at n = 32 (RK4's limit is 6.8e-4)
+DT_ENDS = 4e-4
+
+
+@pytest.mark.parametrize("scheme", [RK4, ETDRK4])
+class TestRunEnds:
+    """Every way a run ends, and its message, on both schemes; each end
+    comes before t = 0.2."""
+
+    @staticmethod
+    def run(gen, values, scheme):
+        u0 = ScalarField(values, 1.0, PERIODIC)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = integrate(gen, None, u0,
+                             SolverConfig(n=u0.n, dt=DT_ENDS, t_end=0.2,
+                                          save_every=4, scheme=scheme))
+        # the snapshots saved before the end are kept, each with its u_t
+        assert len(traj.times) == len(traj.snapshots) \
+            == len(traj.u_t_snapshots)
+        if traj.blew_up:
+            assert np.all(traj.times < traj.blowup_time)
+        return traj
+
+    def test_non_finite_step(self, scheme):
+        traj = self.run(log_barrier_gen(),
+                        0.2 * np.sin(2 * np.pi * np.arange(32) / 32), scheme)
+        what = "right-hand side" if scheme == RK4 else "reaction term"
+        end = re.fullmatch(rf"non-finite {what} at grid index \d+ in the "
+                           r"step from t=(\S+) to t=(\S+)", traj.message)
+        t = traj.blowup_time
+        assert end and end.groups() == (f"{t - DT_ENDS:.6g}", f"{t:.6g}")
+        assert len(traj.times) >= 2
+
+    def test_max_u_exceeds_the_threshold(self, scheme):
+        # u_t = u_xx - u + u^3 grows without bound from 3
+        gen = GeneralNonlinearity(f=lambda x, u, p: -u + u**3,
+                                  f_p=lambda x, u, p: 0.0 * u)
+        traj = self.run(gen, np.full(32, 3.0), scheme)
+        end = re.fullmatch(r"max\|u\| = (\S+) exceeds 1e\+06 at t=(\S+)",
+                           traj.message)
+        assert end and 1e6 < float(end[1]) < np.inf
+        assert end[2] == f"{traj.blowup_time:.6g}"
+
+    def test_state_turns_non_finite(self, scheme):
+        # a finite f of 1e308 everywhere overflows the first step's sum
+        traj = self.run(constant_gen(1e308), np.zeros(32), scheme)
+        assert traj.message == f"state turned non-finite at t={DT_ENDS:.6g}"
+        assert traj.blowup_time == DT_ENDS and len(traj.times) == 1
+
+    def test_u_t_that_cannot_be_saved(self, scheme):
+        values = np.full(32, 0.1)
+        values[8] = 0.5
+        traj = self.run(log_barrier_gen(), values, scheme)
+        assert traj.message == ("non-finite right-hand side at grid index 8 "
+                                "at t=0")
+        assert traj.blowup_time == 0.0 and len(traj.times) == 0
+
+    def test_reaches_t_end(self, scheme):
+        traj = self.run(cubic_gen(1.0), 0.3 * np.sin(
+            2 * np.pi * np.arange(32) / 32), scheme)
+        assert not traj.blew_up and traj.message is None
+        assert traj.blowup_time is None
+        assert traj.times[-1] == pytest.approx(0.2, abs=1e-12)
 
 
 class TestGeneralNonlinearityConsistency:
