@@ -20,22 +20,22 @@ Every ODE solve in the package, here and in :mod:`circlyap.lagrangian`,
 :mod:`circlyap.matano` and :mod:`circlyap.harness`, runs through one
 driver, :func:`solve_characteristics`. It runs the 8th-order DOP853
 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.10) in its own loop, over
-scipy's tableau vendored as :mod:`circlyap._dop853`, with scipy's
-first-step rule, error norm and step-size controller repeated operation
-for operation, so its values equal scipy's bit for bit wherever scipy's
-error norm is not NaN. It needs numpy only. It returns the final state
-only; a caller that needs the solution at several points solves them as
-lanes. It calls the right-hand side directly and owns the failure policy:
-a non-finite right-hand side or more than ``max_steps`` steps is an
-:class:`IntegrationFailure`; an escape past ``escape_bound``, bisected
-with steps from the start of the step that crossed it, or a step-size
-collapse is a :class:`CharacteristicEscape` that names the lane.
+the step and error tables of scipy's tableau, vendored as
+:mod:`circlyap._dop853`, with scipy's first-step rule, error norm and
+step-size controller repeated operation for operation, so its values
+equal scipy's bit for bit wherever scipy's error norm is not NaN. It needs
+numpy only and returns the final state only; a caller that needs the
+solution at several points solves them as lanes. It calls the right-hand
+side directly and owns the input and failure policy (see its docstring):
+an escape past ``escape_bound`` or a step-size collapse is a
+:class:`CharacteristicEscape` that names the lane.
 
-Every solve of the q-flow runs lanes of :func:`solve_q_flow` over it (the
-scalar :func:`evolve` is a batch of one), every solve of the profile flow
-u' = p, p' = -f lanes of :func:`solve_profile_flow`, and the planar oracle
-of :mod:`circlyap.harness` lanes of :func:`solve_planar_flow`: every
-right-hand side the driver sees is built in this module.
+Two lane helpers build every right-hand side the driver sees: the q-flow
+runs lanes of :func:`solve_q_flow` (the scalar :func:`evolve` is a batch
+of one), and every other system lanes of the private runner
+:func:`_solve_lanes`, which :func:`solve_profile_flow` wraps for the
+profile flow u' = p, p' = -f and the planar oracle of
+:mod:`circlyap.harness` calls directly.
 """
 
 from __future__ import annotations
@@ -221,24 +221,27 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
     components after them (sensitivities, accumulated exponents) are not.
 
     It runs DOP853 in its own loop at ``cfg.rel_tol``/``cfg.abs_tol``:
-    scipy's tableau (vendored in :mod:`circlyap._dop853`), first-step
-    rule, error norm and step-size controller (with its ``min_step`` clamp
-    and 100 eps floor on rel_tol), operation for operation, so every value
-    equals scipy's bit for bit. The one departure: an error
-    estimate whose 5th-order part is 0 has norm 0, where scipy's formula
-    can give 0/0. Failure policy:
+    scipy's tableau (its step and error tables, in :mod:`circlyap._dop853`),
+    first-step rule, error norm and step-size controller (with its
+    ``min_step`` clamp and 100 eps floor on rel_tol), operation for
+    operation, so every value equals scipy's bit for bit. The one
+    departure: an error estimate whose 5th-order part is 0 has norm 0,
+    where scipy's formula can give 0/0. Policy, in this order:
 
-    * a non-finite span or initial state: ValueError;
-    * a non-finite right-hand side, or a solve that needs more than
-      ``cfg.max_steps`` steps: :class:`IntegrationFailure`;
+    * a non-finite span, then a non-finite initial state: ValueError;
+    * an empty state or a zero-length span: the start, returned before
+      any right-hand side is evaluated;
     * a watched component beyond the escape bound, at the start or on the
       way, or a step size that collapses (finite-time blow-up):
       :class:`CharacteristicEscape`, whose context ``lane(k, t)`` names
-      the lane of the watched component k of largest modulus at the
-      parameter value t where the solve stopped, followed by the reason on
-      a collapse. A crossing of the bound is bisected to 4 eps, as scipy's
+      the lane of watched component k at the parameter value t where the
+      solve stopped: the component of largest modulus, or on a collapse
+      of largest scaled error in the last rejected attempt, followed by
+      the reason. A crossing of the bound is bisected to 4 eps, as scipy's
       terminal events are, with steps from the start of the step that made
-      it; the state reported there is beyond the bound.
+      it; the state reported there is beyond the bound;
+    * a non-finite right-hand side, or a solve that needs more than
+      ``cfg.max_steps`` steps: :class:`IntegrationFailure`.
 
     Returns the final state.
     """
@@ -246,12 +249,18 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
     t, t_bound = float(span[0]), float(span[1])
     if not (math.isfinite(t) and math.isfinite(t_bound)):
         raise ValueError("the span must be finite")
-    bound = cfg.escape_bound
-    if np.abs(y[:watch]).max(initial=0.0) > bound:
-        k = int(np.argmax(np.abs(y[:watch])))
-        raise CharacteristicEscape(t, lane(k, t), state=y, var=var)
     if not np.isfinite(y).all():
         raise ValueError("the initial state must be finite")
+    if y.size == 0 or t == t_bound:
+        return y
+
+    def escaped(t, y, by, note=""):
+        k = int(np.argmax(np.abs(by[:watch])))
+        return CharacteristicEscape(t, lane(k, t) + note, state=y, var=var)
+
+    bound = cfg.escape_bound
+    if np.abs(y[:watch]).max(initial=0.0) > bound:
+        raise escaped(t, y, y)
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     if rtol < 100 * _EPS:
         warnings.warn(f"rel_tol {rtol:g} is below DOP853's floor; using "
@@ -267,13 +276,7 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
             raise IntegrationFailure("non-finite right-hand side", float(t))
         return dy
 
-    def escaped(t, y, note=""):
-        k = int(np.argmax(np.abs(y[:watch])))
-        return CharacteristicEscape(t, lane(k, t) + note, state=y, var=var)
-
     f = fun(t, y)
-    if y.size == 0 or t == t_bound:
-        return y
     direction = np.sign(t_bound - t)
     h_abs = _initial_step(fun, t, y, t_bound, f, direction, rtol, atol)
     K = np.empty((_DOP.N_STAGES + 1, y.size))  # stage k in row k
@@ -293,8 +296,8 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
         rejected = False
         while True:
             if h_abs < min_step:
-                raise escaped(float(t), y, "; Required step size is less "
-                                           "than spacing between numbers.")
+                raise escaped(float(t), y, err, "; Required step size is "
+                              "less than spacing between numbers.")
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
@@ -304,7 +307,8 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
             f_new = fun(t + h, y_new)
             K[-1] = f_new
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = _squared_norm(np.dot(K_err, _DOP.E5) / scale)
+            err = np.dot(K_err, _DOP.E5) / scale
+            err5 = _squared_norm(err)
             err3 = _squared_norm(np.dot(K_err, _DOP.E3) / scale)
             # scipy's norm, but 0 whenever err5 is: where 0.01 * err3
             # underflows, scipy's formula gives 0/0, and a NaN norm
@@ -332,7 +336,7 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
                     hi, y_new = mid, y_mid
                 else:
                     lo = mid
-            raise escaped(float(hi), y_new)
+            raise escaped(float(hi), y_new, y_new)
         t, y, f = t_new, y_new, f_new
         if direction * (t - t_bound) >= 0:
             break
@@ -400,12 +404,6 @@ def evolve_batch(
     complete.
     """
     q0 = np.asarray(q0, dtype=float)
-    if not (math.isfinite(u0) and math.isfinite(u1)):
-        raise ValueError("the span must be finite")
-    if not np.isfinite(q0).all():
-        raise ValueError("the initial state must be finite")
-    if q0.size == 0 or u0 == u1:
-        return q0.copy(), np.ones_like(q0)
     qs = q0.ravel()
     q, eta, _ = solve_q_flow(
         nl, 1.0, qs, qs.size, (u0, u1), cfg,
@@ -433,6 +431,46 @@ def compose_check(
     return leg2.value, direct.value
 
 
+def _solve_lanes(rows, scale, starts, span, cfg: CharflowConfig, label,
+                 names: str):
+    """Lanes of a system in one solve, lane k along v = scale_k * s over
+    ``span`` of s. ``rows`` holds a pair (sign, fn) per row: the row
+    starts from ``starts[i]``, broadcast to the lanes, and advances by
+    (sign * scale_k) * fn(v, a, b) per unit s, where a and b are the first
+    two rows, the watched ones. ``names`` names v, a and b (as "x, u, p");
+    an escape names ``label``, the lane's start and where it stopped, or is
+    named by ``label(k, s)`` when ``label`` is callable. Returns the final
+    rows, each shaped as scale.
+    """
+    scale = np.asarray(scale, dtype=float)
+    shape, scale = scale.shape, scale.ravel()
+    m = scale.size
+    y0 = np.array([np.broadcast_to(np.ravel(v), m) for v in starts], float)
+    row = [slice(i * m, (i + 1) * m) for i in range(len(rows))]
+    signed = [(r, sign * scale, fn) for r, (sign, fn) in zip(row, rows)]
+
+    def rhs(s, y):
+        # a fresh array per call: the integrator keeps the derivative
+        at = scale * s
+        a, b = y[row[0]], y[row[1]]
+        out = np.empty(y.size)
+        for r, factor, fn in signed:
+            np.multiply(factor, fn(at, a, b), out=out[r])
+        return out
+
+    def lane(k, s):
+        k %= m
+        if callable(label):
+            return label(k, s)
+        return (f"{label}: sample {k} at ({names}) = "
+                f"({scale[k] * span[0]:.6g}, {y0[0, k]:.6g}, {y0[1, k]:.6g}), "
+                f"stopped at {names.split(', ')[0]}={scale[k] * s:.6g}")
+
+    y = solve_characteristics(rhs, span, y0.ravel(), cfg, 2 * m, lane,
+                              var="s")
+    return y.reshape((len(rows),) + shape)
+
+
 def solve_profile_flow(f, xs, u0, p0, span, cfg: CharflowConfig, label,
                        f_p=None) -> np.ndarray:
     """Lanes of the profile flow du/dx = p, dp/dx = -f(x, u, p), with the
@@ -443,56 +481,12 @@ def solve_profile_flow(f, xs, u0, p0, span, cfg: CharflowConfig, label,
     ``label`` and the lane, or is named by ``label(k, s)`` when ``label``
     is callable. Returns the final rows u, p[, g].
     """
-    xs = np.asarray(xs, dtype=float).ravel()
-    m = xs.size
-    neg_xs = -xs
-    y0 = np.zeros((2 if f_p is None else 3, m))
-    y0[0], y0[1] = np.ravel(u0), np.ravel(p0)
-
-    def rhs(s, y):
-        # a fresh array per call: the integrator keeps the derivative
-        u, p = y[:m], y[m:2 * m]
-        pos = xs * s
-        out = np.empty(y.size)
-        np.multiply(xs, p, out=out[:m])
-        np.multiply(neg_xs, f(pos, u, p), out=out[m:2 * m])
-        if f_p is not None:
-            np.multiply(xs, f_p(pos, u, p), out=out[2 * m:])
-        return out
-
-    def lane(k, s):
-        k %= m
-        if callable(label):
-            return label(k, s)
-        return (f"{label}: sample {k} at (x, u, p) = ({xs[k] * span[0]:.6g}, "
-                f"{y0[0, k]:.6g}, {y0[1, k]:.6g}), stopped at "
-                f"x={xs[k] * s:.6g}")
-
-    y = solve_characteristics(rhs, span, y0.ravel(), cfg, 2 * m, lane,
-                              var="s")
-    return y.reshape(y0.shape)
-
-
-def solve_planar_flow(g, h, a0, b0, ts, cfg: CharflowConfig,
-                      label: str) -> np.ndarray:
-    """Lanes of the planar flow a' = g(a, b), b' = h(a, b) from (a0, b0)
-    in one solve, lane k along t = ts[k] * s over s in [0, 1]; a and b are
-    watched, and an escape names ``label`` and the lane. Returns the rows
-    a, b at the times ``ts``, in the shape (2,) + ts.shape."""
-    shape = (2,) + np.shape(ts)
-    ts = np.asarray(ts, dtype=float).ravel()
-    m = ts.size
-
-    def rhs(s, y):
-        a, b = y[:m], y[m:]
-        return np.concatenate([ts * g(a, b), ts * h(a, b)])
-
-    y0 = np.repeat([float(a0), float(b0)], m)
-    y = solve_characteristics(
-        rhs, (0.0, 1.0), y0, cfg, 2 * m,
-        lambda k, s: f"{label}: lane {k % m} stopped at t={ts[k % m] * s:.6g}",
-        var="s")
-    return y.reshape(shape)
+    rows, starts = [(1, lambda x, u, p: p), (-1, f)], [u0, p0]
+    if f_p is not None:
+        rows.append((1, f_p))
+        starts.append(0.0)
+    return _solve_lanes(rows, np.ravel(xs), starts, span, cfg, label,
+                        "x, u, p")
 
 
 def verify_equilibrium_first_integral(

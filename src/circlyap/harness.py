@@ -30,7 +30,7 @@ from .charflow import (
     CharflowConfig,
     IntegrationFailure,
     NonlinearityO2,
-    solve_planar_flow,
+    _solve_lanes,
     solve_profile_flow,
 )
 from .functional import (
@@ -200,16 +200,22 @@ def planar_orbit(pf: PlanarField, a0: float, b0: float):
     """The planar solution through (a0, b0) and its return period.
 
     Returns ``(at, period)``: ``at(t)`` gives the rows a, b at the times t
-    (any shape), as lanes of :func:`circlyap.charflow.solve_planar_flow`.
-    The period is the first return to the section a = a0 in the start's
-    direction within t = 50: bracketed on a t-grid, then Newton on a(T) = a0.
+    (any shape), lane k along t_k * s for s in [0, 1] of one
+    :func:`circlyap.charflow._solve_lanes`. The period is the first return
+    to the section a = a0 in the start's direction within t = 50: bracketed
+    on a t-grid over [0, 10], or [0, 50] if that holds none, then Newton on
+    a(T) = a0.
     """
-    at = partial(solve_planar_flow, pf.g, pf.h, a0, b0, cfg=_PROFILE_CFG,
-                 label="planar orbit")
-    ts = np.linspace(0.0, 50.0, 501)
-    gap = (at(ts)[0] - a0) * np.sign(pf.g(a0, b0))
-    hits = np.flatnonzero((gap[:-1] < 0) & (gap[1:] >= 0))
-    if hits.size == 0:
+    rows = [(1, lambda t, a, b: pf.g(a, b)), (1, lambda t, a, b: pf.h(a, b))]
+    at = partial(_solve_lanes, rows, starts=(a0, b0), span=(0.0, 1.0),
+                 cfg=_PROFILE_CFG, label="planar orbit", names="t, a, b")
+    direction = np.sign(pf.g(a0, b0))
+    for ts in (np.linspace(0.0, 10.0, 101), np.linspace(0.0, 50.0, 501)):
+        gap = (at(ts)[0] - a0) * direction
+        hits = np.flatnonzero((gap[:-1] < 0) & (gap[1:] >= 0))
+        if hits.size:
+            break
+    else:
         raise RuntimeError("planar orbit did not return to the section; not periodic?")
     period = float(ts[hits[0] + 1])
     for _ in range(20):

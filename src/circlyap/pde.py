@@ -437,7 +437,7 @@ def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
     max|u| exceeds 1e6, the state turns non-finite or the right-hand side
     (for ETDRK4: the reaction term) does; the record keeps the
     snapshots saved so far and says in ``message`` what happened, where
-    and when.
+    and when, also where numpy's warnings are errors.
     """
     a_const = constant_coefficient(a)
     h = u0.dx
@@ -473,25 +473,26 @@ def integrate(nl: GeneralNonlinearity, a, u0: ScalarField,
                                 blew_up=message is not None,
                                 blowup_time=t_blow, message=message)
 
-    why = record(0.0, u)
-    if why is not None:
-        return finish(why, 0.0)
-    step = (_etdrk4_step(op, u0, a_const, dt) if cfg.scheme == ETDRK4
-            else _rk4_step(op, dt, u))
-    for k in range(1, n_steps + 1):
-        t = k * dt
-        try:
-            u = step(u)
-        except FloatingPointError as exc:
-            return finish(f"{exc} in the step from t={(k - 1) * dt:.6g} "
-                          f"to t={t:.6g}", t)
-        peak = np.abs(u).max()
-        if not peak <= BLOWUP_THRESHOLD:  # NaN fails the test too
-            why = (f"max|u| = {peak:.3g} exceeds {BLOWUP_THRESHOLD:g} at "
-                   f"t={t:.6g}" if np.isfinite(peak) else
-                   f"state turned non-finite at t={t:.6g}")
-        elif k % cfg.save_every == 0 or k == n_steps:
-            why = record(t, u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        why = record(0.0, u)
         if why is not None:
-            return finish(why, t)
+            return finish(why, 0.0)
+        step = (_etdrk4_step(op, u0, a_const, dt) if cfg.scheme == ETDRK4
+                else _rk4_step(op, dt, u))
+        for k in range(1, n_steps + 1):
+            t = k * dt
+            try:
+                u = step(u)
+            except FloatingPointError as exc:
+                return finish(f"{exc} in the step from t={(k - 1) * dt:.6g} "
+                              f"to t={t:.6g}", t)
+            peak = np.abs(u).max()
+            if not peak <= BLOWUP_THRESHOLD:  # NaN fails the test too
+                why = (f"max|u| = {peak:.3g} exceeds {BLOWUP_THRESHOLD:g} at "
+                       f"t={t:.6g}" if np.isfinite(peak) else
+                       f"state turned non-finite at t={t:.6g}")
+            elif k % cfg.save_every == 0 or k == n_steps:
+                why = record(t, u)
+            if why is not None:
+                return finish(why, t)
     return finish()

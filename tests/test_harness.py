@@ -81,6 +81,20 @@ class TestPlanarField:
             assert float(gen.f(-x, u, -p)) == pytest.approx(
                 float(gen.f(x, u, p)), abs=1e-12)
 
+    def test_embedded_partial_matches_finite_difference(self):
+        # f_p differences g and h numerically; no run evaluates it
+        embed_planar(center_planar_field()).check_consistency(
+            np.linspace(-3.0, 3.0, 7), np.linspace(-1.5, 1.5, 7),
+            np.linspace(-1.5, 1.5, 7))
+
+    @pytest.mark.parametrize("omega", [1.0, 0.5])
+    def test_period_found_beyond_the_first_bracket(self, omega):
+        # a rotation of period 2 pi / omega: 4 pi lies past t = 10, where
+        # the bracketing grid widens to t = 50
+        pf = PlanarField(g=lambda a, b: -omega * b, h=lambda a, b: omega * a)
+        _, period = planar_orbit(pf, 0.0, 1.0)
+        assert period == pytest.approx(2 * np.pi / omega, rel=1e-10)
+
     def test_center_orbit_conserves_energy_and_closes(self):
         pf = center_planar_field()
         at, period = planar_orbit(pf, 0.2, 1.1)

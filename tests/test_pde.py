@@ -584,10 +584,9 @@ class TestRunEnds:
     @staticmethod
     def run(gen, values, scheme):
         u0 = ScalarField(values, 1.0, PERIODIC)
-        with np.errstate(over="ignore", invalid="ignore"):
-            traj = integrate(gen, None, u0,
-                             SolverConfig(n=u0.n, dt=DT_ENDS, t_end=0.2,
-                                          save_every=4, scheme=scheme))
+        traj = integrate(gen, None, u0,
+                         SolverConfig(n=u0.n, dt=DT_ENDS, t_end=0.2,
+                                      save_every=4, scheme=scheme))
         # the snapshots saved before the end are kept, each with its u_t
         assert len(traj.times) == len(traj.snapshots) \
             == len(traj.u_t_snapshots)
