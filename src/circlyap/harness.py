@@ -58,6 +58,12 @@ from .pde import (
 
 FORMAT_VERSION = 1
 OUTPUT_ROOT_ENV = "CIRCLYAP_OUTPUT_ROOT"
+# the characteristic tolerances of a scenario run, looser than the library
+# default CharflowConfig() (1e-10/1e-12): the loosest at which V and the
+# dissipation of every case of tools/work_precision.py stay within 1e-9,
+# relative, of a rel_tol 1e-12 reference; a monitored run checks its decay
+# residual at 1e-3
+SCENARIO_CHARFLOW = CharflowConfig(rel_tol=1e-8, abs_tol=1e-10)
 
 # each scenario's description and every parameter it reads, with its
 # default; parsing checks a config's params against these and fills them in
@@ -355,7 +361,7 @@ class ScenarioConfig:
     params: dict = field(default_factory=dict)
     solver: SolverConfig = field(default_factory=SolverConfig)
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
-    charflow: CharflowConfig = field(default_factory=CharflowConfig)
+    charflow: CharflowConfig = SCENARIO_CHARFLOW
     # None for the scenarios in OWN_START; the others default to a seeded
     # random_smooth field
     initial: dict | None = None
@@ -406,13 +412,18 @@ class ScenarioConfig:
         if unknown:
             raise ValueError(f"config has no key {unknown[0]!r}; its keys "
                              f"are {known}")
+        version = d.get("format_version", FORMAT_VERSION)
+        if isinstance(version, bool) or version != FORMAT_VERSION:
+            raise ValueError(f"format_version {version!r} is not "
+                             f"{FORMAT_VERSION}, the one this code reads")
         initial = d.get("initial")
         return cls(
             scenario=d["scenario"],
             params=dict(d.get("params", {})),
             solver=SolverConfig(**d.get("solver", {})),
             quadrature=QuadratureConfig(**d.get("quadrature", {})),
-            charflow=CharflowConfig(**d.get("charflow", {})),
+            # a partial section keeps the scenario tolerances for the rest
+            charflow=replace(SCENARIO_CHARFLOW, **d.get("charflow", {})),
             initial=None if initial is None else dict(initial),
             output_path=d.get("output_path"),
         )

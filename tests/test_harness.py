@@ -5,7 +5,7 @@ import json
 import math
 import os
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -365,6 +365,39 @@ class TestConfigRoundTrip:
         assert parse_config(path) == cfg
 
 
+    def test_library_and_scenario_tolerances(self):
+        # criteria 01-03 and 10, criterion 08's h^2 = 1e-8 stencil check and
+        # the scalar API solve at the library default; scenario runs at the
+        # looser SCENARIO_CHARFLOW (tools/work_precision.py)
+        lib = CharflowConfig()
+        assert (lib.rel_tol, lib.abs_tol) == (1e-10, 1e-12)
+        scn = ScenarioConfig(scenario="chafee_infante").charflow
+        assert scn == harness.SCENARIO_CHARFLOW
+        assert (scn.rel_tol, scn.abs_tol) == (1e-8, 1e-10)
+        assert ScenarioConfig.from_dict(
+            {"scenario": "chafee_infante"}).charflow == scn
+
+    def test_partial_charflow_section_keeps_the_scenario_tolerances(
+            self, tmp_path):
+        d = tiny_config(tmp_path).to_dict()
+        d["charflow"] = {"max_steps": 5000}
+        cfg = ScenarioConfig.from_dict(d)
+        assert cfg.charflow == replace(harness.SCENARIO_CHARFLOW,
+                                       max_steps=5000)
+        assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+        run_scenario(cfg)
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json")
+                              .read_text())
+        assert manifest["config"]["charflow"] == {
+            "rel_tol": 1e-8, "abs_tol": 1e-10, "escape_bound": 1e12,
+            "max_steps": 5000}
+
+    @pytest.mark.parametrize("version", [0, 2, "1", 1.5, True, None])
+    def test_unknown_format_version_rejected(self, version):
+        with pytest.raises(ValueError, match="format_version"):
+            ScenarioConfig.from_dict({"scenario": "chafee_infante",
+                                      "format_version": version})
+
     def test_default_quadrature_written_to_manifest(self, tmp_path):
         d = tiny_config(tmp_path).to_dict()
         del d["quadrature"]
@@ -422,6 +455,31 @@ class TestRunScenario:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b
+
+    def test_recorded_library_tolerances_reproduce_the_outputs(
+            self, tmp_path):
+        # every manifest written while scenario runs solved at the library
+        # default records {"rel_tol": 1e-10, "abs_tol": 1e-12}; such a
+        # config still writes the bytes a run at the library default writes
+        def run(name, **section):
+            d = tiny_config(tmp_path, scenario="gradient_quadratic",
+                            params={"b": 3.0},
+                            solver=SolverConfig(n=32, t_end=0.004,
+                                                save_every=4)).to_dict()
+            d["charflow"] = section
+            d["output_path"] = str(tmp_path / name)
+            assert run_scenario(ScenarioConfig.from_dict(d))[1]["status"] \
+                == "ok"
+            return {p.name: p.read_bytes()
+                    for p in (tmp_path / name).glob("*.csv")}
+
+        old = run("old", rel_tol=1e-10, abs_tol=1e-12)
+        lib = run("lib", **asdict(CharflowConfig()))
+        assert "series.csv" in lib and len(lib) > 3
+        assert old == lib
+        # at b = 3 the tolerance reaches the series' 12 digits, so the
+        # equality above shows that the recorded tolerances ran
+        assert run("scenario_default")["series.csv"] != lib["series.csv"]
 
     def test_snapshot_bytes_equal_csv_writer(self, tmp_path):
         # negative, tiny and subnormal values, and values that need all 17
@@ -851,6 +909,8 @@ class TestCli:
         lambda d: d["quadrature"].update(panels=8.0),
         lambda d: d["charflow"].update(max_steps=10.5),
         lambda d: d["charflow"].update(rel_tol=math.inf),
+        # a format this code does not know
+        lambda d: d.update(format_version=2),
     ], ids=["save_every_0", "n_4", "unknown_solver_key", "no_scenario",
             "unknown_scenario", "lamda_typo", "lam_not_a_number",
             "frozen_wave_c", "planar_embedding_ell", "a_const_0",
@@ -860,7 +920,7 @@ class TestCli:
             "t_end_inf",
             "dt_nan", "etdrk4_dt_inf", "n_fractional", "save_every_bool",
             "save_every_fractional", "panels_float", "max_steps_fractional",
-            "rel_tol_inf"])
+            "rel_tol_inf", "format_version_2"])
     def test_run_exit_four_on_invalid_config(self, tmp_path, capsys, edit):
         cfg = tiny_config(tmp_path).to_dict()
         edit(cfg)
@@ -977,6 +1037,7 @@ class TestCli:
         ("solver.nosuch", "2.0"),
         ("solver.save_every", "10,0"),
         ("params.lamda", "3,5"),
+        ("format_version", "1,2"),
     ])
     def test_sweep_exit_four_before_any_job(self, tmp_path, capsys,
                                             monkeypatch, param, values):
