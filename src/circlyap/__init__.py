@@ -14,7 +14,6 @@ from .charflow import (
     NonlinearityO2,
     compose_check,
     evolve,
-    verify_equilibrium_first_integral,
 )
 from .lagrangian import (
     DOUBLE_INTEGRAL,

@@ -488,31 +488,3 @@ def solve_profile_flow(f, xs, u0, p0, span, cfg: CharflowConfig, label,
     return _solve_lanes(rows, np.ravel(xs), starts, span, cfg, label,
                         "x, u, p")
 
-
-def verify_equilibrium_first_integral(
-    nl: NonlinearityO2,
-    u_init: float,
-    p_init: float,
-    x_span: float,
-    cfg: CharflowConfig = DEFAULT_CONFIG,
-    n_check: int = 64,
-) -> float:
-    """First-integral defect of the characteristic flow along an equilibrium.
-
-    Integrates the stationary profile ODE u'' = -fbar(u, u'^2/2) from
-    (u_init, p_init) to each of ``n_check - 1`` equally spaced abscissae
-    x_k in (0, x_span], as lanes of one :func:`solve_profile_flow`, and
-    compares q(x_k) = u'(x_k)^2/2 against the characteristic evolution
-    started from q = p_init^2/2 at u_init. Returns the maximum absolute
-    mismatch; a small value confirms that the evolution is a first
-    integral of the equilibrium ODE.
-    """
-    if p_init == 0:
-        raise ValueError("p_init must be nonzero (positivity domain of q)")
-    xs = np.linspace(0.0, x_span, n_check)[1:]
-    us, ps = solve_profile_flow(lambda x, u, p: nl.f_bar(u, 0.5 * p * p),
-                                xs, u_init, p_init, (0.0, 1.0), cfg,
-                                "equilibrium")
-    q0 = 0.5 * p_init * p_init
-    qs = [evolve(nl, u_init, float(u), q0, cfg).value for u in us]
-    return float(np.max(np.abs(0.5 * ps * ps - qs), initial=0.0))

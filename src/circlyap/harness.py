@@ -68,8 +68,6 @@ SCENARIO_CHARFLOW = CharflowConfig(rel_tol=1e-8, abs_tol=1e-10)
 # each scenario's description and every parameter it reads, with its
 # default; parsing checks a config's params against these and fills them in
 SCENARIOS = {
-    "classical": ("gradient reaction-diffusion with a q-independent "
-                  "nonlinearity", {"lam": 1.0, "ell": 1.0, "burn_in": 0.0}),
     "chafee_infante": ("cubic nonlinearity lam*u*(1-u^2) on the circle",
                        {"lam": 15.0, "ell": 1.0, "burn_in": 0.0}),
     "frozen_wave": ("nonhomogeneous equilibrium profile held frozen on the "
@@ -429,10 +427,6 @@ class ScenarioConfig:
         )
 
 
-def emit_config(cfg: ScenarioConfig, path) -> None:
-    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
 def parse_config(path) -> ScenarioConfig:
     return ScenarioConfig.from_dict(json.loads(Path(path).read_text()))
 
@@ -558,7 +552,7 @@ def _build_scenario(cfg: ScenarioConfig):
                 u0 or make_initial(cfg.initial, n, ell, PERIODIC), report,
                 extras, cfg.solver)
 
-    if cfg.scenario in ("classical", "chafee_infante"):
+    if cfg.scenario == "chafee_infante":
         return circle(chafee_infante_nl(p["lam"]))
 
     if cfg.scenario == "gradient_quadratic":

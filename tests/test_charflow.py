@@ -24,7 +24,6 @@ from circlyap.charflow import (
     evolve,
     evolve_batch,
     solve_profile_flow,
-    verify_equilibrium_first_integral,
 )
 from circlyap.pde import GeneralNonlinearity
 
@@ -192,20 +191,33 @@ class TestBatch:
 
 
 class TestEquilibriumFirstIntegral:
+    """p^2/2 along an equilibrium profile u'' = -fbar(u, u'^2/2) is the
+    q-flow's evolution of p0^2/2 from u0 to u: the q-flow is a first
+    integral of the profile ODE."""
+
+    @staticmethod
+    def defect(nl, u0, p0, x_span, n_check=64):
+        # the profile to n_check - 1 abscissae in (0, x_span], as lanes of
+        # one solve, against one q-flow solve per abscissa
+        xs = np.linspace(0.0, x_span, n_check)[1:]
+        us, ps = solve_profile_flow(lambda x, u, p: nl.f_bar(u, 0.5 * p * p),
+                                    xs, u0, p0, (0.0, 1.0), CharflowConfig(),
+                                    "equilibrium")
+        qs = [evolve_batch(nl, u0, float(u), [0.5 * p0 * p0])[0][0]
+              for u in us]
+        return np.max(np.abs(0.5 * ps * ps - qs))
+
     def test_harmonic_profile(self):
         nl = NonlinearityO2(f_bar=lambda u, q: -u + 0.0 * q,
                             f_bar_q=lambda u, q: 0.0 * q,
                             label="harmonic")
-        defect = verify_equilibrium_first_integral(nl, 0.0, 1.0, np.pi)
-        assert defect <= 1e-6
+        assert self.defect(nl, 0.0, 1.0, np.pi) <= 1e-6
 
     def test_zero_field_straight_line(self):
-        defect = verify_equilibrium_first_integral(zero_nl(), 0.0, 2.0, 1.0)
-        assert defect <= 1e-10
+        assert self.defect(zero_nl(), 0.0, 2.0, 1.0) <= 1e-10
 
     def test_cubic_pendulum_energy(self):
-        defect = verify_equilibrium_first_integral(cubic_nl(5.0), 0.1, 0.5, 1.0)
-        assert defect <= 1e-6
+        assert self.defect(cubic_nl(5.0), 0.1, 0.5, 1.0) <= 1e-6
 
 
 class TestProfileFlow:
@@ -467,9 +479,6 @@ class TestDriverPolicy:
         pytest.param(lambda cfg: matano.integrability_defect(
             _linear_gen(), (0.3, 0.1), cfg),
                      id="matano.integrability_defect"),
-        pytest.param(lambda cfg: verify_equilibrium_first_integral(
-            cubic_nl(5.0), 0.1, 0.5, 1.0, cfg),
-                     id="verify_equilibrium_first_integral"),
     ])
     def test_step_budget_on_every_path(self, call):
         with pytest.raises(IntegrationFailure, match="step budget exhausted"):

@@ -5,9 +5,10 @@ import pytest
 
 from circlyap import charflow
 from circlyap.charflow import (
+    CharflowConfig,
     NonlinearityO2,
     evolve_batch,
-    verify_equilibrium_first_integral,
+    solve_profile_flow,
 )
 from circlyap.functional import (
     DIRICHLET,
@@ -318,9 +319,18 @@ class TestBroadcastingContract:
         for got, want in zip(evolve_batch(lean, 0.8, -0.3, q0),
                              evolve_batch(full, 0.8, -0.3, q0)):
             np.testing.assert_array_equal(got, want)
-        assert verify_equilibrium_first_integral(lean, 0.1, 0.5, 1.0,
-                                                 n_check=6) == \
-            verify_equilibrium_first_integral(full, 0.1, 0.5, 1.0, n_check=6)
+        # the equilibrium profile u'' = -fbar(u, u'^2/2) to five abscissae,
+        # and the q-flow from its start to where each lane ends
+        xs = np.linspace(0.0, 1.0, 6)[1:]
+        profile = [solve_profile_flow(
+            lambda x, u, p, nl=nl: nl.f_bar(u, 0.5 * p * p), xs, 0.1, 0.5,
+            (0.0, 1.0), CharflowConfig(), "equilibrium")
+            for nl in (lean, full)]
+        np.testing.assert_array_equal(*profile)
+        for u in profile[0][0]:
+            for got, want in zip(evolve_batch(lean, 0.1, u, [0.125]),
+                                 evolve_batch(full, 0.1, u, [0.125])):
+                np.testing.assert_array_equal(got, want)
 
         u = np.array([0.7, -0.4, 1.1, 0.0])
         p = np.array([0.3, -1.2, 0.8, 0.5])

@@ -18,7 +18,6 @@ from circlyap.harness import (
     ScenarioConfig,
     center_planar_field,
     embed_planar,
-    emit_config,
     equilibrium_profile,
     fourier_project,
     make_initial,
@@ -42,6 +41,12 @@ def tiny_config(tmp_path, scenario="chafee_infante", **overrides):
         **overrides,
     )
     return cfg
+
+
+def write_config(cfg, path):
+    """Writes ``cfg`` as a config file that ``circlyap run`` reads."""
+    path.write_text(json.dumps(cfg.to_dict()))
+    return path
 
 
 def start_of(scenario):
@@ -304,10 +309,8 @@ class TestShiftMatch:
 class TestConfigRoundTrip:
     def test_parse_emit_identity(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        path = tmp_path / "config.json"
-        emit_config(cfg, path)
-        again = parse_config(path)
-        assert again == cfg
+        path = write_config(cfg, tmp_path / "config.json")
+        assert parse_config(path) == cfg
 
     @pytest.mark.parametrize("scenario", sorted(harness.SCENARIOS))
     def test_dict_round_trip_of_every_scenario(self, scenario):
@@ -568,8 +571,8 @@ class TestRunScenario:
 
 # scenarios with a Lyapunov construction; the drift of rotating_wave (any
 # c, 0 included) and the planar embedding have none
-_WITH_SERIES = {"classical", "chafee_infante", "gradient_quadratic",
-                "qlinear", "frozen_wave", "matano_separated"}
+_WITH_SERIES = {"chafee_infante", "gradient_quadratic", "qlinear",
+                "frozen_wave", "matano_separated"}
 
 
 def every_scenario_config(tmp_path, scenario, **params):
@@ -597,24 +600,6 @@ class TestEveryScenario:
             assert np.isfinite(extras["residual"][1:-1]).all()
         else:
             assert all(np.isnan(r).all() for r in rows + [extras["residual"]])
-
-    def test_classical_is_chafee_infante_at_lam_one(self, tmp_path):
-        (tmp_path / "a").mkdir()
-        (tmp_path / "b").mkdir()
-        _, classical = run_scenario(
-            every_scenario_config(tmp_path / "a", "classical"))
-        _, chafee = run_scenario(
-            every_scenario_config(tmp_path / "b", "chafee_infante", lam=1.0))
-        for key in ("V", "dissipation", "residual", "convexity_min",
-                    "ut_inf"):
-            assert np.array_equal(classical[key], chafee[key],
-                                  equal_nan=True), key
-        a = tmp_path / "a" / "classical"
-        b = tmp_path / "b" / "chafee_infante"
-        names = sorted(p.name for p in a.glob("s*.csv"))
-        assert names == sorted(p.name for p in b.glob("s*.csv"))
-        for name in names:
-            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_frozen_wave_stays_frozen(self, tmp_path):
         cfg = ScenarioConfig(
@@ -837,8 +822,7 @@ class TestCli:
 
     def test_run_exit_zero(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        path = tmp_path / "cfg.json"
-        emit_config(cfg, path)
+        path = write_config(cfg, tmp_path / "cfg.json")
         assert cli.main(["run", str(path)]) == 0
 
     def test_run_exit_two_on_blowup(self, tmp_path):
@@ -848,8 +832,7 @@ class TestCli:
             solver=SolverConfig(n=32, t_end=1.0, save_every=200),
             initial={"kind": "fourier_modes", "modes": {"0": [2.0, 0.0]}},
         )
-        path = tmp_path / "cfg.json"
-        emit_config(cfg, path)
+        path = write_config(cfg, tmp_path / "cfg.json")
         assert cli.main(["run", str(path)]) == 2
 
     def test_run_exit_three_on_construction_failure(self, tmp_path):
@@ -860,15 +843,13 @@ class TestCli:
             solver=SolverConfig(n=32, t_end=0.004, save_every=20),
             initial={"kind": "random_smooth", "seed": 1, "amplitude": 1.5},
         )
-        path = tmp_path / "cfg.json"
-        emit_config(cfg, path)
+        path = write_config(cfg, tmp_path / "cfg.json")
         assert cli.main(["run", str(path)]) == 3
 
     def test_sweep(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
         cfg.output_path = str(tmp_path / "sweep")
-        path = tmp_path / "cfg.json"
-        emit_config(cfg, path)
+        path = write_config(cfg, tmp_path / "cfg.json")
         code = cli.main(["sweep", str(path), "--param", "params.lam",
                          "--values", "2.0,5.0", "--workers", "2"])
         assert code == 0
@@ -932,6 +913,13 @@ class TestCli:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_scenario_lists_the_known_ones(self, tmp_path, capsys):
+        cfg = dict(tiny_config(tmp_path).to_dict(), scenario="nosuch")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path)]) == 4
+        assert f"known: {sorted(harness.SCENARIOS)}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("scenario, edit", [
         ("chafee_infante", {"initial": {"kind": "bogus"}}),
         ("rotating_wave", {"params": {"lam": 10.0}}),
@@ -962,8 +950,7 @@ class TestCli:
                           params={"lam": 50.0},
                           solver=SolverConfig(n=32, t_end=1e-4,
                                               save_every=10))
-        path = tmp_path / "cfg.json"
-        emit_config(cfg, path)
+        path = write_config(cfg, tmp_path / "cfg.json")
         code = cli.main(["sweep", str(path), "--param", "params.lam",
                          "--values", "10.0,50.0", "--workers", "1"])
         assert code == 4
@@ -982,8 +969,7 @@ class TestCli:
                           params={"lam": 50.0},
                           solver=SolverConfig(n=32, t_end=1e-4,
                                               save_every=10))
-        path = tmp_path / "cfg.json"
-        emit_config(cfg, path)
+        path = write_config(cfg, tmp_path / "cfg.json")
         code = cli.main(["sweep", str(path), "--param", "params.lam",
                          "--values", "50,6000", "--workers", "1"])
         assert code == 4
@@ -1045,8 +1031,7 @@ class TestCli:
             raise AssertionError("a job started before validation ended")
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-        path = tmp_path / "cfg.json"
-        emit_config(tiny_config(tmp_path), path)
+        path = write_config(tiny_config(tmp_path), tmp_path / "cfg.json")
         code = cli.main(["sweep", str(path), "--param", param,
                          "--values", values])
         assert code == 4

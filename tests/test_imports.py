@@ -28,7 +28,7 @@ import circlyap
 from circlyap import (CharacteristicEscape, CharflowConfig,
                       GeneralNonlinearity, LagrangianEvaluator,
                       NonlinearityO2, ScalarField, SolverConfig, evolve,
-                      integrate, verify_equilibrium_first_integral)
+                      integrate)
 from circlyap.harness import ScenarioConfig, equilibrium_profile, run_scenario
 from circlyap.matano import SeparatedEvaluator
 
@@ -42,7 +42,6 @@ gen = GeneralNonlinearity(
     x_periodic=False)
 SeparatedEvaluator(gen).L(0.4, 0.3, 1.0)
 evolve(nl, 0.0, 1.0, 0.5)
-verify_equilibrium_first_integral(nl, 0.1, 0.5, 1.0)
 equilibrium_profile(50.0, 1.0, 64)
 
 # an escape: q = 1 / (1 - u) crosses the bound 1e6 at u = 1 - 1e-6

@@ -66,6 +66,11 @@ def test_tool_counts_rhs_calls_and_restores_the_driver():
 def test_tool_passes_at_the_tiny_size(capsys):
     assert wp.main(["--tiny"]) == 0
     lines = capsys.readouterr().out.splitlines()
+    # the quadrature line, information only, names the first three cases
+    [quad] = [line for line in lines if line.startswith("quadrature, 16 "
+                                                         "against 64 nodes")]
+    assert sorted(part.split()[0] for part in
+                  quad.split(": ")[1].split(", ")) == sorted(CASES)
     assert lines[-1].startswith("scenario default rel_tol 1e-08, abs_tol "
                                 "1e-10: worst error")
     assert lines[-1].endswith("within 1e-09")
