@@ -98,9 +98,9 @@ def cmd_sweep(args) -> int:
         for v in values:
             d = copy.deepcopy(base)
             _set_path(d, args.param, v)
-            out = d.get("output_path") or f"runs/{d['scenario']}"
+            out = harness._resolve_output_dir(
+                harness.ScenarioConfig.from_dict(d))
             d["output_path"] = f"{out}_{args.param.split('.')[-1]}={v}"
-            harness.ScenarioConfig.from_dict(d)
             jobs.append(d)
     except _CONFIG_ERRORS as exc:
         return _bad_config(args.config, exc)

@@ -13,7 +13,6 @@ time-periodic PDE orbit against direct planar integration.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
@@ -308,10 +307,7 @@ def make_initial(spec: dict, n: int, ell: float, bc: str) -> ScalarField:
     if unread:
         raise ValueError(f"initial kind {kind!r} has no key {unread[0]!r}; "
                          f"it reads {sorted(_INITIAL_KEYS[kind])}")
-    if bc == PERIODIC:
-        x = np.arange(n) * (ell / n)
-    else:
-        x = np.linspace(0.0, ell, n)
+    x = ScalarField(np.zeros(n), ell, bc).grid()
 
     if kind == "fourier_modes":
         u = np.zeros(n)
@@ -605,40 +601,44 @@ def _build_scenario(cfg: ScenarioConfig):
 
 
 def _resolve_output_dir(cfg: ScenarioConfig) -> Path:
+    """Where a run's files go: the config's ``output_path``, else
+    ``$CIRCLYAP_OUTPUT_ROOT/<scenario>``, else ``runs/<scenario>``."""
     if cfg.output_path:
         return Path(cfg.output_path)
     root = Path(os.environ.get(OUTPUT_ROOT_ENV, "runs"))
     return root / cfg.scenario
 
 
+def _write_csv(path: Path, header: str, columns: list) -> None:
+    """The formatted ``columns`` under ``header`` as csv.writer writes them:
+    no field of a run needs quoting, and lines end in CRLF."""
+    lines = [header, *map(",".join, zip(*columns))]
+    path.write_text("\r\n".join(lines) + "\r\n", newline="")
+
+
 def _write_outputs(out_dir: Path, cfg: ScenarioConfig, traj: TrajectoryRecord,
-                   series: dict, extras: dict, status: str) -> None:
+                   extras: dict) -> None:
+    """Every file of a run, from its trajectory and the extras
+    :func:`run_scenario` fills in; ``error.json`` where the run failed."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "series.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        header = ["t", "V", "dissipation", "residual", "convexity_min", "ut_inf"]
-        has_modes = "ab_pde" in extras
-        if has_modes:
-            header += ["a_mode", "b_mode"]
-        wr.writerow(header)
-        for k, t in enumerate(traj.times):
-            row = [t, series["V"][k], series["dissipation"][k],
-                   series["residual"][k], series["convexity_min"][k],
-                   series["ut_inf"][k]]
-            if has_modes:
-                row += list(extras["ab_pde"][k])
-            wr.writerow([f"{v:.12g}" if np.isfinite(v) else "" for v in row])
-    # the bytes csv.writer writes: numbers need no quoting, and rows end in
-    # its terminator
-    end = csv.excel.lineterminator
-    for k, snap in enumerate(traj.snapshots):
-        rows = "".join(f"{xi:.12g},{ui:.17g}{end}" for xi, ui in
-                       zip(snap.grid().tolist(), snap.values.tolist()))
-        with open(out_dir / f"snapshot_{k:04d}.csv", "w", newline="") as fh:
-            fh.write(f"x,u{end}{rows}")
+    header = "t,V,dissipation,residual,convexity_min,ut_inf"
+    columns = [traj.times, *(extras[k] for k in header.split(",")[1:])]
+    if "ab_pde" in extras:
+        header += ",a_mode,b_mode"
+        columns += list(np.asarray(extras["ab_pde"]).T)
+    _write_csv(out_dir / "series.csv", header,
+               [[f"{v:.12g}" if math.isfinite(v) else ""
+                 for v in np.asarray(col, dtype=float).tolist()]
+                for col in columns])
+    # one grid for every snapshot of a trajectory
+    snaps = traj.snapshots
+    grid = [f"{x:.12g}" for x in snaps[0].grid().tolist()] if snaps else []
+    for k, snap in enumerate(snaps):
+        _write_csv(out_dir / f"snapshot_{k:04d}.csv", "x,u",
+                   [grid, [f"{u:.17g}" for u in snap.values.tolist()]])
     manifest = {
         "format_version": FORMAT_VERSION,
-        "status": status,
+        "status": extras["status"],
         "config": cfg.to_dict(),
         "n_saves": len(traj.times),
         "t_final": float(traj.times[-1]) if len(traj.times) else None,
@@ -650,6 +650,12 @@ def _write_outputs(out_dir: Path, cfg: ScenarioConfig, traj: TrajectoryRecord,
         manifest["extras"] = scalar_extras
     (out_dir / "run_manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    if "error" in extras:
+        record = {"status": extras["status"], "error": extras["error"]}
+        if traj.blew_up:
+            # a failed construction must not hide the blow-up before it
+            record.update(blowup=traj.message, blowup_time=traj.blowup_time)
+        (out_dir / "error.json").write_text(json.dumps(record, indent=2) + "\n")
 
 
 def burn_in_config(solver_cfg: SolverConfig, burn_in: float, a_coeff,
@@ -712,22 +718,11 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True):
         status, error = "construction_failure", str(exc)
         series = _lyapunov_series(traj, None)
         extras = {}
-    extras = dict(extras)
-    extras["status"] = status
+    extras = {**series, **extras, "status": status}
     if error:
         extras["error"] = error
-    for key in ("V", "dissipation", "residual", "convexity_min", "ut_inf"):
-        extras.setdefault(key, series[key])
     if write:
         out_dir = _resolve_output_dir(cfg)
-        _write_outputs(out_dir, cfg, traj, series, extras, status)
-        if error:
-            record = {"status": status, "error": error}
-            if traj.blew_up:
-                # a failed construction must not hide the blow-up before it
-                record.update(blowup=traj.message,
-                              blowup_time=traj.blowup_time)
-            (out_dir / "error.json").write_text(
-                json.dumps(record, indent=2) + "\n")
+        _write_outputs(out_dir, cfg, traj, extras)
         extras["output_dir"] = str(out_dir)
     return traj, extras

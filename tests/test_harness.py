@@ -485,24 +485,68 @@ class TestRunScenario:
         assert run("scenario_default")["series.csv"] != lib["series.csv"]
 
     def test_snapshot_bytes_equal_csv_writer(self, tmp_path):
+        # series.csv and every snapshot file hold the bytes csv.writer
+        # writes for the same fields
+        def csv_writer_bytes(rows):
+            with open(tmp_path / "expected.csv", "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            return (tmp_path / "expected.csv").read_bytes()
+
         # negative, tiny and subnormal values, and values that need all 17
         # significant digits; the periodic grid 2 pi k / 9 needs 12
         values = np.array([-1.0 / 3.0, 0.1 + 0.2, 5e-324, -2.5e-308,
                            1e300, -0.0, 123456789.01234567, -7e-17, 2.0])
-        snap = ScalarField(values, 2 * np.pi, PERIODIC)
-        traj = harness.TrajectoryRecord(np.array([0.0]), [snap], [snap])
-        series = {k: [0.5] for k in ("V", "dissipation", "residual",
-                                     "convexity_min", "ut_inf")}
-        harness._write_outputs(tmp_path, tiny_config(tmp_path), traj, series,
-                               {}, "ok")
-        with open(tmp_path / "expected.csv", "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["x", "u"])
-            for xi, ui in zip(snap.grid(), snap.values):
-                wr.writerow([f"{xi:.12g}", f"{ui:.17g}"])
-        expected = (tmp_path / "expected.csv").read_bytes()
-        assert (tmp_path / "snapshot_0000.csv").read_bytes() == expected
-        assert b"-0.33333333333333331\r\n" in expected
+        first = ScalarField(values, 2 * np.pi, PERIODIC)
+        second = first.like(3.0 * values[::-1])
+        keys = ("V", "dissipation", "residual", "convexity_min", "ut_inf")
+
+        def series(saves, **columns):
+            cols = {k: values[i:i + saves] for i, k in enumerate(keys)}
+            return {**cols, **columns, "status": "ok"}
+
+        cases = {
+            "one_save": ([first], series(1)),
+            # the files of both saves share the grid column
+            "two_saves": ([first, second], series(2)),
+            # the centred residual is not defined at the first and last save
+            "nan_residual": ([first, second, first],
+                             series(3, residual=[np.nan, 2.0, np.nan])),
+            # planar_embedding's Fourier mode columns
+            "modes": ([first, second],
+                      series(2, ab_pde=np.array([[0.2, 1.1],
+                                                 [-1.0 / 3.0, 5e-324]]))),
+        }
+        for name, (snaps, extras) in cases.items():
+            times = np.array([0.0, 1.0 / 3.0, 2e-7])[:len(snaps)]
+            traj = harness.TrajectoryRecord(times, snaps, snaps)
+            out = tmp_path / name
+            harness._write_outputs(out, tiny_config(tmp_path), traj, extras)
+            header = ["t", *keys]
+            rows = [[t, *(extras[k][i] for k in keys)]
+                    for i, t in enumerate(times)]
+            if "ab_pde" in extras:
+                header += ["a_mode", "b_mode"]
+                rows = [row + list(ab) for row, ab in zip(rows,
+                                                           extras["ab_pde"])]
+            assert (out / "series.csv").read_bytes() == csv_writer_bytes(
+                [header] + [[f"{v:.12g}" if np.isfinite(v) else ""
+                             for v in row] for row in rows]), name
+            for k, snap in enumerate(snaps):
+                expected = csv_writer_bytes(
+                    [["x", "u"]] + [[f"{xi:.12g}", f"{ui:.17g}"]
+                                    for xi, ui in zip(snap.grid(),
+                                                      snap.values)])
+                assert (out / f"snapshot_{k:04d}.csv").read_bytes() \
+                    == expected, (name, k)
+        assert b"-0.33333333333333331\r\n" in \
+            (tmp_path / "one_save" / "snapshot_0000.csv").read_bytes()
+        nan_series = (tmp_path / "nan_residual" / "series.csv").read_bytes()
+        assert [row.split(b",")[3] for row in nan_series.split(b"\r\n")[1:4]] \
+            == [b"", b"2", b""]
+        x_columns = [[row.split(b",")[0] for row in (
+            tmp_path / "two_saves" / f"snapshot_{k:04d}.csv").read_bytes()
+            .split(b"\r\n")] for k in (0, 1)]
+        assert x_columns[0] == x_columns[1]
 
     def test_output_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CIRCLYAP_OUTPUT_ROOT", str(tmp_path / "root"))
@@ -855,6 +899,21 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "sweep_lam=2.0" / "series.csv").exists()
         assert (tmp_path / "sweep_lam=5.0" / "series.csv").exists()
+
+    def test_sweep_follows_the_output_root(self, tmp_path, monkeypatch):
+        # without output_path a job goes where a run of its config would,
+        # with _<leaf>=<value> appended
+        monkeypatch.setenv("CIRCLYAP_OUTPUT_ROOT", str(tmp_path / "root"))
+        monkeypatch.chdir(tmp_path)
+        cfg = tiny_config(tmp_path)
+        cfg.output_path = None
+        path = write_config(cfg, tmp_path / "cfg.json")
+        assert cli.main(["sweep", str(path), "--param", "params.lam",
+                         "--values", "2.0,5.0", "--workers", "1"]) == 0
+        for v in ("2.0", "5.0"):
+            assert (tmp_path / "root" / f"chafee_infante_lam={v}"
+                    / "series.csv").exists()
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("edit", [
         lambda d: d["solver"].update(save_every=0),
