@@ -55,12 +55,14 @@ class IntegrationFailure(RuntimeError):
     """Adaptive integration of the characteristic ODE broke down.
 
     Raised on a non-finite right-hand side or step-count exhaustion.
-    ``u_reached`` is the last abscissa the integrator saw.
+    ``at`` is the last value the integrator saw of its independent
+    variable ``var`` (u, x, or the rescaled parameter s of a batched solve).
     """
 
-    def __init__(self, message: str, u_reached: float):
-        super().__init__(f"{message} (u reached: {u_reached:.6g})")
-        self.u_reached = u_reached
+    def __init__(self, message: str, at: float, var: str = "u"):
+        super().__init__(f"{message} ({var} reached: {at:.6g})")
+        self.at = at
+        self.var = var
 
 
 class CharacteristicEscape(RuntimeError):
@@ -106,17 +108,22 @@ def check_partial(fn, partial, name: str, samples: dict,
             f"{partial(*at):.8g} vs finite difference {fd.flat[i]:.8g}")
 
 
+def check_number(name: str, v, count: bool = False) -> None:
+    """Raise ValueError naming ``name`` unless ``v`` is a finite number, or
+    with ``count`` an integer; a bool is neither."""
+    if isinstance(v, bool) or not isinstance(
+            v, numbers.Integral if count else numbers.Real) \
+            or not (count or math.isfinite(v)):
+        raise ValueError(f"{name} = {v!r} is not "
+                         f"{'an integer' if count else 'a finite number'}")
+
+
 def check_numbers(cfg, finite=(), counts=()) -> None:
-    """Raise ValueError at the first field of ``cfg`` named in ``finite``
-    that is not a finite number, or in ``counts`` that is not an integer;
-    a bool is neither. The config check of every solver setting."""
+    """``check_number`` on each field of ``cfg`` named in ``finite`` or,
+    as a count, in ``counts``. The config check of every solver setting."""
     for name in (*finite, *counts):
-        v, count = getattr(cfg, name), name in counts
-        if isinstance(v, bool) or not isinstance(
-                v, numbers.Integral if count else numbers.Real) \
-                or not (count or math.isfinite(v)):
-            raise ValueError(f"{type(cfg).__name__}.{name} = {v!r} is not "
-                             f"{'an integer' if count else 'a finite number'}")
+        check_number(f"{type(cfg).__name__}.{name}", getattr(cfg, name),
+                     name in counts)
 
 
 @dataclass(frozen=True)
@@ -273,7 +280,8 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
         # a finite sum (dy @ ones) rules out NaN and inf; an overflowing
         # one is confirmed element by element
         if not math.isfinite(dy @ ones) and not np.isfinite(dy).all():
-            raise IntegrationFailure("non-finite right-hand side", float(t))
+            raise IntegrationFailure("non-finite right-hand side",
+                                     float(t), var)
         return dy
 
     f = fun(t, y)
@@ -341,7 +349,7 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
         if direction * (t - t_bound) >= 0:
             break
     else:
-        raise IntegrationFailure("step budget exhausted", float(t))
+        raise IntegrationFailure("step budget exhausted", float(t), var)
     return y
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
@@ -30,6 +29,7 @@ from .charflow import (
     IntegrationFailure,
     NonlinearityO2,
     _solve_lanes,
+    check_number,
     solve_profile_flow,
 )
 from .functional import (
@@ -297,8 +297,9 @@ def make_initial(spec: dict, n: int, ell: float, bc: str) -> ScalarField:
     kinds: ``fourier_modes`` (explicit mode table; an interval takes sine
     coefficients only), ``random_smooth`` (seeded truncated random Fourier
     series with quadratic decay), ``from_file`` (snapshot CSV of a prior
-    run, interpolated to the grid). A key the kind does not read is a
-    ValueError.
+    run, interpolated to the grid). A key the kind does not read, an
+    amplitude or mode coefficient that is not a finite number, and a seed
+    or mode count (at least 1) that is not an integer are ValueErrors.
     """
     kind = spec.get("kind", "random_smooth")
     if kind not in _INITIAL_KEYS:
@@ -313,6 +314,8 @@ def make_initial(spec: dict, n: int, ell: float, bc: str) -> ScalarField:
         u = np.zeros(n)
         for mode, (ca, sa) in spec.get("modes", {}).items():
             k = int(mode)
+            for c in (ca, sa):
+                check_number(f"initial.modes[{mode!r}]", c)
             if bc == PERIODIC:
                 u += ca * np.cos(2 * np.pi * k * x / ell) \
                     + sa * np.sin(2 * np.pi * k * x / ell)
@@ -324,9 +327,13 @@ def make_initial(spec: dict, n: int, ell: float, bc: str) -> ScalarField:
         return ScalarField(u, ell, bc)
 
     if kind == "random_smooth":
-        rng = np.random.default_rng(int(spec.get("seed", 0)))
-        amp = float(spec.get("amplitude", 0.5))
-        m = int(spec.get("n_modes", 8))
+        spec = {"seed": 0, "amplitude": 0.5, "n_modes": 8, **spec}
+        for key in ("seed", "amplitude", "n_modes"):
+            check_number(f"initial.{key}", spec[key], key != "amplitude")
+        amp, m = float(spec["amplitude"]), spec["n_modes"]
+        if m < 1:
+            raise ValueError(f"initial.n_modes = {m} is not >= 1")
+        rng = np.random.default_rng(spec["seed"])
         u = np.zeros(n)
         for k in range(1, m + 1):
             ca, sa = rng.standard_normal(2)
@@ -370,9 +377,7 @@ class ScenarioConfig:
             if k not in defaults:
                 raise ValueError(f"scenario {self.scenario!r} has no "
                                  f"parameter {k!r}; it reads {list(defaults)}")
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) \
-                    or not math.isfinite(v):
-                raise ValueError(f"params.{k} = {v!r} is not a finite number")
+            check_number(f"params.{k}", v)
             if v <= 0 and k in ("ell", "a_const") or v < 0 and k == "burn_in":
                 raise ValueError(f"params.{k} = {v!r} is out of range (ell "
                                  f"and a_const > 0, burn_in >= 0)")

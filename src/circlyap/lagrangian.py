@@ -72,9 +72,7 @@ class QuadratureConfig:
 
     def __post_init__(self, rule, nested_panels):
         if rule != GAUSS_LEGENDRE:
-            why = ("was retired; use 'gauss_legendre'" if rule == "simpson"
-                   else "is unknown")
-            raise ValueError(f"quadrature rule {rule!r} {why}")
+            raise ValueError(f"quadrature rule {rule!r} is unknown")
         check_numbers(self, counts=("panels",))
         if self.panels < 2:
             raise ValueError("panels must be >= 2")

@@ -3,24 +3,23 @@
 Second-order central stencils in space. In time, one of two schemes:
 
 * ``rk4``: explicit RK4, the reference; any coefficient a(x, u, u_x);
-* ``etdrk4``: the exponential integrator of Cox & Matthews (J. Comput.
-  Phys. 176, 2002). The linear part a * u_xx, with the same
-  second-difference matrix, is applied exactly in the basis that
-  diagonalises it (``numpy.fft``: real FFT on the circle, DST-I on the
-  Dirichlet interior, DCT-I for Neumann's mirrored ghosts, both as the
-  real FFT of the odd or even extension); the reaction f(x, u, u_x) stays
-  explicit through the same central difference. An interval transform of
-  at most 256 points is a dense matrix product, tabulated once per solve,
-  as it is faster there than the FFT of the extension. Non-zero Dirichlet end values enter as a constant forcing. So it
-  integrates the same semi-discrete ODE as RK4, at steps far above RK4's
-  stability limit. Its phi-functions come from Kassam & Trefethen's
-  contour integrals (SIAM J. Sci. Comput. 26, 2005), once per solve and
-  step size. The initial transient changes faster than a large step
-  resolves, so each step is checked against two half steps and covered
-  in halved steps until the two agree to 1e-9, until a whole step passes;
-  plain steps follow. All attempts at a step share its first reaction
-  term, evaluated once. It needs a constant diffusion coefficient and an
-  explicit step ``dt``.
+* ``etdrk4``: the exponential integrator of Cox & Matthews (J. Comput. Phys.
+  176, 2002). The linear part a * u_xx, with the same second-difference
+  matrix, is applied exactly in the basis that diagonalises it
+  (``numpy.fft``: real FFT on the circle, DST-I on the Dirichlet interior,
+  DCT-I for Neumann's mirrored ghosts, both as the real FFT of the odd or
+  even extension); the reaction f(x, u, u_x) stays explicit through the same
+  central difference. An interval transform of at most 256 points is a dense
+  matrix product, tabulated once per solve, as it is faster there than the
+  FFT of the extension. So it integrates the same semi-discrete ODE as RK4,
+  at steps far above RK4's stability limit. Its phi-functions come from
+  Kassam & Trefethen's contour integrals (SIAM J. Sci. Comput. 26, 2005),
+  once per solve and step size. The initial transient changes faster than a
+  large step resolves, so each step is checked against two half steps and
+  covered in halved steps until the two agree to 1e-9, until a whole step
+  passes; plain steps follow. All attempts at a step share its first
+  reaction term, evaluated once. It needs a constant diffusion coefficient
+  and an explicit step ``dt``.
 
 Each solve builds one semi-discrete operator on preallocated buffers: it
 copies the state between two ghost values (the far ends on the circle) and
@@ -32,8 +31,8 @@ call. The operator pins Dirichlet ends and names the grid index of a
 non-finite right-hand side or reaction term. RK4 reuses two buffers in
 every step. ETDRK4 stores its coefficient tables in the dtype of the
 transformed state (complex on the circle, real on an interval), so that no
-product casts; only a Dirichlet grid adds the end forcing and copies its
-pinned ends into each physical state.
+product casts; on a Dirichlet grid it transforms the interior and pads
+each physical state with the two zero ends.
 
 Each scheme only builds a ``step(u) -> u``. One loop in ``integrate`` owns
 the time, the saves and the end of a run: a blow-up record, which keeps
@@ -107,10 +106,7 @@ class SolverConfig:
         if self.save_every < 1:
             raise ValueError("save_every must be >= 1")
         if self.scheme not in (RK4, ETDRK4):
-            why = ("was retired; use 'etdrk4' with an explicit dt (constant "
-                   "diffusion coefficient)" if self.scheme == "imex"
-                   else "is unknown")
-            raise ValueError(f"scheme {self.scheme!r} {why}")
+            raise ValueError(f"scheme {self.scheme!r} is unknown")
         if self.scheme == ETDRK4 and self.dt is None:
             raise ValueError("ETDRK4 stepping needs an explicit dt")
 
@@ -359,30 +355,19 @@ def _etdrk4_step(op: _SemiDiscrete, u0: ScalarField, a: float, dt: float):
     dt agrees with two of dt / 2, every step is checked that way (step
     doubling) and covered in halved steps until the two agree; then plain
     steps dt follow. All attempts share the step's first reaction term."""
-    h, u = u0.dx, u0.values
-    lam, fwd, inv = _diagonalised_second_difference(u0.n, h, u0.bc)
+    lam, fwd, physical = _diagonalised_second_difference(u0.n, u0.dx, u0.bc)
     if u0.bc == DIRICHLET:
-        # pinned end values reach their neighbours through u_xx
-        ends = np.zeros(u0.n - 2)
-        ends[0], ends[-1] = u[0], u[-1]
-        forcing = fwd(ends * (a / (h * h)))
+        # the ends are exact zeros (ScalarField stores them so) and stay
+        # so: the pair acts on the interior, its inverse padded by them
+        fwd_interior, inv_interior, zero = fwd, physical, np.zeros(1)
+        fwd, physical = (lambda w: fwd_interior(w[1:-1])), \
+            (lambda v: np.concatenate([zero, inv_interior(v), zero]))
 
-        def N(uv):
-            """Transformed reaction term plus the end forcing."""
-            return fwd(op.reaction(uv)[1:-1]) + forcing
+    def N(uv):
+        """The transformed reaction term."""
+        return fwd(op.reaction(uv))
 
-        def physical(v):
-            uv = u.copy()  # keeps the pinned ends
-            uv[1:-1] = inv(v)
-            return uv
-
-        v = fwd(u[1:-1])
-    else:
-        def N(uv):
-            return fwd(op.reaction(uv))
-
-        physical, v = inv, fwd(u)
-    coefficients = {}
+    v, coefficients = fwd(u0.values), {}
 
     def advance(v, Nu, m):
         """Cover one step dt in m ETDRK4 steps of dt / m from the

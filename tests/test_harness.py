@@ -419,17 +419,19 @@ class TestConfigRoundTrip:
         path.write_text(json.dumps(d))
         assert parse_config(path).to_dict()["quadrature"] == {"panels": 16}
 
-    @pytest.mark.parametrize("section, value", [
-        ("solver", {"scheme": "imex", "dt": 1e-3}),
-        ("quadrature", {"rule": "simpson", "nested_panels": 16}),
+    @pytest.mark.parametrize("section, value, message", [
+        ("solver", {"scheme": "imex", "dt": 1e-3},
+         "scheme 'imex' is unknown"),
+        ("quadrature", {"rule": "simpson", "nested_panels": 16},
+         "quadrature rule 'simpson' is unknown"),
     ], ids=["imex", "simpson"])
     def test_retired_values_fail_at_parse_time(self, tmp_path, section,
-                                               value):
+                                               value, message):
         d = tiny_config(tmp_path).to_dict()
         d[section].update(value)
         path = tmp_path / "retired.json"
         path.write_text(json.dumps(d))
-        with pytest.raises(ValueError, match="retired"):
+        with pytest.raises(ValueError, match=message):
             parse_config(path)
 
 
@@ -949,6 +951,18 @@ class TestCli:
         lambda d: d["quadrature"].update(panels=8.0),
         lambda d: d["charflow"].update(max_steps=10.5),
         lambda d: d["charflow"].update(rel_tol=math.inf),
+        # an initial value that is not a finite number, or a count that is
+        # not an integer: each once blew up at t=0, or was truncated while
+        # the manifest recorded it as given
+        lambda d: d["initial"].update(amplitude=math.nan),
+        lambda d: d["initial"].update(amplitude=math.inf),
+        lambda d: d["initial"].update(amplitude="0.5"),
+        lambda d: d["initial"].update(amplitude=True),
+        lambda d: d.update(initial={"kind": "fourier_modes",
+                                    "modes": {"1": [0.1, math.nan]}}),
+        lambda d: d["initial"].update(seed=2.7),
+        lambda d: d["initial"].update(n_modes=8.5),
+        lambda d: d["initial"].update(n_modes=0),
         # a format this code does not know
         lambda d: d.update(format_version=2),
     ], ids=["save_every_0", "n_4", "unknown_solver_key", "no_scenario",
@@ -960,7 +974,10 @@ class TestCli:
             "t_end_inf",
             "dt_nan", "etdrk4_dt_inf", "n_fractional", "save_every_bool",
             "save_every_fractional", "panels_float", "max_steps_fractional",
-            "rel_tol_inf", "format_version_2"])
+            "rel_tol_inf", "amplitude_nan", "amplitude_inf",
+            "amplitude_string", "amplitude_bool", "mode_coefficient_nan",
+            "seed_fractional", "n_modes_fractional", "n_modes_0",
+            "format_version_2"])
     def test_run_exit_four_on_invalid_config(self, tmp_path, capsys, edit):
         cfg = tiny_config(tmp_path).to_dict()
         edit(cfg)

@@ -104,7 +104,9 @@ class TestQuadRule:
         assert asdict(old) == {"panels": 12}
 
     def test_simpson_is_retired(self):
-        with pytest.raises(ValueError, match="retired"):
+        # the retired rule is an unknown value like any other
+        with pytest.raises(ValueError,
+                           match="quadrature rule 'simpson' is unknown"):
             QuadratureConfig(rule="simpson", panels=64)
 
     def test_unknown_rule_rejected(self):
@@ -367,7 +369,20 @@ class TestFieldEval:
         with pytest.raises(IntegrationFailure) as err:
             ev.field_eval(np.array([0.5, -0.3]), np.array([0.4, 1.0]))
         # caught at the first evaluation, not after NaN reached the solver
-        assert np.isfinite(err.value.u_reached)
+        assert np.isfinite(err.value.at)
+
+    def test_step_budget_failure_names_the_solve_variable(self):
+        # evolve runs in u; field_eval's batched solves run in the
+        # rescaled parameter s, which ends at 1 where u ends at 3
+        nl, cfg = chafee_infante_nl(2.0), CharflowConfig(max_steps=1)
+        with pytest.raises(IntegrationFailure,
+                           match=r"step budget exhausted \(u reached: ") as e:
+            evolve(nl, 0.0, 3.0, 1.0, cfg)
+        assert e.value.var == "u" and 0 < e.value.at < 3
+        with pytest.raises(IntegrationFailure,
+                           match=r"step budget exhausted \(s reached: ") as e:
+            LagrangianEvaluator(nl, cfg).field_eval([3.0], [1.0])
+        assert e.value.var == "s" and 0 < e.value.at <= 1
 
     def test_escape_names_the_sample(self):
         # with f_bar = q every characteristic of sample k grows by e^{u_k}

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circlyap.functional import (
     DIRICHLET,
@@ -504,7 +506,8 @@ class TestETDRK4:
             SolverConfig(n=32, t_end=0.01, scheme="etdrk4")
 
     def test_imex_is_retired(self):
-        with pytest.raises(ValueError, match="retired.*etdrk4"):
+        # the retired scheme is an unknown value like any other
+        with pytest.raises(ValueError, match="scheme 'imex' is unknown"):
             SolverConfig(n=32, dt=1e-3, t_end=0.01, scheme="imex")
 
     def test_unknown_scheme_rejected(self):
@@ -570,6 +573,53 @@ class TestETDRK4:
         assert "non-finite reaction term at grid index" in traj.message
         assert f"t={traj.blowup_time:.6g}" in traj.message
         assert len(traj.times) >= 2 and traj.times[-1] < traj.blowup_time
+
+
+def dirichlet_start(n, left, right):
+    """A two-mode sine start on n points whose ends are ``left``, ``right``."""
+    x = np.linspace(0.0, 1.0, n)
+    u = 0.4 * np.sin(np.pi * x) + 0.1 * np.sin(3 * np.pi * x)
+    u[0], u[-1] = left, right
+    return u
+
+
+def dirichlet_runs(u0):
+    """An RK4 and an ETDRK4 run of six steps from ``u0``, saving each."""
+    return [integrate(cubic_gen(5.0), None, u0,
+                      SolverConfig(n=u0.n, dt=dt, t_end=6 * dt, save_every=1,
+                                   scheme=scheme))
+            for scheme, dt in ((RK4, 0.4 * u0.dx**2), (ETDRK4, DT_ETD))]
+
+
+class TestDirichletEnds:
+    """ScalarField stores Dirichlet ends within 1e-12 of 0 as exact zeros,
+    and both schemes keep them so; n = 64 tabulates ETDRK4's transforms,
+    n = 300 applies them per call."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(left=st.floats(-1e-12, 1e-12), right=st.floats(-1e-12, 1e-12))
+    # ends of a sine series' rounding once forced the ETDRK4 interior
+    @example(left=1e-13, right=-1e-13)
+    def test_small_ends_are_stored_and_kept_as_zeros(self, left, right):
+        for n in (64, 300):
+            given_values = dirichlet_start(n, left, right)
+            kept = given_values.copy()
+            u0 = ScalarField(given_values, 1.0, DIRICHLET)
+            assert np.array_equal(given_values, kept)
+            assert u0.values[0] == 0.0 and u0.values[-1] == 0.0
+            assert np.array_equal(u0.values[1:-1], kept[1:-1])
+            zeroed = ScalarField(dirichlet_start(n, 0.0, 0.0), 1.0, DIRICHLET)
+            for traj, ref in zip(dirichlet_runs(u0), dirichlet_runs(zeroed)):
+                assert not traj.blew_up and len(traj.snapshots) == 7
+                for snap, want in zip(traj.snapshots, ref.snapshots):
+                    assert snap.values[0] == 0.0 and snap.values[-1] == 0.0
+                    assert np.array_equal(snap.values, want.values)
+
+    @pytest.mark.parametrize("left, right", [
+        (2e-12, 0.0), (0.0, -2e-12), (np.nan, 0.0), (0.0, np.nan)])
+    def test_other_ends_are_rejected(self, left, right):
+        with pytest.raises(ValueError, match="vanish at both ends"):
+            ScalarField(dirichlet_start(64, left, right), 1.0, DIRICHLET)
 
 
 # a step that both schemes take stably at n = 32 (RK4's limit is 6.8e-4)
