@@ -159,7 +159,7 @@ def cmd_check(_args) -> int:
 
     x = np.arange(256) / 256.0
     fld = ScalarField(np.sin(2 * np.pi * x), 1.0)
-    err = np.max(np.abs(gradient(fld).values - 2 * np.pi * np.cos(2 * np.pi * x)))
+    err = np.max(np.abs(gradient(fld) - 2 * np.pi * np.cos(2 * np.pi * x)))
     check("gradient stencil accuracy", err < 2e-3)
 
     # the burn-in's ETDRK4 at the save interval against RK4 at 0.4 h^2,

@@ -3,7 +3,8 @@
 Evaluates V(u) = integral of L(u, u_x) and the dissipation integral on
 uniformly gridded fields. Periodic fields use the rectangle rule, which is
 spectrally accurate for smooth periodic integrands; interval fields use the
-trapezoid rule.
+trapezoid rule. ``Stencils`` is the one finite-difference kernel: the PDE
+operator takes u_x and u_xx from it, and ``gradient`` its u_x.
 
 Both constructions, the O(2) Lagrangian on the circle (``field_report``)
 and the separated-BC one (``matano.field_report``), turn their grid values
@@ -84,34 +85,58 @@ class FunctionalReport(NamedTuple):
     convexity_min: float
 
 
-def central_difference(u: np.ndarray, two_h: float, bc: str,
-                       out: np.ndarray) -> np.ndarray:
-    """Second-order first derivative of the samples ``u`` into ``out``.
+class Stencils:
+    """The grid's second-order finite differences, on fixed buffers.
 
-    Central differences inside; periodic ends wrap around, interval ends
-    use the one-sided three-point formulas. ``two_h`` is twice the grid
-    spacing. The functionals call it, and tests hold the PDE operator's
-    buffered stencil to it bit for bit. It divides by ``two_h`` rather
-    than multiplying by its inverse; tests hold the results bit for bit.
+    ``slope(u)`` copies u between two ghost values (the far ends of the
+    circle; interval ends are set apart) and writes u_x into ``p``:
+    central differences inside, one-sided three-point slopes at interval
+    ends. ``second(u)`` writes u_xx into ``uxx`` from the padded copy that
+    ``slope`` made: 0 at Dirichlet ends (the values there are pinned),
+    mirrored ghosts at Neumann ends. Each result lives until the next
+    call. The PDE operator and ``gradient`` share it, so the functionals
+    difference a state as the solver does.
     """
-    out[1:-1] = (u[2:] - u[:-2]) / two_h
-    if bc == PERIODIC:
-        out[0] = (u[1] - u[-1]) / two_h
-        out[-1] = (u[0] - u[-2]) / two_h
-    else:
-        out[0] = (-3 * u[0] + 4 * u[1] - u[2]) / two_h
-        out[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / two_h
-    return out
+
+    def __init__(self, n: int, h: float, bc: str):
+        self.bc = bc
+        self.two_h = 2 * h
+        self.h2 = h**2
+        # interval ends are overwritten, so their ghosts stay 0
+        self._pad = np.zeros(n + 2)
+        self.p = np.empty(n)
+        self.uxx = np.empty(n)
+
+    def slope(self, u: np.ndarray) -> np.ndarray:
+        pad, p = self._pad, self.p
+        pad[1:-1] = u
+        if self.bc == PERIODIC:
+            pad[0], pad[-1] = u[-1], u[0]
+        np.subtract(pad[2:], pad[:-2], out=p)
+        p /= self.two_h
+        if self.bc != PERIODIC:
+            p[0] = (-3 * u[0] + 4 * u[1] - u[2]) / self.two_h
+            p[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / self.two_h
+        return p
+
+    def second(self, u: np.ndarray) -> np.ndarray:
+        pad, uxx, h2 = self._pad, self.uxx, self.h2
+        np.multiply(u, 2, out=uxx)
+        np.subtract(pad[2:], uxx, out=uxx)
+        uxx += pad[:-2]
+        uxx /= h2
+        if self.bc == DIRICHLET:
+            uxx[0] = uxx[-1] = 0.0
+        elif self.bc == NEUMANN:
+            uxx[0] = 2 * (u[1] - u[0]) / h2
+            uxx[-1] = 2 * (u[-2] - u[-1]) / h2
+        return uxx
 
 
-def gradient(field: ScalarField) -> ScalarField:
-    """Second-order finite-difference derivative of the field."""
-    u = field.values
-    out = ScalarField.__new__(ScalarField)
-    out.values = central_difference(u, 2 * field.dx, field.bc, np.empty_like(u))
-    out.domain_length = field.domain_length
-    out.bc = field.bc  # derivative of a Dirichlet field need not vanish at ends
-    return out
+def gradient(field: ScalarField) -> np.ndarray:
+    """The field's u_x from ``Stencils``, as a new array; at Dirichlet ends
+    it need not vanish."""
+    return Stencils(field.n, field.dx, field.bc).slope(field.values)
 
 
 def quadrature_weights(field: ScalarField) -> np.ndarray:
@@ -172,6 +197,6 @@ def field_report(
     entry point. Pass a zero ``u_t`` when only V is wanted."""
     if field.bc != PERIODIC:
         raise ValueError("the circle construction needs a periodic field")
-    p = gradient(field).values
+    p = gradient(field)
     fe = ev.field_eval(field.values, p)
     return snapshot_report(field, u_t, fe["L"], fe["L_pp"], p, weight_a)

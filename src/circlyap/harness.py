@@ -297,9 +297,12 @@ def make_initial(spec: dict, n: int, ell: float, bc: str) -> ScalarField:
     kinds: ``fourier_modes`` (explicit mode table; an interval takes sine
     coefficients only), ``random_smooth`` (seeded truncated random Fourier
     series with quadratic decay), ``from_file`` (snapshot CSV of a prior
-    run, interpolated to the grid). A key the kind does not read, an
-    amplitude or mode coefficient that is not a finite number, and a seed
-    or mode count (at least 1) that is not an integer are ValueErrors.
+    run, interpolated to the grid). A key the kind does not read, a mode
+    table that does not map modes to [cos, sin] pairs, an amplitude or mode
+    coefficient that is not a finite number, a seed or mode count (at
+    least 1) that is not an integer, and a file that holds less than two
+    rows of finite x, u are ValueErrors; a file that cannot be opened is
+    numpy's OSError.
     """
     kind = spec.get("kind", "random_smooth")
     if kind not in _INITIAL_KEYS:
@@ -311,9 +314,15 @@ def make_initial(spec: dict, n: int, ell: float, bc: str) -> ScalarField:
     x = ScalarField(np.zeros(n), ell, bc).grid()
 
     if kind == "fourier_modes":
-        u = np.zeros(n)
-        for mode, (ca, sa) in spec.get("modes", {}).items():
-            k = int(mode)
+        u, modes = np.zeros(n), spec.get("modes", {})
+        if not isinstance(modes, dict):
+            raise ValueError(f"initial.modes = {modes!r} is not a table of "
+                             f"mode -> [cos, sin]")
+        for mode, pair in modes.items():
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ValueError(f"initial.modes[{mode!r}] = {pair!r} is not "
+                                 f"a [cos, sin] pair")
+            k, (ca, sa) = int(mode), pair
             for c in (ca, sa):
                 check_number(f"initial.modes[{mode!r}]", c)
             if bc == PERIODIC:
@@ -345,7 +354,11 @@ def make_initial(spec: dict, n: int, ell: float, bc: str) -> ScalarField:
                 u += decay * sa * np.sin(np.pi * k * x / ell)
         return ScalarField(u, ell, bc)
 
-    data = np.loadtxt(spec["path"], delimiter=",", skiprows=1)
+    data = np.loadtxt(spec["path"], delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] < 2 or data.shape[1] < 2 \
+            or not np.isfinite(data[:, :2]).all():
+        raise ValueError(f"initial.path {spec['path']!r} holds no snapshot: "
+                         f"it needs at least two rows of finite x, u")
     u = np.interp(x, data[:, 0], data[:, 1],
                   period=ell if bc == PERIODIC else None)
     if bc == DIRICHLET:
@@ -692,12 +705,13 @@ def run_scenario(cfg: ScenarioConfig, write: bool = True):
     "blowup" or "construction_failure"; on failure the partial series is
     still emitted together with a machine-readable error record
     (``error.json``) that says what failed, where and when. A scenario
-    that cannot be built raises :class:`ConfigError`, also where the
-    equilibrium profile or the planar orbit it starts from is not found.
+    that cannot be built raises :class:`ConfigError`, also where its start
+    file cannot be opened or the equilibrium profile or the planar orbit
+    it starts from is not found.
     """
     try:
         gen, a_coeff, u0, report, extras_fn, solver_cfg = _build_scenario(cfg)
-    except (ValueError, KeyError, RuntimeError) as exc:
+    except (ValueError, KeyError, RuntimeError, OSError) as exc:
         raise ConfigError(f"scenario {cfg.scenario!r}: {exc}") from exc
     # None where the scenario declares no burn-in
     burn_in = cfg.params.get("burn_in")

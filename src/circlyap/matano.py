@@ -100,7 +100,7 @@ class SeparatedEvaluator:
     def field_eval(self, fld: ScalarField):
         """L, L_pp and F over a whole gridded field: ``eval_samples`` at
         its grid points and finite-difference slopes."""
-        return self.eval_samples(fld.grid(), fld.values, gradient(fld).values)
+        return self.eval_samples(fld.grid(), fld.values, gradient(fld))
 
 
 def field_report(ev: SeparatedEvaluator, fld: ScalarField,

@@ -4,35 +4,24 @@ Second-order central stencils in space. In time, one of two schemes:
 
 * ``rk4``: explicit RK4, the reference; any coefficient a(x, u, u_x);
 * ``etdrk4``: the exponential integrator of Cox & Matthews (J. Comput. Phys.
-  176, 2002). The linear part a * u_xx, with the same second-difference
-  matrix, is applied exactly in the basis that diagonalises it
-  (``numpy.fft``: real FFT on the circle, DST-I on the Dirichlet interior,
-  DCT-I for Neumann's mirrored ghosts, both as the real FFT of the odd or
-  even extension); the reaction f(x, u, u_x) stays explicit through the same
-  central difference. An interval transform of at most 256 points is a dense
-  matrix product, tabulated once per solve, as it is faster there than the
-  FFT of the extension. So it integrates the same semi-discrete ODE as RK4,
-  at steps far above RK4's stability limit. Its phi-functions come from
-  Kassam & Trefethen's contour integrals (SIAM J. Sci. Comput. 26, 2005),
-  once per solve and step size. The initial transient changes faster than a
-  large step resolves, so each step is checked against two half steps and
-  covered in halved steps until the two agree to 1e-9, until a whole step
-  passes; plain steps follow. All attempts at a step share its first
-  reaction term, evaluated once. It needs a constant diffusion coefficient
-  and an explicit step ``dt``.
+  176, 2002) with Kassam & Trefethen's contour-integral phi-functions (SIAM
+  J. Sci. Comput. 26, 2005). It applies a * u_xx exactly in the basis that
+  diagonalises the second difference (``numpy.fft``: real FFT on the
+  circle, DST-I on the Dirichlet interior, DCT-I for Neumann's mirrored
+  ghosts) and keeps the reaction f(x, u, u_x) explicit, so it integrates the
+  same semi-discrete ODE as RK4 at steps far above RK4's stability limit.
+  Step doubling covers the initial transient (see ``_etdrk4_step``). It
+  needs a constant diffusion coefficient and an explicit step ``dt``.
 
-Each solve builds one semi-discrete operator on preallocated buffers: it
-copies the state between two ghost values (the far ends on the circle) and
-writes u_x and u_xx from that copy into fixed arrays, in the operation order
-of ``functional.central_difference`` and ``second_difference``, which tests
-hold it to bit for bit. The RK4 stages, the ETDRK4 reaction terms and the
-saved u_t snapshots all evaluate it, and the public ``rhs`` builds one per
-call. The operator pins Dirichlet ends and names the grid index of a
-non-finite right-hand side or reaction term. RK4 reuses two buffers in
-every step. ETDRK4 stores its coefficient tables in the dtype of the
-transformed state (complex on the circle, real on an interval), so that no
-product casts; on a Dirichlet grid it transforms the interior and pads
-each physical state with the two zero ends.
+Each solve builds one semi-discrete operator, which takes u_x and u_xx
+from the ``functional.Stencils`` that also gives the functionals their
+u_x; this module keeps only the eigenvalues of that stencil. The RK4
+stages, the ETDRK4 reaction terms and the saved u_t snapshots all evaluate
+the operator, and the public ``rhs`` builds one per call. It pins
+Dirichlet ends and names the grid index of a non-finite right-hand side or
+reaction term. On a Dirichlet grid ETDRK4 transforms the interior, of the
+state and of the reaction term, and pads each physical state with the two
+zero ends.
 
 Each scheme only builds a ``step(u) -> u``. One loop in ``integrate`` owns
 the time, the saves and the end of a run: a blow-up record, which keeps
@@ -51,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .charflow import check_numbers, check_partial
-from .functional import DIRICHLET, NEUMANN, PERIODIC, ScalarField
+from .functional import DIRICHLET, PERIODIC, ScalarField, Stencils
 
 BLOWUP_THRESHOLD = 1e6
 # ETDRK4 step doubling in the initial transient: a step and its two
@@ -121,38 +110,11 @@ class TrajectoryRecord:
     message: str | None = None
 
 
-def second_difference(u: np.ndarray, h2: float, bc: str,
-                      out: np.ndarray) -> np.ndarray:
-    """Second-order u_xx of the samples ``u`` into ``out``; ``h2`` is the
-    squared spacing. Dirichlet ends read 0 (the values there are pinned),
-    Neumann ends mirror the ghost values. Each value is computed as
-    ((u[i+1] - 2 u[i]) + u[i-1]) / h2. It is the reference that tests hold
-    the solver's buffered stencil to, bit for bit."""
-    mid = out[1:-1]
-    np.multiply(u[1:-1], 2, out=mid)
-    np.subtract(u[2:], mid, out=mid)
-    mid += u[:-2]
-    mid /= h2
-    if bc == PERIODIC:
-        out[0] = (u[1] - 2 * u[0] + u[-1]) / h2
-        out[-1] = (u[0] - 2 * u[-1] + u[-2]) / h2
-    elif bc == DIRICHLET:
-        out[0] = out[-1] = 0.0
-    else:
-        out[0] = 2 * (u[1] - u[0]) / h2
-        out[-1] = 2 * (u[-2] - u[-1]) / h2
-    return out
-
-
 class _SemiDiscrete:
     """The semi-discrete operator u -> a * u_xx + f(x, u, u_x) on plain arrays.
 
     Built once per solve from the grid ``x``, the spacing ``h`` and the
-    boundary tag: the grid, 2h, h^2 and the buffers are fixed. Each
-    evaluation copies u between two ghost values (the far ends of the
-    circle; interval ends are set apart) and takes u_x and u_xx from that
-    copy into the derivative buffers, in the operation order of
-    ``central_difference`` and ``second_difference``, bit for bit. Then
+    boundary tag, with one ``functional.Stencils`` for u_x and u_xx; then
     come the user's callables and one finiteness check. ``a`` is None
     (unit coefficient), a constant or a callable a(x, u, p).
     """
@@ -163,62 +125,30 @@ class _SemiDiscrete:
         self.a = float(a) if np.isscalar(a) else a
         self.x = x
         self.bc = bc
-        self.two_h = 2 * h
-        self.h2 = h**2
-        # interval ends are overwritten, so their ghosts stay 0
-        self._pad = np.zeros(x.size + 2)
-        self._p = np.empty(x.size)
-        self._uxx = np.empty(x.size)
+        self.stencils = Stencils(x.size, h, bc)
         self._ones = np.ones(x.size)
 
-    def _slope(self, u: np.ndarray) -> np.ndarray:
-        """u_x into the slope buffer, from the ghost-padded copy of u."""
-        pad, p = self._pad, self._p
-        pad[1:-1] = u
-        if self.bc == PERIODIC:
-            pad[0], pad[-1] = u[-1], u[0]
-        np.subtract(pad[2:], pad[:-2], out=p)
-        p /= self.two_h
-        if self.bc != PERIODIC:
-            p[0] = (-3 * u[0] + 4 * u[1] - u[2]) / self.two_h
-            p[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / self.two_h
-        return p
-
-    def _second(self, u: np.ndarray) -> np.ndarray:
-        """u_xx into its buffer, from the padded copy ``_slope`` made."""
-        pad, uxx, h2 = self._pad, self._uxx, self.h2
-        np.multiply(u, 2, out=uxx)
-        np.subtract(pad[2:], uxx, out=uxx)
-        uxx += pad[:-2]
-        uxx /= h2
-        if self.bc == DIRICHLET:
-            uxx[0] = uxx[-1] = 0.0
-        elif self.bc == NEUMANN:
-            uxx[0] = 2 * (u[1] - u[0]) / h2
-            uxx[-1] = 2 * (u[-2] - u[-1]) / h2
-        return uxx
-
     def reaction(self, u: np.ndarray) -> np.ndarray:
-        """f(x, u, u_x), zero at pinned Dirichlet ends.
+        """f(x, u, u_x) at the points that move: all of them, or the
+        Dirichlet interior, whose pinned ends are neither kept nor checked.
 
         f may return the slope buffer itself, so the result is only valid
         until the next evaluation. Raises FloatingPointError naming the
         first grid index whose value is not finite.
         """
-        out = self.f(self.x, u, self._slope(u))
+        out = self.f(self.x, u, self.stencils.slope(u))
         if self.bc == DIRICHLET:
-            out = np.array(out, dtype=float)
-            out[0] = out[-1] = 0.0
+            return self._finite(out[1:-1], "reaction term", 1)
         return self._finite(out, "reaction term")
 
-    def _finite(self, out: np.ndarray, what: str) -> np.ndarray:
+    def _finite(self, out: np.ndarray, what: str, first=0) -> np.ndarray:
         # a finite sum (out @ ones) rules out NaN and inf; an overflowing
-        # one is confirmed element by element
-        if not math.isfinite(out @ self._ones):
+        # one is confirmed element by element; out[0] is grid index first
+        if not math.isfinite(out @ self._ones[:out.size]):
             bad = np.flatnonzero(~np.isfinite(out))
             if bad.size:
                 raise FloatingPointError(
-                    f"non-finite {what} at grid index {bad[0]}")
+                    f"non-finite {what} at grid index {bad[0] + first}")
         return out
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
@@ -228,8 +158,8 @@ class _SemiDiscrete:
         is not finite.
         """
         x, a = self.x, self.a
-        p = self._slope(u)
-        uxx = self._second(u)
+        p = self.stencils.slope(u)
+        uxx = self.stencils.second(u)
         if a is None:
             out = uxx + self.f(x, u, p)
         elif callable(a):
@@ -276,7 +206,7 @@ def _interval_transform(w: np.ndarray, dirichlet: bool) -> np.ndarray:
 
 
 def _diagonalised_second_difference(n: int, h: float, bc: str):
-    """Eigenvalues of the ``second_difference`` matrix and the transform
+    """Eigenvalues of the matrix of ``Stencils.second`` and the transform
     pair that diagonalises it, acting on the points that move: all of
     them, or the Dirichlet interior. The eigenvalues are
     -4 sin^2(theta_k / 2) / h^2 for the real FFT (theta_k = 2 pi k / n),
@@ -356,18 +286,18 @@ def _etdrk4_step(op: _SemiDiscrete, u0: ScalarField, a: float, dt: float):
     doubling) and covered in halved steps until the two agree; then plain
     steps dt follow. All attempts share the step's first reaction term."""
     lam, fwd, physical = _diagonalised_second_difference(u0.n, u0.dx, u0.bc)
+    start = u0.values
     if u0.bc == DIRICHLET:
         # the ends are exact zeros (ScalarField stores them so) and stay
         # so: the pair acts on the interior, its inverse padded by them
-        fwd_interior, inv_interior, zero = fwd, physical, np.zeros(1)
-        fwd, physical = (lambda w: fwd_interior(w[1:-1])), \
-            (lambda v: np.concatenate([zero, inv_interior(v), zero]))
+        inv, zero, start = physical, np.zeros(1), start[1:-1]
+        physical = lambda v: np.concatenate([zero, inv(v), zero])
 
     def N(uv):
         """The transformed reaction term."""
         return fwd(op.reaction(uv))
 
-    v, coefficients = fwd(u0.values), {}
+    v, coefficients = fwd(start), {}
 
     def advance(v, Nu, m):
         """Cover one step dt in m ETDRK4 steps of dt / m from the

@@ -90,20 +90,30 @@ class TestScalarField:
 class TestGradient:
     def test_constant_field(self):
         fld = ScalarField(np.full(32, 1.7), 1.0)
-        assert np.max(np.abs(gradient(fld).values)) == 0.0
+        assert np.max(np.abs(gradient(fld))) == 0.0
 
     def test_periodic_sine(self):
         n = 256
         x = np.arange(n) / n
         fld = ScalarField(np.sin(2 * np.pi * x), 1.0)
         exact = 2 * np.pi * np.cos(2 * np.pi * x)
-        assert np.max(np.abs(gradient(fld).values - exact)) <= 1e-3
+        assert np.max(np.abs(gradient(fld) - exact)) <= 1e-3
 
     def test_interval_linear_ramp(self):
         n = 32
         x = np.linspace(0.0, 1.0, n)
         fld = ScalarField(3.0 * x, 1.0, NEUMANN)
-        assert np.max(np.abs(gradient(fld).values - 3.0)) <= 1e-10
+        assert np.max(np.abs(gradient(fld) - 3.0)) <= 1e-10
+
+    def test_dirichlet_ends_are_one_sided_slopes(self):
+        # the slope of a Dirichlet field need not vanish where u does
+        n = 64
+        x = np.linspace(0.0, 1.0, n)
+        fld = ScalarField(np.sin(np.pi * x), 1.0, DIRICHLET)
+        p = gradient(fld)
+        assert type(p) is np.ndarray and p.shape == (n,)
+        assert abs(p[0] - np.pi) <= 1e-2 and abs(p[-1] + np.pi) <= 1e-2
+        assert not np.shares_memory(p, gradient(fld))
 
 
 class TestEvaluateV:
@@ -125,7 +135,7 @@ class TestEvaluateV:
         lam = 2.0
         ev = LagrangianEvaluator(cubic_nl(lam))
         fld = smooth_field(128)
-        p = gradient(fld).values
+        p = gradient(fld)
         F = lam * (fld.values**2 / 2.0 - fld.values**4 / 4.0)
         w = quadrature_weights(fld)
         expected = float(np.dot(w, 0.5 * p * p - F))
@@ -240,7 +250,7 @@ class TestFieldReport:
         ut = fld.like(0.3 * np.cos(2 * np.pi * fld.grid()))
         rep = field_report(LagrangianEvaluator(mixed_nl()), fld, ut)
         fe = LagrangianEvaluator(mixed_nl()).field_eval(
-            fld.values, gradient(fld).values)
+            fld.values, gradient(fld))
         w = quadrature_weights(fld)
         assert rep.V == float(np.dot(w, fe["L"]))
         assert rep.convexity_min == float(np.min(fe["L_pp"]))
@@ -257,7 +267,7 @@ class TestFieldReport:
         # an unrelated batch that holds the same samples among others
         # computes their F_q in another solve first
         ev = LagrangianEvaluator(nl)
-        u, p = fld.values, gradient(fld).values
+        u, p = fld.values, gradient(fld)
         ev.field_eval(np.concatenate([np.linspace(-1.0, 1.0, 40), u]),
                       np.concatenate([np.linspace(2.0, -2.0, 40), p]))
         assert field_report(ev, fld, ut).dissipation == \
@@ -269,7 +279,7 @@ class TestFieldReport:
         ev = LagrangianEvaluator(effective_nonlinearity(mixed_nl(), a_bar))
         fld = smooth_field(64)
         ut = fld.like(0.3 * np.cos(2 * np.pi * fld.grid()))
-        u, p = fld.values, gradient(fld).values
+        u, p = fld.values, gradient(fld)
         # the per-point loop the weight used to be computed by
         av = np.array([a_bar.f_bar(ui, 0.5 * pi * pi) for ui, pi in zip(u, p)])
         lpp = ev.field_eval(u, p)["L_pp"]

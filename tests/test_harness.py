@@ -1002,11 +1002,33 @@ class TestCli:
         ("chafee_infante", {"initial": {"kind": "random_smooth", "sed": 3}}),
         ("matano_separated", {"initial": {"kind": "fourier_modes",
                                           "modes": {"1": [0.5, 0.25]}}}),
+        ("chafee_infante", {"initial": {"kind": "fourier_modes",
+                                        "modes": {"1": 0.5}}}),
+        ("chafee_infante", {"initial": {"kind": "fourier_modes",
+                                        "modes": [[0.5, 0.1]]}}),
+        # a from_file start reads "start.csv" in tmp_path, holding the
+        # "csv" lines given here, or no file at all
+        ("chafee_infante", {"initial": {"kind": "from_file"}}),
+        ("chafee_infante", {"initial": {"kind": "from_file"},
+                            "csv": ["x,u", "0.0", "0.5"]}),
+        ("chafee_infante", {"initial": {"kind": "from_file"},
+                            "csv": ["x,u", "0.0,0.1"]}),
+        ("chafee_infante", {"initial": {"kind": "from_file"},
+                            "csv": ["x,u", "0.0,0.1", "0.5,nan"]}),
     ], ids=["unknown_initial_kind", "subcritical_lam", "initial_key_typo",
-            "cosine_mode_on_interval"])
+            "cosine_mode_on_interval", "mode_not_a_pair", "modes_not_a_table",
+            "missing_file", "one_column_file", "one_row_file",
+            "nan_in_file"])
     def test_run_exit_four_when_the_scenario_cannot_be_built(
             self, tmp_path, capsys, scenario, edit):
         cfg = tiny_config(tmp_path, scenario=scenario).to_dict()
+        edit = dict(edit)
+        lines = edit.pop("csv", None)
+        if edit.get("initial", {}).get("kind") == "from_file":
+            start = tmp_path / "start.csv"
+            edit["initial"] = {**edit["initial"], "path": str(start)}
+            if lines is not None:
+                start.write_text("\n".join(lines) + "\n")
         cfg.update(edit)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))

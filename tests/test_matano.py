@@ -181,7 +181,7 @@ class TestFieldEval:
         fe = ev.field_eval(fld)
         fresh = SeparatedEvaluator(gen, quad_cfg=qc)
         x = fld.grid()
-        p = gradient(fld).values
+        p = gradient(fld)
         for i in range(0, 32, 7):
             assert fe["L"][i] == pytest.approx(
                 fresh.L(x[i], fld.values[i], p[i]), abs=1e-8)
@@ -234,7 +234,7 @@ class TestPDependentDrift:
         fld = dirichlet_field(32)
         fe = ev.field_eval(fld)
         x = fld.grid()
-        p = gradient(fld).values
+        p = gradient(fld)
         for i in (3, 12, 20):
             ref = nested_reference_L(gen, x[i], fld.values[i], p[i])
             assert fe["L"][i] == pytest.approx(ref, abs=1e-8)
@@ -288,7 +288,7 @@ class TestFieldEscape:
         msg = str(err.value)
         i = int(re.search(r"sample (\d+) at", msg).group(1))
         assert i < 64
-        x, u, p = fld.grid()[i], fld.values[i], gradient(fld).values[i]
+        x, u, p = fld.grid()[i], fld.values[i], gradient(fld)[i]
         assert f"sample {i} at (x, u, p) = ({x:.6g}, {u:.6g}, {p:.6g})" in msg
         assert f"stopped at x={x * err.value.at:.6g}" in msg
 
@@ -340,7 +340,7 @@ class TestDecayIdentity:
         F = cubic_primitive(lam)
         Vs, Ds = [], []
         for snap, ut in zip(traj.snapshots, traj.u_t_snapshots):
-            p = gradient(snap).values
+            p = gradient(snap)
             w = quadrature_weights(snap)
             Vs.append(float(np.dot(w, 0.5 * p * p - F(snap.values))))
             Ds.append(-float(np.dot(w, ut.values**2)))

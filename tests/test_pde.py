@@ -14,7 +14,6 @@ from circlyap.functional import (
     NEUMANN,
     PERIODIC,
     ScalarField,
-    central_difference,
 )
 from circlyap.pde import (
     ETDRK4,
@@ -28,7 +27,6 @@ from circlyap.pde import (
     _diagonalised_second_difference,
     integrate,
     rhs,
-    second_difference,
 )
 
 
@@ -249,7 +247,7 @@ class TestRhs:
         n = 64
         x = np.linspace(0.0, 1.0, n)
         fld = ScalarField(np.cos(np.pi * x), 1.0, NEUMANN)
-        uxx = second_difference(fld.values, fld.dx**2, fld.bc, np.empty(fld.n))
+        uxx = rhs(zero_gen(), None, fld).values
         exact = -np.pi**2 * fld.values
         assert np.max(np.abs(uxx - exact)) <= 5e-2
 
@@ -258,14 +256,13 @@ class TestRhs:
         # the operator's ghost-padded stencils against the two reference
         # functions, on two states in turn, so that a stale buffer shows
         fld = profile(bc, 64)
-        h = fld.dx
-        op = _SemiDiscrete(zero_gen(), None, fld.grid(), h, bc)
+        op = _SemiDiscrete(zero_gen(), None, fld.grid(), fld.dx, bc)
         for u in (fld.values, np.sin(3.0 * fld.values) * fld.values):
             op(u)
-            assert np.array_equal(
-                op._p, central_difference(u, 2 * h, bc, np.empty(fld.n)))
-            assert np.array_equal(
-                op._uxx, second_difference(u, h**2, bc, np.empty(fld.n)))
+            assert np.array_equal(op.stencils.p,
+                                  reference_gradient(fld.like(u)))
+            assert np.array_equal(op.stencils.uxx,
+                                  reference_laplacian(fld.like(u)))
 
     def test_diffusion_coefficient_scales(self):
         fld = sine_field(128)
@@ -282,8 +279,6 @@ class TestAgainstReference:
         a = COEFFICIENTS[coeff]
         got = rhs(advective_gen(), a, fld).values
         assert np.array_equal(got, reference_rhs(advective_gen(), a, fld))
-        uxx = second_difference(fld.values, fld.dx**2, fld.bc, np.empty(fld.n))
-        assert np.array_equal(uxx, reference_laplacian(fld))
 
     def test_rk4_run_is_bit_identical(self, bc, coeff):
         u0 = profile(bc)
@@ -436,7 +431,7 @@ class TestETDRK4:
         moving = slice(1, -1) if bc == DIRICHLET else slice(None)
         got = np.zeros(n)
         got[moving] = inv(lam * fwd(u[moving]))
-        want = second_difference(u, h * h, bc, np.empty(n))
+        want = reference_laplacian(ScalarField(u, 1.0, bc))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     # n = 128 tabulates the transforms, n = 600 applies them per call
@@ -583,9 +578,9 @@ def dirichlet_start(n, left, right):
     return u
 
 
-def dirichlet_runs(u0):
+def dirichlet_runs(u0, gen=cubic_gen(5.0)):
     """An RK4 and an ETDRK4 run of six steps from ``u0``, saving each."""
-    return [integrate(cubic_gen(5.0), None, u0,
+    return [integrate(gen, None, u0,
                       SolverConfig(n=u0.n, dt=dt, t_end=6 * dt, save_every=1,
                                    scheme=scheme))
             for scheme, dt in ((RK4, 0.4 * u0.dx**2), (ETDRK4, DT_ETD))]
@@ -620,6 +615,34 @@ class TestDirichletEnds:
     def test_other_ends_are_rejected(self, left, right):
         with pytest.raises(ValueError, match="vanish at both ends"):
             ScalarField(dirichlet_start(64, left, right), 1.0, DIRICHLET)
+
+    @pytest.mark.parametrize("n", [64, 300])
+    def test_reaction_is_not_read_at_pinned_ends(self, n):
+        # a reaction that is NaN only at the two pinned ends ends neither
+        # run, and each is the run of the reaction without the NaNs
+        cubic = cubic_gen(5.0)
+        gen = GeneralNonlinearity(
+            f=lambda x, u, p: cubic.f(x, u, p)
+            + np.where((x > 0.0) & (x < 1.0), 0.0, np.nan),
+            f_p=cubic.f_p)
+        u0 = ScalarField(dirichlet_start(n, 0.0, 0.0), 1.0, DIRICHLET)
+        for traj, ref in zip(dirichlet_runs(u0, gen), dirichlet_runs(u0)):
+            assert not traj.blew_up and len(traj.snapshots) == 7
+            for got, want in zip(traj.snapshots + traj.u_t_snapshots,
+                                 ref.snapshots + ref.u_t_snapshots):
+                assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("n", [64, 300])
+    def test_reaction_may_return_the_slope_buffer(self, n):
+        # f = u_x returned as the operator's own slope buffer, against the
+        # same f returned as a copy
+        u0 = ScalarField(dirichlet_start(n, 0.0, 0.0), 1.0, DIRICHLET)
+        runs = [dirichlet_runs(u0, GeneralNonlinearity(
+            f=f, f_p=lambda x, u, p: 1.0 + 0.0 * u))[1]
+            for f in (lambda x, u, p: p, lambda x, u, p: p.copy())]
+        assert not runs[0].blew_up and len(runs[0].snapshots) == 7
+        for got, want in zip(*(r.snapshots for r in runs)):
+            assert np.array_equal(got.values, want.values)
 
 
 # a step that both schemes take stably at n = 32 (RK4's limit is 6.8e-4)
