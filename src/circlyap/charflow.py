@@ -226,6 +226,8 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
     returns a fresh array per call. Its first ``watch`` components are the
     characteristics proper and are held to ``cfg.escape_bound``; the
     components after them (sensitivities, accumulated exponents) are not.
+    ``lane(k, t)`` names the lane of component k, watched or not, at the
+    parameter value t where the solve failed.
 
     It runs DOP853 in its own loop at ``cfg.rel_tol``/``cfg.abs_tol``:
     scipy's tableau (its step and error tables, in :mod:`circlyap._dop853`),
@@ -240,14 +242,14 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
       any right-hand side is evaluated;
     * a watched component beyond the escape bound, at the start or on the
       way, or a step size that collapses (finite-time blow-up):
-      :class:`CharacteristicEscape`, whose context ``lane(k, t)`` names
-      the lane of watched component k at the parameter value t where the
-      solve stopped: the component of largest modulus, or on a collapse
-      of largest scaled error in the last rejected attempt, followed by
-      the reason. A crossing of the bound is bisected to 4 eps, as scipy's
+      :class:`CharacteristicEscape`, whose context is ``lane(k, t)`` of
+      the watched component k of largest modulus, or on a collapse of
+      largest scaled error in the last rejected attempt, followed by the
+      reason. A crossing of the bound is bisected to 4 eps, as scipy's
       terminal events are, with steps from the start of the step that made
       it; the state reported there is beyond the bound;
-    * a non-finite right-hand side, or a solve that needs more than
+    * a non-finite right-hand side, named by ``lane(k, t)`` of its first
+      non-finite component k, or a solve that needs more than
       ``cfg.max_steps`` steps: :class:`IntegrationFailure`.
 
     Returns the final state.
@@ -280,8 +282,9 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
         # a finite sum (dy @ ones) rules out NaN and inf; an overflowing
         # one is confirmed element by element
         if not math.isfinite(dy @ ones) and not np.isfinite(dy).all():
-            raise IntegrationFailure("non-finite right-hand side",
-                                     float(t), var)
+            k = int(np.argmin(np.isfinite(dy)))
+            raise IntegrationFailure(f"non-finite right-hand side "
+                                     f"({lane(k, t)})", float(t), var)
         return dy
 
     f = fun(t, y)
@@ -353,14 +356,37 @@ def solve_characteristics(rhs, span, y0, cfg: CharflowConfig, watch: int,
     return y
 
 
+def _lane_names(what: str, names: str, scale, span, starts, sample=None,
+                at=None):
+    """The driver's ``lane(k, s)`` over lanes along v = scale_k * s:
+    "<what>: sample i at (<names>) = (<coordinates>), stopped at
+    <v>=<scale_k * s>". Lane k (modulo the lane count) is sample k at its
+    start, or sample[k] at the coordinates ``at`` maps from the names."""
+    m, names = len(starts[0]), (", ".join(at) if at else names)
+
+    def lane(k, s):
+        k %= m
+        v = np.broadcast_to(scale, m)[k]
+        i = k if sample is None else sample[k]
+        coords = ([c[i] for c in at.values()] if at
+                  else [v * span[0], *(r[k] for r in starts)])
+        return (f"{what}: sample {i} at ({names}) = "
+                f"({', '.join(f'{c:.6g}' for c in coords)}), "
+                f"stopped at {names.split(',')[0]}={v * s:.6g}")
+
+    return lane
+
+
 def solve_q_flow(nl: NonlinearityO2, scale, q0, n_sens: int, span,
-                 cfg: CharflowConfig, lane, var: str = "s"):
+                 cfg: CharflowConfig, what: str, var: str = "s", sample=None,
+                 at=None):
     """Lanes of the q-flow dq/du = -fbar(u, q) in one solve, lane k along
     u = scale_k * s over ``span`` of s from q0_k (a float ``scale`` of 1.0
     makes u the parameter). The first ``n_sens`` lanes carry the
     sensitivity eta to q0_k from 1, the others the transport equation
-    dg/du = fbar_q(u, q) from 0; every q is watched, and ``lane(k, s)``
-    names lane k in an escape. Returns q, eta and g at the end of the span.
+    dg/du = fbar_q(u, q) from 0; every q is watched. A failure names
+    ``what`` and the lane, as :func:`_lane_names` with ``sample`` and ``at``
+    does. Returns q, eta and g at the end of the span.
     """
     nq = q0.size
     neg_scale = -scale
@@ -370,14 +396,15 @@ def solve_q_flow(nl: NonlinearityO2, scale, q0, n_sens: int, span,
     def rhs(s, y):
         # one f_bar and one f_bar_q call over all lanes, into a fresh array
         q = y[:nq]
-        at = scale * s
+        u = scale * s
         out = np.empty(2 * nq)
-        np.multiply(neg_scale, nl.f_bar(at, q), out=out[:nq])
-        np.multiply(signed, nl.f_bar_q(at, q), out=out[nq:])
+        np.multiply(neg_scale, nl.f_bar(u, q), out=out[:nq])
+        np.multiply(signed, nl.f_bar_q(u, q), out=out[nq:])
         out[nq:nq + n_sens] *= y[nq:nq + n_sens]
         return out
 
     y0 = np.concatenate([q0, np.ones(n_sens), np.zeros(nq - n_sens)])
+    lane = _lane_names(what, "u, q", scale, span, (q0,), sample, at)
     y = solve_characteristics(rhs, span, y0, cfg, nq, lane, var=var)
     return y[:nq], y[nq:nq + n_sens], y[nq + n_sens:]
 
@@ -407,16 +434,13 @@ def evolve_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized evolution for many initial values over the same u-span.
 
-    Returns (values, sensitivities). Escapes raise CharacteristicEscape
-    naming the sample: batched callers need all characteristics to
-    complete.
+    Returns (values, sensitivities). An escape, which names the sample,
+    raises: batched callers need all characteristics to complete.
     """
     q0 = np.asarray(q0, dtype=float)
     qs = q0.ravel()
-    q, eta, _ = solve_q_flow(
-        nl, 1.0, qs, qs.size, (u0, u1), cfg,
-        lambda k, _: f"evolution to u={u1:.6g}: sample {k} at (u, q) = "
-                     f"({u0:.6g}, {qs[k]:.6g})", var="u")
+    q, eta, _ = solve_q_flow(nl, 1.0, qs, qs.size, (u0, u1), cfg,
+                             f"evolution to u={u1:.6g}", var="u")
     return q.reshape(q0.shape), eta.reshape(q0.shape)
 
 
@@ -439,16 +463,15 @@ def compose_check(
     return leg2.value, direct.value
 
 
-def _solve_lanes(rows, scale, starts, span, cfg: CharflowConfig, label,
-                 names: str):
+def _solve_lanes(rows, scale, starts, span, cfg: CharflowConfig, what: str,
+                 names: str, sample=None, at=None):
     """Lanes of a system in one solve, lane k along v = scale_k * s over
     ``span`` of s. ``rows`` holds a pair (sign, fn) per row: the row
     starts from ``starts[i]``, broadcast to the lanes, and advances by
     (sign * scale_k) * fn(v, a, b) per unit s, where a and b are the first
     two rows, the watched ones. ``names`` names v, a and b (as "x, u, p");
-    an escape names ``label``, the lane's start and where it stopped, or is
-    named by ``label(k, s)`` when ``label`` is callable. Returns the final
-    rows, each shaped as scale.
+    a failure names ``what`` and the lane, as in :func:`solve_q_flow`.
+    Returns the final rows, each shaped as scale.
     """
     scale = np.asarray(scale, dtype=float)
     shape, scale = scale.shape, scale.ravel()
@@ -459,40 +482,31 @@ def _solve_lanes(rows, scale, starts, span, cfg: CharflowConfig, label,
 
     def rhs(s, y):
         # a fresh array per call: the integrator keeps the derivative
-        at = scale * s
+        v = scale * s
         a, b = y[row[0]], y[row[1]]
         out = np.empty(y.size)
         for r, factor, fn in signed:
-            np.multiply(factor, fn(at, a, b), out=out[r])
+            np.multiply(factor, fn(v, a, b), out=out[r])
         return out
 
-    def lane(k, s):
-        k %= m
-        if callable(label):
-            return label(k, s)
-        return (f"{label}: sample {k} at ({names}) = "
-                f"({scale[k] * span[0]:.6g}, {y0[0, k]:.6g}, {y0[1, k]:.6g}), "
-                f"stopped at {names.split(', ')[0]}={scale[k] * s:.6g}")
-
-    y = solve_characteristics(rhs, span, y0.ravel(), cfg, 2 * m, lane,
-                              var="s")
+    y = solve_characteristics(rhs, span, y0.ravel(), cfg, 2 * m, _lane_names(
+        what, names, scale, span, y0[:2], sample, at), var="s")
     return y.reshape((len(rows),) + shape)
 
 
-def solve_profile_flow(f, xs, u0, p0, span, cfg: CharflowConfig, label,
-                       f_p=None) -> np.ndarray:
+def solve_profile_flow(f, xs, u0, p0, span, cfg: CharflowConfig, what: str,
+                       f_p=None, sample=None, at=None) -> np.ndarray:
     """Lanes of the profile flow du/dx = p, dp/dx = -f(x, u, p), with the
     exponent dg/dx = f_p from g = 0 when ``f_p`` is given, in one solve.
 
     Lane k runs along x = xs[k] * s over ``span`` of s from (u0, p0), which
-    broadcast to the lanes; u and p are watched, and an escape names
-    ``label`` and the lane, or is named by ``label(k, s)`` when ``label``
-    is callable. Returns the final rows u, p[, g].
+    broadcast to the lanes; u and p are watched, and a failure names
+    ``what`` and the lane as :func:`_solve_lanes` does. Returns the final
+    rows u, p[, g].
     """
     rows, starts = [(1, lambda x, u, p: p), (-1, f)], [u0, p0]
     if f_p is not None:
         rows.append((1, f_p))
         starts.append(0.0)
-    return _solve_lanes(rows, np.ravel(xs), starts, span, cfg, label,
-                        "x, u, p")
-
+    return _solve_lanes(rows, np.ravel(xs), starts, span, cfg, what,
+                        "x, u, p", sample, at)

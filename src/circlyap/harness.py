@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -211,7 +212,7 @@ def planar_orbit(pf: PlanarField, a0: float, b0: float):
     """
     rows = [(1, lambda t, a, b: pf.g(a, b)), (1, lambda t, a, b: pf.h(a, b))]
     at = partial(_solve_lanes, rows, starts=(a0, b0), span=(0.0, 1.0),
-                 cfg=_PROFILE_CFG, label="planar orbit", names="t, a, b")
+                 cfg=_PROFILE_CFG, what="planar orbit", names="t, a, b")
     direction = np.sign(pf.g(a0, b0))
     for ts in (np.linspace(0.0, 10.0, 101), np.linspace(0.0, 50.0, 501)):
         gap = (at(ts)[0] - a0) * direction
@@ -294,15 +295,16 @@ _INITIAL_KEYS = {"fourier_modes": {"modes"},
 def make_initial(spec: dict, n: int, ell: float, bc: str) -> ScalarField:
     """Named initial-condition generators.
 
-    kinds: ``fourier_modes`` (explicit mode table; an interval takes sine
-    coefficients only), ``random_smooth`` (seeded truncated random Fourier
-    series with quadratic decay), ``from_file`` (snapshot CSV of a prior
-    run, interpolated to the grid). A key the kind does not read, a mode
-    table that does not map modes to [cos, sin] pairs, an amplitude or mode
-    coefficient that is not a finite number, a seed or mode count (at
-    least 1) that is not an integer, and a file that holds less than two
-    rows of finite x, u are ValueErrors; a file that cannot be opened is
-    numpy's OSError.
+    kinds: ``fourier_modes`` (explicit mode table) and ``random_smooth``
+    (seeded random series with quadratic decay), one series in the basis
+    of the boundary condition (cos and sin, sin under Dirichlet, cos under
+    Neumann); ``from_file`` (snapshot CSV of a prior run, interpolated to
+    the grid). A key the kind does not read, a mode table that does not
+    map modes to [cos, sin] pairs or sets the other basis' coefficient, an
+    amplitude or coefficient that is not a finite number, a seed or mode
+    count (at least 1) that is not an integer, and a file that holds less
+    than two rows of finite x, u are ValueErrors; a file that cannot be
+    opened is numpy's OSError.
     """
     kind = spec.get("kind", "random_smooth")
     if kind not in _INITIAL_KEYS:
@@ -314,7 +316,7 @@ def make_initial(spec: dict, n: int, ell: float, bc: str) -> ScalarField:
     x = ScalarField(np.zeros(n), ell, bc).grid()
 
     if kind == "fourier_modes":
-        u, modes = np.zeros(n), spec.get("modes", {})
+        rows, modes = [], spec.get("modes", {})
         if not isinstance(modes, dict):
             raise ValueError(f"initial.modes = {modes!r} is not a table of "
                              f"mode -> [cos, sin]")
@@ -322,20 +324,14 @@ def make_initial(spec: dict, n: int, ell: float, bc: str) -> ScalarField:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValueError(f"initial.modes[{mode!r}] = {pair!r} is not "
                                  f"a [cos, sin] pair")
-            k, (ca, sa) = int(mode), pair
-            for c in (ca, sa):
+            for c in pair:
                 check_number(f"initial.modes[{mode!r}]", c)
-            if bc == PERIODIC:
-                u += ca * np.cos(2 * np.pi * k * x / ell) \
-                    + sa * np.sin(2 * np.pi * k * x / ell)
-            elif ca:
-                raise ValueError(f"mode {mode}: a cosine coefficient needs "
-                                 f"the circle; an interval takes sine modes")
-            else:
-                u += sa * np.sin(np.pi * k * x / ell)
-        return ScalarField(u, ell, bc)
-
-    if kind == "random_smooth":
+            if bc != PERIODIC and pair[0 if bc == DIRICHLET else 1]:
+                raise ValueError(f"mode {mode}: a {bc} interval takes "
+                                 f"{'sine' if bc == DIRICHLET else 'cosine'}"
+                                 f" modes only")
+            rows.append((int(mode), 1.0, *pair))
+    elif kind == "random_smooth":
         spec = {"seed": 0, "amplitude": 0.5, "n_modes": 8, **spec}
         for key in ("seed", "amplitude", "n_modes"):
             check_number(f"initial.{key}", spec[key], key != "amplitude")
@@ -343,26 +339,33 @@ def make_initial(spec: dict, n: int, ell: float, bc: str) -> ScalarField:
         if m < 1:
             raise ValueError(f"initial.n_modes = {m} is not >= 1")
         rng = np.random.default_rng(spec["seed"])
-        u = np.zeros(n)
-        for k in range(1, m + 1):
-            ca, sa = rng.standard_normal(2)
-            decay = amp / k**2
-            if bc == PERIODIC:
-                u += decay * (ca * np.cos(2 * np.pi * k * x / ell)
-                              + sa * np.sin(2 * np.pi * k * x / ell))
-            else:
-                u += decay * sa * np.sin(np.pi * k * x / ell)
+        rows = [(k, amp / k**2, *rng.standard_normal(2))
+                for k in range(1, m + 1)]
+    else:
+        with warnings.catch_warnings():
+            # a file of its header alone is the ValueError below, not a warning
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(spec["path"], delimiter=",", skiprows=1,
+                              ndmin=2)
+        if data.shape[0] < 2 or data.shape[1] < 2 \
+                or not np.isfinite(data[:, :2]).all():
+            raise ValueError(f"initial.path {spec['path']!r} holds no "
+                             f"snapshot: it needs at least two rows of "
+                             f"finite x, u")
+        u = np.interp(x, data[:, 0], data[:, 1],
+                      period=ell if bc == PERIODIC else None)
+        if bc == DIRICHLET:
+            u[0] = u[-1] = 0.0
         return ScalarField(u, ell, bc)
-
-    data = np.loadtxt(spec["path"], delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[0] < 2 or data.shape[1] < 2 \
-            or not np.isfinite(data[:, :2]).all():
-        raise ValueError(f"initial.path {spec['path']!r} holds no snapshot: "
-                         f"it needs at least two rows of finite x, u")
-    u = np.interp(x, data[:, 0], data[:, 1],
-                  period=ell if bc == PERIODIC else None)
-    if bc == DIRICHLET:
-        u[0] = u[-1] = 0.0
+    u = np.zeros(n)
+    for k, w, c, s in rows:  # mode, weight, cos and sin coefficients
+        if bc == PERIODIC:
+            u += w * (c * np.cos(2 * np.pi * k * x / ell)
+                      + s * np.sin(2 * np.pi * k * x / ell))
+        elif bc == DIRICHLET:
+            u += w * s * np.sin(np.pi * k * x / ell)
+        else:
+            u += w * c * np.cos(np.pi * k * x / ell)
     return ScalarField(u, ell, bc)
 
 

@@ -147,13 +147,9 @@ class LagrangianEvaluator:
     def F_q(self, u: float, q: float) -> float:
         """Accumulated partial derivative exponent Fq(u, q), from one
         transport lane; q may be negative."""
-        u, q = float(u), float(q)
-        _, _, g = solve_q_flow(
-            self.nl, np.array([u]), np.array([q]), 0, (1.0, 0.0),
-            self.charflow_cfg,
-            lambda k, s: f"transport solve: sample 0 at (u, q) = "
-                         f"({u:.6g}, {q:.6g}), stopped at u={u * s:.6g}")
-        return float(-g[0])
+        return float(-solve_q_flow(
+            self.nl, np.array([float(u)]), np.array([float(q)]), 0,
+            (1.0, 0.0), self.charflow_cfg, "transport solve")[2][0])
 
     def F(self, u: float) -> float:
         """F(u) by quadrature of fbar(u1, 0) * exp(Fq(u1, 0)) over [0, u],
@@ -163,10 +159,8 @@ class LagrangianEvaluator:
             return 0.0
         frac, wfrac = _unit_rule(self.quad_cfg.panels)
         un = u * frac
-        _, _, g = solve_q_flow(
-            self.nl, un, np.zeros(un.size), 0, (1.0, 0.0), self.charflow_cfg,
-            lambda k, s: f"F quadrature: node {k} at u={un[k]:.6g}, "
-                         f"stopped at u={un[k] * s:.6g}")
+        _, _, g = solve_q_flow(self.nl, un, np.zeros(un.size), 0, (1.0, 0.0),
+                               self.charflow_cfg, "F quadrature")
         f0 = self.nl.f_bar(un, np.zeros(un.size))
         return float(np.dot(u * wfrac, f0 * np.exp(-g)))
 
@@ -202,14 +196,9 @@ class LagrangianEvaluator:
         npts = u_arr.size
 
         def lanes(i, us, q0, n_sens):
-            # lane k belongs to sample i[k] and runs along u = us[k] * s
-            def sample(k, s):
-                return (f"batched field evaluation: sample {i[k]} at (u, p) "
-                        f"= ({u_arr[i[k]]:.6g}, {p_arr[i[k]]:.6g}), "
-                        f"stopped at u={us[k] * s:.6g}")
-
             return solve_q_flow(self.nl, us, q0, n_sens, (1.0, 0.0),
-                                self.charflow_cfg, sample)
+                                self.charflow_cfg, "batched field evaluation",
+                                sample=i, at={"u": u_arr, "p": p_arr})
 
         if self.form == DOUBLE_INTEGRAL:
             L, L_pp, F, fq_star = cauchy_assembly(

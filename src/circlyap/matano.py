@@ -63,13 +63,9 @@ class SeparatedEvaluator:
         Each span [x_k, 0] is rescaled to a common parameter s in [1, 0],
         so characteristics from every sample advance together.
         """
-        return self._g(xs, us, ps, "batched backward characteristics")
-
-    def _g(self, xs, us, ps, label):
-        # an escape is named by ``label``, as solve_profile_flow takes it
-        return -solve_profile_flow(self.nl.f, xs, us, ps, (1.0, 0.0),
-                                   self.charflow_cfg, label,
-                                   f_p=self.nl.f_p)[2]
+        return -solve_profile_flow(
+            self.nl.f, xs, us, ps, (1.0, 0.0), self.charflow_cfg,
+            "batched backward characteristics", f_p=self.nl.f_p)[2]
 
     def eval_samples(self, xs, us, ps):
         """L, L_pp and F at paired samples (x_i, u_i, p_i), in one fused
@@ -81,13 +77,10 @@ class SeparatedEvaluator:
         p = np.asarray(ps, dtype=float).ravel()
 
         def exponent(i, u_lanes, p_lanes):
-            def sample(k, s):
-                j = i[k]
-                return (f"separated-BC field evaluation: sample {j} at "
-                        f"(x, u, p) = ({x[j]:.6g}, {u[j]:.6g}, {p[j]:.6g}), "
-                        f"stopped at x={x[j] * s:.6g}")
-
-            return self._g(x[i], u_lanes, p_lanes, sample)
+            return -solve_profile_flow(
+                self.nl.f, x[i], u_lanes, p_lanes, (1.0, 0.0),
+                self.charflow_cfg, "separated-BC field evaluation",
+                f_p=self.nl.f_p, sample=i, at={"x": x, "u": u, "p": p})[2]
 
         def reaction(u_nodes):
             x_nodes = np.repeat(x, u_nodes.shape[1]).reshape(u_nodes.shape)

@@ -582,3 +582,99 @@ class TestDriverPolicy:
         assert err.value.var == "s"
         # located on the step's interpolant, not at the end of the step
         assert err.value.at == pytest.approx(4 / 9, abs=1e-12)
+
+
+def _grow_nl():
+    # dq/du = -2: a q lane run down from u_k to 0 gains 2 u_k
+    return NonlinearityO2(f_bar=lambda u, q: 2.0 + 0.0 * q,
+                          f_bar_q=lambda u, q: 1.0 + 0.0 * q, label="grow")
+
+
+def _free_gen(f_p=lambda x, u, p: 0.0 * np.asarray(p, dtype=float)):
+    return GeneralNonlinearity(
+        f=lambda x, u, p: 0.0 * np.asarray(u, dtype=float), f_p=f_p,
+        x_periodic=False)
+
+
+# the context of every lane failure: what, the sample and its coordinates
+# by name, and where the solve stopped
+_LANE = re.compile(r"^[^:]+: sample \d+ at \(([^)]*)\) = \(([^)]*)\), "
+                   r"stopped at \w+=\S+$")
+
+
+class TestLaneNames:
+    """One rule names the lane of every failing characteristic."""
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda cfg: evolve_batch(
+            NonlinearityO2(f_bar=lambda u, q: -1.0 + 0.0 * q,
+                           f_bar_q=lambda u, q: 0.0 * q),
+            0.0, 3.0, np.array([0.1, 0.5]), cfg), id="evolve_batch"),
+        pytest.param(lambda cfg: lagrangian.LagrangianEvaluator(
+            _grow_nl(), cfg).F_q(2.0, 0.5), id="F_q"),
+        pytest.param(lambda cfg: lagrangian.LagrangianEvaluator(
+            _grow_nl(), cfg).F(3.0), id="F"),
+        pytest.param(lambda cfg: lagrangian.LagrangianEvaluator(
+            _grow_nl(), cfg).field_eval([0.1, 2.0], [0.2, 0.5]),
+                     id="field_eval_reduced"),
+        pytest.param(lambda cfg: lagrangian.LagrangianEvaluator(
+            _grow_nl(), cfg, form=lagrangian.DOUBLE_INTEGRAL).field_eval(
+                [0.1, 2.0], [0.2, 0.5]), id="field_eval_double_integral"),
+        pytest.param(lambda cfg: matano.SeparatedEvaluator(
+            _free_gen(), cfg).g_batch([1.0, 1.0], [0.0, -0.5], [0.1, 0.9]),
+                     id="g_batch"),
+        pytest.param(lambda cfg: matano.SeparatedEvaluator(
+            _free_gen(), cfg).eval_samples([1.0, 1.0], [0.0, -0.5],
+                                           [0.1, 0.9]), id="eval_samples"),
+        pytest.param(lambda cfg: solve_profile_flow(
+            lambda x, u, p: 0.0 * u, [0.1, 2.0], 0.0, 1.0, (0.0, 1.0), cfg,
+            "free"), id="solve_profile_flow"),
+    ])
+    def test_every_escape_names_its_lane_alike(self, call):
+        with pytest.raises(CharacteristicEscape) as err:
+            call(CharflowConfig(escape_bound=1.0))
+        context = re.fullmatch(r"characteristic escaped its bound at "
+                               r"\w+=\S+ \((.*)\)", str(err.value))[1]
+        names, coords = _LANE.fullmatch(context).groups()
+        assert len(names.split(", ")) == len(coords.split(", ")) >= 2
+
+    def test_only_charflow_names_a_lane(self):
+        for info in pkgutil.iter_modules(circlyap.__path__):
+            mod = importlib.import_module(f"circlyap.{info.name}")
+            if mod is not charflow:
+                assert "stopped at" not in inspect.getsource(mod), info.name
+        for fn in (charflow.solve_q_flow, charflow._solve_lanes,
+                   solve_profile_flow):
+            assert "label" not in inspect.signature(fn).parameters
+        assert not hasattr(matano.SeparatedEvaluator, "_g")
+        assert list(inspect.signature(matano.SeparatedEvaluator.g_batch)
+                    .parameters) == ["self", "xs", "us", "ps"]
+
+    @pytest.mark.parametrize("form", [lagrangian.REDUCED,
+                                      lagrangian.DOUBLE_INTEGRAL])
+    @pytest.mark.parametrize("nan_in", ["f_bar", "f_bar_q"])
+    def test_non_finite_rhs_names_its_sample(self, form, nan_in):
+        # NaN for u > 1, in the watched q rows (f_bar) or only in the
+        # sensitivity and transport rows after them (f_bar_q)
+        def nan_above_one(u, q):
+            return np.where(u > 1.0, np.nan, 0.5 + 0.0 * q)
+
+        fns = {"f_bar": lambda u, q: 0.5 + 0.0 * q,
+               "f_bar_q": lambda u, q: 0.0 * q, nan_in: nan_above_one}
+        ev = lagrangian.LagrangianEvaluator(NonlinearityO2(**fns), form=form)
+        with pytest.raises(IntegrationFailure,
+                           match=r"^non-finite right-hand side \(batched "
+                                 r"field evaluation: sample 1 at \(u, p\) = "
+                                 r"\(1\.5, 1\), stopped at u=1\.5\) "
+                                 r"\(s reached: 1\)$"):
+            ev.field_eval([0.5, 1.5], [1.0, 1.0])
+
+    def test_non_finite_exponent_names_its_sample(self):
+        # f_p is NaN beyond x = 0.5: only the exponent row, the third, fails
+        gen = _free_gen(lambda x, u, p: np.where(x > 0.5, np.nan, 0.0 * p))
+        ev = matano.SeparatedEvaluator(gen)
+        with pytest.raises(IntegrationFailure,
+                           match=r"\(batched backward characteristics: sample "
+                                 r"1 at \(x, u, p\) = \(0\.75, 0\.1, 0\.2\), "
+                                 r"stopped at x=0\.75\)"):
+            ev.g_batch([0.25, 0.75], [0.0, 0.1], [0.1, 0.2])

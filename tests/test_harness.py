@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 
 from circlyap import cli, harness
 from circlyap.charflow import CharacteristicEscape, CharflowConfig, IntegrationFailure
-from circlyap.functional import DIRICHLET, NEUMANN, PERIODIC, ScalarField
+from circlyap.functional import (DIRICHLET, NEUMANN, PERIODIC, ScalarField,
+                                 gradient)
 from circlyap.harness import (
     PlanarField,
     ScenarioConfig,
@@ -229,6 +231,33 @@ class TestMakeInitial:
         fld = make_initial({"kind": "random_smooth", "seed": 0}, 64, 1.0,
                            "dirichlet")
         assert abs(fld.values[0]) <= 1e-14 and abs(fld.values[-1]) <= 1e-14
+
+    def test_neumann_uses_cosine_series(self):
+        # a cosine series is flat at both ends, up to the one-sided
+        # slope's O(h^2) error; a sine series slopes there by 0.1 to 0.8
+        fld = make_initial({"kind": "random_smooth", "seed": 0}, 128, 1.0,
+                           NEUMANN)
+        slope = gradient(fld)
+        assert abs(slope[0]) < 2e-3 and abs(slope[-1]) < 2e-3
+
+    def test_interval_mode_table_takes_its_basis(self):
+        modes = {"1": [0.5, 0.0], "2": [0.0, 0.25]}
+        fld = make_initial({"kind": "fourier_modes", "modes": modes}, 64,
+                           2.0, PERIODIC)
+        x = fld.grid()
+        assert np.array_equal(fld.values, 0.5 * np.cos(np.pi * x)
+                              + 0.25 * np.sin(2 * np.pi * x))
+        for bc, basis, other in ((DIRICHLET, np.sin, "1"),
+                                 (NEUMANN, np.cos, "2")):
+            with pytest.raises(ValueError, match=rf"mode {other}: a {bc} "):
+                make_initial({"kind": "fourier_modes", "modes": modes}, 64,
+                             2.0, bc)
+            table = {k: v for k, v in modes.items() if k != other}
+            fld = make_initial({"kind": "fourier_modes", "modes": table}, 64,
+                               2.0, bc)
+            (k, (c, s)), = table.items()
+            expected = (c + s) * basis(np.pi * int(k) * fld.grid() / 2.0)
+            assert np.max(np.abs(fld.values - expected)) <= 1e-15
 
 
 class TestFromFile:
@@ -1015,10 +1044,12 @@ class TestCli:
                             "csv": ["x,u", "0.0,0.1"]}),
         ("chafee_infante", {"initial": {"kind": "from_file"},
                             "csv": ["x,u", "0.0,0.1", "0.5,nan"]}),
+        ("chafee_infante", {"initial": {"kind": "from_file"},
+                            "csv": ["x,u"]}),
     ], ids=["unknown_initial_kind", "subcritical_lam", "initial_key_typo",
             "cosine_mode_on_interval", "mode_not_a_pair", "modes_not_a_table",
             "missing_file", "one_column_file", "one_row_file",
-            "nan_in_file"])
+            "nan_in_file", "header_only_file"])
     def test_run_exit_four_when_the_scenario_cannot_be_built(
             self, tmp_path, capsys, scenario, edit):
         cfg = tiny_config(tmp_path, scenario=scenario).to_dict()
@@ -1032,7 +1063,11 @@ class TestCli:
         cfg.update(edit)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        assert cli.main(["run", str(path)]) == 4
+        # a warning on the way, as numpy's on a file of its header alone
+        # once was, would be a second stderr line, or escape as an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith(f"circlyap: bad config {path}: ConfigError: "
                               f"scenario {scenario!r}: ")

@@ -212,10 +212,12 @@ class TestF:
                             f_bar_q=lambda u, q: -2.0 * q, label="tan")
         ev = LagrangianEvaluator(nl, CharflowConfig(escape_bound=1e6))
         with pytest.raises(CharacteristicEscape,
-                           match=r"F quadrature: node 15 at u=") as err:
+                           match=r"F quadrature: sample 15 at \(u, q\) = "
+                                 r"\([^,]+, 0\)") as err:
             ev.F(3.0)
         msg = str(err.value)
-        u_k = float(re.search(r"node 15 at u=([^,]+),", msg).group(1))
+        u_k = float(re.search(r"sample 15 at \(u, q\) = \(([^,]+),",
+                              msg).group(1))
         stop = float(re.search(r"stopped at u=([^)\s]+)", msg).group(1))
         assert err.value.var == "s"
         assert stop == pytest.approx(u_k - math.pi / 2, abs=1e-3)
